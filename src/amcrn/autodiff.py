@@ -4,7 +4,8 @@ A Tensor wraps a float64 ndarray and records the operations that produced
 it; `backward` on a scalar loss accumulates gradients into every reachable
 tensor with `requires_grad`. Only the operations the network needs are
 provided: elementwise arithmetic and activations, 2-D matmul, reductions,
-concatenation/slicing, dilated 1-D convolution, dropout, and the losses.
+concatenation/slicing, dilated 1-D convolution, a fused LSTM direction,
+dropout, and the losses.
 """
 
 import numpy as np
@@ -442,6 +443,80 @@ def conv1d_dilated(x, kernel, bias=None, dilation=1):
     out._backward = bwd
     if bias is not None:
         out = out + bias
+    return out
+
+
+def lstm(x, w_x, w_h, bias, reverse=False):
+    """One LSTM direction over a T x Din sequence as a single graph node.
+
+    w_x: Din x 4H, w_h: H x 4H, bias: 4H, gate order (input, forget,
+    cell, output); zero initial state; output T x H. With `reverse` the
+    recurrence runs from the last frame to the first. The input
+    projection is one whole-sequence matmul; the recurrence caches the
+    gate activations, cell and hidden states, and backward is one BPTT
+    loop filling the T x 4H pre-activation gradient, from which the four
+    parameter/input gradients are whole-sequence products.
+    """
+    x, w_x, w_h, bias = (as_tensor(v) for v in (x, w_x, w_h, bias))
+    if x.data.ndim != 2 or x.data.shape[1] != w_x.data.shape[0]:
+        raise ShapeError("lstm expects T x Din input and Din x 4H input weights")
+    h_dim = w_h.data.shape[0]
+    if w_x.data.shape[1] != 4 * h_dim or w_h.data.shape[1] != 4 * h_dim \
+            or bias.data.shape != (4 * h_dim,):
+        raise ShapeError("lstm expects H x 4H recurrent weights and a 4H bias")
+    t_len = x.data.shape[0]
+    # Work in processing order; a reversed direction is a flipped sequence.
+    xs = x.data[::-1] if reverse else x.data
+    pre_x = xs @ w_x.data + bias.data
+    gates = np.empty((t_len, 4 * h_dim))
+    cells = np.empty((t_len, h_dim))
+    hs = np.empty((t_len, h_dim))
+    i_f, c_sl, o_sl = slice(0, 2 * h_dim), slice(2 * h_dim, 3 * h_dim), slice(3 * h_dim, None)
+    h = np.zeros(h_dim)
+    c = np.zeros(h_dim)
+    for t in range(t_len):
+        pre = pre_x[t] + h @ w_h.data
+        g = gates[t]
+        g[i_f] = 1.0 / (1.0 + np.exp(-pre[i_f]))
+        g[c_sl] = np.tanh(pre[c_sl])
+        g[o_sl] = 1.0 / (1.0 + np.exp(-pre[o_sl]))
+        c = g[h_dim : 2 * h_dim] * c + g[:h_dim] * g[c_sl]
+        h = g[o_sl] * np.tanh(c)
+        cells[t] = c
+        hs[t] = h
+    out = Tensor(hs[::-1] if reverse else hs, _parents=(x, w_x, w_h, bias))
+
+    def bwd(grad):
+        gs = grad[::-1] if reverse else grad
+        w_h_t = w_h.data.T
+        dpre = np.empty((t_len, 4 * h_dim))
+        dh_next = np.zeros(h_dim)
+        dc_next = np.zeros(h_dim)
+        for t in range(t_len - 1, -1, -1):
+            g = gates[t]
+            gi, gf, gc, go = g[:h_dim], g[h_dim : 2 * h_dim], g[c_sl], g[o_sl]
+            tc = np.tanh(cells[t])
+            dh = gs[t] + dh_next
+            dc = dc_next + dh * go * (1.0 - tc * tc)
+            c_prev = cells[t - 1] if t else 0.0
+            d = dpre[t]
+            d[:h_dim] = dc * gc * gi * (1.0 - gi)
+            d[h_dim : 2 * h_dim] = dc * c_prev * gf * (1.0 - gf)
+            d[c_sl] = dc * gi * (1.0 - gc * gc)
+            d[o_sl] = dh * tc * go * (1.0 - go)
+            dc_next = dc * gf
+            dh_next = d @ w_h_t
+        if x.requires_grad:
+            dx = dpre @ w_x.data.T
+            x._accum(dx[::-1] if reverse else dx)
+        if w_x.requires_grad:
+            w_x._accum(xs.T @ dpre)
+        if w_h.requires_grad:
+            w_h._accum(hs[:-1].T @ dpre[1:])
+        if bias.requires_grad:
+            bias._accum(dpre.sum(axis=0))
+
+    out._backward = bwd
     return out
 
 

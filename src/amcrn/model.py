@@ -329,7 +329,6 @@ class LstmDirection:
     """One direction of an LSTM layer (gate order: input, forget, cell, output)."""
 
     def __init__(self, name, d_in, hidden, rng):
-        self.hidden = hidden
         self.w_x = Parameter(_uniform(rng, (d_in, 4 * hidden), d_in), f"{name}.w_x")
         self.w_h = Parameter(_uniform(rng, (hidden, 4 * hidden), hidden), f"{name}.w_h")
         bias = np.zeros(4 * hidden)
@@ -337,23 +336,7 @@ class LstmDirection:
         self.bias = Parameter(bias, f"{name}.bias")
 
     def __call__(self, x, reverse):
-        t_len = x.shape[0]
-        h_dim = self.hidden
-        xw = x @ self.w_x
-        h = Tensor(np.zeros((1, h_dim)))
-        c = Tensor(np.zeros((1, h_dim)))
-        outs = [None] * t_len
-        steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-        for t in steps:
-            pre = ad.narrow(xw, 0, t, 1) + (h @ self.w_h) + self.bias
-            gi = ad.sigmoid(ad.narrow(pre, 1, 0, h_dim))
-            gf = ad.sigmoid(ad.narrow(pre, 1, h_dim, h_dim))
-            gc = ad.tanh(ad.narrow(pre, 1, 2 * h_dim, h_dim))
-            go = ad.sigmoid(ad.narrow(pre, 1, 3 * h_dim, h_dim))
-            c = gf * c + gi * gc
-            h = go * ad.tanh(c)
-            outs[t] = h
-        return ad.concat(outs, axis=0)
+        return ad.lstm(x, self.w_x, self.w_h, self.bias, reverse)
 
     def params(self):
         return [self.w_x, self.w_h, self.bias]
@@ -588,24 +571,38 @@ def load_checkpoint(path) -> AmcrnModel:
 
 
 def restore_model(blob: bytes, config: AmcrnConfig) -> AmcrnModel:
+    """Rebuild a model from `checkpoint_bytes` output; any malformed,
+    truncated or mismatched blob raises ConfigError."""
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ConfigError("not a recognized checkpoint file")
-    values = {}
+    view = memoryview(blob)
     pos = len(CHECKPOINT_MAGIC)
-    end = len(blob) - 4
+    end = len(blob) - 4  # the trailing entry count
+
+    def take(n):
+        nonlocal pos
+        if n > end - pos:
+            raise ConfigError(f"checkpoint truncated: {n} bytes wanted at offset {pos}, "
+                              f"{max(end - pos, 0)} left")
+        chunk = view[pos : pos + n]
+        pos += n
+        return chunk
+
+    values = {}
     while pos < end:
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).astype(np.float64)
-        pos += 4 * count
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"checkpoint entry name at offset {pos - name_len} "
+                              "is not UTF-8") from exc
+        (rank,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        count = math.prod(shape)
+        arr = np.frombuffer(take(4 * count), dtype="<f4").astype(np.float64)
         values[name] = arr.reshape(shape)
+    if end < pos:
+        raise ConfigError("checkpoint truncated: no entry count")
     (n_entries,) = struct.unpack_from("<I", blob, end)
     if n_entries != len(values):
         raise ConfigError(f"checkpoint entry count mismatch: {n_entries} != {len(values)}")
@@ -619,6 +616,8 @@ def restore_model(blob: bytes, config: AmcrnConfig) -> AmcrnModel:
     for name, owner, attr in model.buffers():
         if name not in values:
             raise ConfigError(f"checkpoint missing buffer {name}")
+        if values[name].shape != getattr(owner, attr).shape:
+            raise ConfigError(f"shape mismatch for {name}")
         setattr(owner, attr, values[name].copy())
     return model
 

@@ -284,38 +284,39 @@ def run_trials(model, trials, resolve_audio, backend="csm", plda_model=None,
     """Score a trial list and compute EER/minDCF.
 
     `resolve_audio(ref)` returns an AudioBuffer or raises KeyError.
-    Embeddings are cached by (ref, truncation, seed); truncation (in
-    seconds) applies to the test side only.
+    Truncation (in seconds) applies to the test side only. Embeddings are
+    cached by (ref, truncation applied), so without truncation a ref used
+    on both sides is embedded once.
     """
     if backend == "plda" and plda_model is None:
         raise NumericalError("PLDA backend requested without a trained model")
     cache = {}
     spec = FrameSpec(n_mels=model.config.n_mels)
 
-    def embed_ref(ref, truncate):
-        key = (ref, truncation if truncate else None, seed if truncate else None)
+    def embed_ref(ref, trunc):
+        key = (ref, trunc)
         if key in cache:
             return cache[key]
         try:
             audio = resolve_audio(ref)
         except KeyError as exc:
             raise MissingUtterance(f"cannot resolve utterance {ref!r}") from exc
-        if truncate and truncation is not None:
-            audio, _ = truncate_segment(audio, truncation, seed)
+        if trunc is not None:
+            audio, _ = truncate_segment(audio, trunc, seed)
         feats = apply_cmvn(extract_lms(audio, spec))
         emb = model.embed(feats.values)
         cache[key] = emb
         return emb
 
-    refs = [(t.enroll_ref, False) for t in trials] + [(t.test_ref, True) for t in trials]
+    keys = [(t.enroll_ref, None) for t in trials] + [(t.test_ref, truncation) for t in trials]
     workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rt: embed_ref(*rt), dict.fromkeys(refs)))
+            list(pool.map(lambda key: embed_ref(*key), dict.fromkeys(keys)))
     scores = []
     for t in trials:
-        enroll = embed_ref(t.enroll_ref, False)
-        test = embed_ref(t.test_ref, True)
+        enroll = embed_ref(t.enroll_ref, None)
+        test = embed_ref(t.test_ref, truncation)
         if backend == "csm":
             scores.append(csm(enroll, test))
         else:

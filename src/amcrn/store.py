@@ -40,10 +40,14 @@ class EmbeddingStore:
                 self.records[rec_id] = StoreRecord(vec, int(n))
 
     def add(self, rec_id, vector, n_utterances=1, overwrite=False):
+        if any(sep in rec_id for sep in "\t\n\r"):
+            raise ConfigError(f"id {rec_id!r} contains a tab or line break")
+        vector = np.asarray(vector, dtype=np.float64)
+        if not np.all(np.isfinite(vector)):
+            raise ConfigError(f"embedding for {rec_id!r} has non-finite values")
         if rec_id in self.records and not overwrite:
             raise DuplicateId(f"id {rec_id!r} already stored (use overwrite)")
-        self.records[rec_id] = StoreRecord(np.asarray(vector, dtype=np.float64),
-                                           int(n_utterances))
+        self.records[rec_id] = StoreRecord(vector, int(n_utterances))
 
     def get(self, rec_id) -> StoreRecord:
         return self.records[rec_id]

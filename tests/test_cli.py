@@ -103,6 +103,15 @@ class TestEmbed:
         _, _, ckpt = workspace
         assert main(["embed", "--checkpoint", str(ckpt), "/nonexistent.wav"]) == 2
 
+    def test_truncated_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        _, data_dir, ckpt = workspace
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(ckpt.read_bytes()[:20])
+        (tmp_path / "cut.ckpt.cfg").write_bytes(ckpt.with_name(ckpt.name + ".cfg").read_bytes())
+        wav = str(data_dir / "spk000" / "utt000.wav")
+        assert main(["embed", "--checkpoint", str(cut), wav]) == 2
+        assert "checkpoint" in capsys.readouterr().err
+
 
 class TestEnrollVerify:
     @pytest.fixture(scope="class")
@@ -135,6 +144,17 @@ class TestEnrollVerify:
         wav = str(data_dir / "spk000" / "utt000.wav")
         assert main(["verify", "--checkpoint", str(ckpt), "--store", str(store),
                      "--id", "mallory", wav]) == 2
+
+    def test_id_with_tab_is_data_error_and_store_untouched(self, workspace, tmp_path):
+        _, data_dir, ckpt = workspace
+        path = tmp_path / "speakers.tsv"
+        wav = str(data_dir / "spk001" / "utt000.wav")
+        assert main(["enroll", "--checkpoint", str(ckpt), "--store", str(path),
+                     "--id", "bob", wav]) == 0
+        before = path.read_bytes()
+        assert main(["enroll", "--checkpoint", str(ckpt), "--store", str(path),
+                     "--id", "a\tb", wav]) == 2
+        assert path.read_bytes() == before
 
     def test_duplicate_enroll_needs_overwrite(self, workspace, store):
         _, data_dir, ckpt = workspace

@@ -159,6 +159,29 @@ class TestMcbBlock:
         assert out.data.shape == (5, 8)
 
 
+def lstm_per_step(x, w_x, w_h, bias, reverse):
+    """Reference LSTM direction built from elementary tape ops, one frame
+    at a time (about a dozen graph nodes per frame); `ad.lstm` must match
+    it on the output and on every gradient."""
+    t_len = x.shape[0]
+    h_dim = w_h.shape[0]
+    xw = x @ w_x
+    h = Tensor(np.zeros((1, h_dim)))
+    c = Tensor(np.zeros((1, h_dim)))
+    outs = [None] * t_len
+    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    for t in steps:
+        pre = ad.narrow(xw, 0, t, 1) + (h @ w_h) + bias
+        gi = ad.sigmoid(ad.narrow(pre, 1, 0, h_dim))
+        gf = ad.sigmoid(ad.narrow(pre, 1, h_dim, h_dim))
+        gc = ad.tanh(ad.narrow(pre, 1, 2 * h_dim, h_dim))
+        go = ad.sigmoid(ad.narrow(pre, 1, 3 * h_dim, h_dim))
+        c = gf * c + gi * gc
+        h = go * ad.tanh(c)
+        outs[t] = h
+    return ad.concat(outs, axis=0)
+
+
 class TestLstm:
     @staticmethod
     def _scalar_reference(x_seq, w_x, w_h, b):
@@ -227,6 +250,39 @@ class TestLstm:
         cell = LstmDirection("l", 2, 2, rng)
         f = lambda x: ad.tsum(cell(x, reverse=False) ** 2)
         assert grad_check(f, Tensor(rng.standard_normal((4, 2)))) < 1e-4
+
+    def test_gradient_through_reverse_lstm(self):
+        rng = np.random.default_rng(33)
+        cell = LstmDirection("l", 2, 2, rng)
+        f = lambda x: ad.tsum(cell(x, reverse=True) ** 2)
+        assert grad_check(f, Tensor(rng.standard_normal((4, 2)))) < 1e-4
+
+    def test_gradient_wrt_recurrent_weights(self):
+        rng = np.random.default_rng(34)
+        cell = LstmDirection("l", 2, 2, rng)
+        x = Tensor(rng.standard_normal((5, 2)))
+        f = lambda w_h: ad.tsum(ad.lstm(x, cell.w_x, w_h, cell.bias, reverse=True) ** 2)
+        assert grad_check(f, cell.w_h) < 1e-4
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 2, 50])
+    def test_fused_op_matches_per_step_oracle(self, t_len, reverse):
+        rng = np.random.default_rng(35)
+        d_in, hidden = 3, 4
+        values = [rng.standard_normal((t_len, d_in)),
+                  0.5 * rng.standard_normal((d_in, 4 * hidden)),
+                  0.5 * rng.standard_normal((hidden, 4 * hidden)),
+                  rng.standard_normal(4 * hidden)]
+        weights = Tensor(rng.standard_normal((t_len, hidden)))
+        results = []
+        for op in (lstm_per_step, ad.lstm):
+            inputs = [Tensor(v.copy(), requires_grad=True) for v in values]
+            out = op(*inputs, reverse)
+            ad.tsum(out * weights).backward()
+            results.append([out.data] + [t.grad for t in inputs])
+        for name, ref, got in zip(("out", "x", "w_x", "w_h", "bias"), *results):
+            assert got.shape == ref.shape, name
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestAttentivePooling:

@@ -6,11 +6,12 @@ import pytest
 
 from amcrn.audio import SAMPLE_RATE, AudioBuffer
 from amcrn.errors import DegenerateInput, InsufficientTrials, MissingUtterance
-from amcrn.model import SpeakerEmbedding
+from amcrn.model import AmcrnModel, SpeakerEmbedding, tiny_config
 from amcrn.scoring import (EvalReport, PldaModel, Trial, compute_eer,
                            compute_mindcf, csm, decide, det_sweep, far_frr,
-                           plda_score, plda_train, read_trial_list,
+                           plda_score, plda_train, read_trial_list, run_trials,
                            truncate_segment, write_scored_trials)
+from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
 
 
 def eer_oracle(labels, scores):
@@ -284,3 +285,46 @@ class TestTrials:
         text = report.to_text()
         assert f"eer={(0.1 + 0.2)!r}" in text
         assert "n_target=10" in text
+
+
+class TestRunTrials:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        data = make_toy_dataset(ToySpeakerSpec(n_speakers=2, utterances_per_speaker=2,
+                                               utterance_seconds=0.5, seed=0))
+        audio = {u.utterance_id: u.audio for u in data}
+        speaker = {u.utterance_id: u.speaker_id for u in data}
+        trials = [Trial(int(speaker[a] == speaker[b]), a, b)
+                  for a in audio for b in audio if a != b]
+        return audio, trials
+
+    @staticmethod
+    def _counted_model(monkeypatch):
+        model = AmcrnModel(tiny_config(), seed=0)
+        calls = []
+        embed = model.embed
+
+        def counted(lms_values):
+            calls.append(1)
+            return embed(lms_values)
+
+        monkeypatch.setattr(model, "embed", counted)
+        return model, calls
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_ref_embedded_once_without_truncation(self, dataset, monkeypatch,
+                                                       threads):
+        audio, trials = dataset
+        monkeypatch.setenv("AMCRN_THREADS", threads)
+        model, calls = self._counted_model(monkeypatch)
+        run_trials(model, trials, audio.__getitem__)
+        assert len(calls) == len(audio)
+
+    def test_truncated_test_side_gets_its_own_embedding(self, dataset, monkeypatch):
+        audio, trials = dataset
+        model, calls = self._counted_model(monkeypatch)
+        whole, _ = run_trials(model, trials, audio.__getitem__)
+        calls.clear()
+        cut, _ = run_trials(model, trials, audio.__getitem__, truncation=0.25, seed=1)
+        assert len(calls) == 2 * len(audio)
+        assert not np.allclose(cut, whole)

@@ -63,6 +63,20 @@ class TestEmbeddingStore:
         with pytest.raises(ConfigError, match="2"):
             EmbeddingStore(path)
 
+    @pytest.mark.parametrize("rec_id", ["a\tb", "a\nb", "a\rb", "\t", "a\n"])
+    def test_id_with_separator_rejected(self, rec_id):
+        store = EmbeddingStore()
+        with pytest.raises(ConfigError):
+            store.add(rec_id, np.ones(3))
+        assert rec_id not in store
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vector_rejected(self, bad):
+        store = EmbeddingStore()
+        with pytest.raises(ConfigError):
+            store.add("a", np.array([0.5, bad, 1.0]))
+        assert "a" not in store
+
     def test_contains(self):
         store = EmbeddingStore()
         store.add("a", np.ones(2))
@@ -122,3 +136,33 @@ class TestCheckpoint:
         blob = checkpoint_bytes(model)
         with pytest.raises(ConfigError):
             restore_model(blob, tiny_config(channels=32))
+
+
+class TestCheckpointBounds:
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
+
+    def test_every_truncation_raises_config_error(self, blob):
+        # Every prefix below 64 bytes plus 50 evenly spaced longer ones.
+        lengths = list(range(64)) + list(np.linspace(64, len(blob) - 1, 50).astype(int))
+        cfg = tiny_config()
+        for n in lengths:
+            with pytest.raises(ConfigError):
+                restore_model(blob[:n], cfg)
+
+    def test_overlong_dims_raise_config_error(self, blob):
+        # The first entry's first dimension sits after the magic, the u16
+        # name length, the name and the u8 rank.
+        name_len = int.from_bytes(blob[6:8], "little")
+        dim_at = 6 + 2 + name_len + 1
+        bad = bytearray(blob)
+        bad[dim_at : dim_at + 4] = (2**31).to_bytes(4, "little")
+        with pytest.raises(ConfigError):
+            restore_model(bytes(bad), tiny_config())
+
+    def test_undecodable_name_raises_config_error(self, blob):
+        bad = bytearray(blob)
+        bad[8] = 0xFF  # first byte of the first entry name
+        with pytest.raises(ConfigError):
+            restore_model(bytes(bad), tiny_config())

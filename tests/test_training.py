@@ -151,20 +151,21 @@ class TestToyDataset:
             ToySpeakerSpec(n_speakers=1)
 
 
-class TestTrainLoop:
-    @pytest.fixture(scope="class")
-    def tiny_run(self):
-        spec = ToySpeakerSpec(n_speakers=4, utterances_per_speaker=3,
-                              utterance_seconds=1.0, seed=1)
-        data = make_toy_dataset(spec)
-        cfg = tiny_config(n_classes=4)
-        model = AmcrnModel(cfg, seed=0)
-        tcfg = TrainConfig(lr_start=1e-3, lr_end=1e-4, epochs=2, batch_size=4,
-                           crop_seconds=1.0, val_fraction=0.2, augment_copies=1,
-                           seed=0)
-        result = train(model, data, tcfg)
-        return data, cfg, tcfg, result
+@pytest.fixture(scope="module")
+def tiny_run():
+    spec = ToySpeakerSpec(n_speakers=4, utterances_per_speaker=3,
+                          utterance_seconds=1.0, seed=1)
+    data = make_toy_dataset(spec)
+    cfg = tiny_config(n_classes=4)
+    model = AmcrnModel(cfg, seed=0)
+    tcfg = TrainConfig(lr_start=1e-3, lr_end=1e-4, epochs=2, batch_size=4,
+                       crop_seconds=1.0, val_fraction=0.2, augment_copies=1,
+                       seed=0)
+    result = train(model, data, tcfg)
+    return data, cfg, tcfg, result
 
+
+class TestTrainLoop:
     def test_history_shape_and_view_count(self, tiny_run):
         data, cfg, tcfg, result = tiny_run
         assert len(result.history) == 2
