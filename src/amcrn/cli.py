@@ -10,13 +10,14 @@ import dataclasses
 import io
 import os
 import sys
+import zipfile
 
 import numpy as np
 
 from . import profiling, scoring, toydata, training
 from .audio import read_wav, write_wav
 from .dsp import FrameSpec, apply_cmvn, extract_lms
-from .errors import AmcrnError, NumericalError
+from .errors import AmcrnError, ConfigError, NumericalError
 from .model import (AmcrnConfig, AmcrnModel, _atomic_write, load_checkpoint,
                     tiny_config)
 from .store import EmbeddingStore
@@ -164,7 +165,7 @@ def cmd_verify(args):
     enrolled = store.get(args.id).vector
     test = _embed_wav(model, args.wav)
     if args.backend == "plda":
-        plda = _load_plda(args.plda_file)
+        plda = _load_plda(args.plda_file, model.config.embedding_dim)
         score = scoring.plda_score(plda, enrolled, test)
     else:
         score = scoring.csm(enrolled, test)
@@ -173,12 +174,29 @@ def cmd_verify(args):
     return 0 if decision == "accept" else 1
 
 
-def _load_plda(path):
+def _load_plda(path, dim):
+    """Read a back end written by `_save_plda` for `dim`-d embeddings."""
     if not path:
         raise AmcrnError("PLDA backend needs --plda-file")
-    with np.load(path) as data:
-        return scoring.PldaModel(data["mu"], data["between"], data["within"],
-                                 center=data["center"], length_norm=bool(data["length_norm"]))
+    shapes = {"mu": (dim,), "between": (dim, dim), "within": (dim, dim), "center": (dim,)}
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path}: not a PLDA .npz archive")
+        with data:
+            arrays = {name: np.asarray(data[name], dtype=np.float64) for name in shapes}
+            length_norm = bool(data["length_norm"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: PLDA file lacks array {exc}") from exc
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable PLDA file: {exc}") from exc
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ConfigError(f"{path}: {name} has shape {arrays[name].shape}, expected "
+                              f"{shape} for the checkpoint's {dim}-d embeddings")
+        if not np.all(np.isfinite(arrays[name])):
+            raise ConfigError(f"{path}: {name} has non-finite values")
+    return scoring.PldaModel(**arrays, length_norm=length_norm)
 
 
 def _save_plda(path, plda):
@@ -202,7 +220,7 @@ def cmd_eval(args):
     plda = None
     if args.backend == "plda":
         if args.plda_file and os.path.exists(args.plda_file):
-            plda = _load_plda(args.plda_file)
+            plda = _load_plda(args.plda_file, model.config.embedding_dim)
         elif args.plda_train_dir:
             data = _load_dataset_dir(args.plda_train_dir)
             embs = [_embed_wav_buffer(model, u.audio) for u in data]

@@ -27,6 +27,7 @@ class EmbeddingStore:
             self._load(path)
 
     def _load(self, path):
+        dim = None
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
@@ -36,8 +37,19 @@ class EmbeddingStore:
                 if len(parts) != 3:
                     raise ConfigError(f"{path}:{lineno}: malformed store line")
                 rec_id, n, values = parts
-                vec = np.array([float(v) for v in values.split(" ")])
-                self.records[rec_id] = StoreRecord(vec, int(n))
+                try:
+                    vec = np.array([float(v) for v in values.split(" ")])
+                    n = int(n)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: unparsable store line: {exc}") from exc
+                if not np.all(np.isfinite(vec)):
+                    raise ConfigError(f"{path}:{lineno}: non-finite embedding value")
+                if dim is None:
+                    dim = len(vec)
+                elif len(vec) != dim:
+                    raise ConfigError(f"{path}:{lineno}: {len(vec)} values, "
+                                      f"earlier lines have {dim}")
+                self.records[rec_id] = StoreRecord(vec, n)
 
     def add(self, rec_id, vector, n_utterances=1, overwrite=False):
         if any(sep in rec_id for sep in "\t\n\r"):
@@ -47,6 +59,10 @@ class EmbeddingStore:
             raise ConfigError(f"embedding for {rec_id!r} has non-finite values")
         if rec_id in self.records and not overwrite:
             raise DuplicateId(f"id {rec_id!r} already stored (use overwrite)")
+        stored = {len(rec.vector) for key, rec in self.records.items() if key != rec_id}
+        if stored and stored != {len(vector)}:
+            raise ConfigError(f"embedding for {rec_id!r} has {len(vector)} values, "
+                              f"the store holds {stored.pop()}")
         self.records[rec_id] = StoreRecord(vector, int(n_utterances))
 
     def get(self, rec_id) -> StoreRecord:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving `amcrn.cli.main` in process."""
 
+import io
 import os
 
 import numpy as np
@@ -225,6 +226,115 @@ class TestEval:
         bad = tmp_path / "bad.txt"
         bad.write_text("1 missing_a.wav missing_b.wav\n0 missing_a.wav missing_c.wav\n")
         assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(bad)]) == 2
+
+
+def _write_plda(path, dim, drop=None, **override):
+    arrays = {"mu": np.zeros(dim), "between": np.eye(dim), "within": np.eye(dim),
+              "center": np.zeros(dim), "length_norm": np.bool_(True)}
+    arrays.update(override)
+    arrays.pop(drop, None)
+    np.savez(path, **arrays)
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _nan_within(dim):
+    within = np.eye(dim)
+    within[0, 1] = np.nan
+    return within
+
+
+# name -> writes a bad PLDA file for a checkpoint with `dim`-d embeddings
+BAD_PLDA_FILES = {
+    "missing_within": lambda p, d: _write_plda(p, d, drop="within"),
+    "missing_center": lambda p, d: _write_plda(p, d, drop="center"),
+    "not_a_zip": lambda p, d: p.write_bytes(b"not a numpy archive"),
+    "empty": lambda p, d: p.write_bytes(b""),
+    "truncated_zip": lambda p, d: (_write_plda(p, d), p.write_bytes(p.read_bytes()[:200])),
+    "bare_npy": lambda p, d: p.write_bytes(_npy_bytes(np.zeros(d))),
+    "mu_shape": lambda p, d: _write_plda(p, d, mu=np.zeros(d + 1)),
+    "between_shape": lambda p, d: _write_plda(p, d, between=np.eye(d)[:, :-1]),
+    "within_shape": lambda p, d: _write_plda(p, d, within=np.zeros(d)),
+    "center_shape": lambda p, d: _write_plda(p, d, center=np.zeros((d, 1))),
+    "non_finite_within": lambda p, d: _write_plda(p, d, within=_nan_within(d)),
+    "non_finite_mu": lambda p, d: _write_plda(p, d, mu=np.full(d, np.inf)),
+    "other_dim": lambda p, d: _write_plda(p, d + 1),
+}
+
+
+class TestPldaBackend:
+    @pytest.fixture(scope="class")
+    def setup(self, workspace, tmp_path_factory):
+        """A store enrolling one utterance as "alice", a two-trial list
+        whose first trial is alice's utterance against utt003, and a
+        PLDA back end fitted through `eval`."""
+        _, data_dir, ckpt = workspace
+        root = tmp_path_factory.mktemp("plda")
+        store = root / "speakers.tsv"
+        assert main(["enroll", "--checkpoint", str(ckpt), "--store", str(store),
+                     "--id", "alice", str(data_dir / "spk000" / "utt000.wav")]) == 0
+        trials = root / "trials.txt"
+        trials.write_text("1 spk000/utt000.wav spk000/utt003.wav\n"
+                          "0 spk000/utt000.wav spk001/utt000.wav\n")
+        plda = root / "plda.npz"
+        assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(trials),
+                     "--audio-root", str(data_dir), "--backend", "plda",
+                     "--plda-train-dir", str(data_dir), "--plda-file", str(plda),
+                     "--out-prefix", str(root / "fit")]) == 0
+        return store, trials, plda
+
+    def _eval(self, workspace, setup, plda, prefix):
+        _, data_dir, ckpt = workspace
+        _, trials, _ = setup
+        return main(["eval", "--checkpoint", str(ckpt), "--trials", str(trials),
+                     "--audio-root", str(data_dir), "--backend", "plda",
+                     "--plda-file", str(plda), "--out-prefix", str(prefix)])
+
+    def _verify(self, workspace, setup, plda):
+        _, data_dir, ckpt = workspace
+        store, _, _ = setup
+        return main(["verify", "--checkpoint", str(ckpt), "--store", str(store),
+                     "--id", "alice", "--backend", "plda", "--plda-file", str(plda),
+                     "--threshold=-1e300", str(data_dir / "spk000" / "utt003.wav")])
+
+    def test_verify_prints_the_eval_score(self, workspace, setup, tmp_path, capsys):
+        _, _, plda = setup
+        assert self._eval(workspace, setup, plda, tmp_path / "run") == 0
+        first = (tmp_path / "run.scores").read_text().splitlines()[0]
+        eval_score = float(first.split()[3])
+        capsys.readouterr()
+        assert self._verify(workspace, setup, plda) == 0
+        verify_score = float(capsys.readouterr().out.split()[1])
+        # One row and a stack of rows round differently in the matrix products.
+        assert verify_score == pytest.approx(eval_score, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize("case", sorted(BAD_PLDA_FILES))
+    def test_bad_plda_file_is_data_error(self, workspace, setup, tmp_path, capsys,
+                                         command, case):
+        _, _, ckpt = workspace
+        bad = tmp_path / "bad.npz"
+        BAD_PLDA_FILES[case](bad, load_checkpoint(ckpt).config.embedding_dim)
+        if command == "eval":
+            code = self._eval(workspace, setup, bad, tmp_path / "run")
+        else:
+            code = self._verify(workspace, setup, bad)
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_well_formed_plda_file_is_accepted(self, workspace, setup, tmp_path, command):
+        _, _, ckpt = workspace
+        good = tmp_path / "good.npz"
+        _write_plda(good, load_checkpoint(ckpt).config.embedding_dim)
+        if command == "eval":
+            assert self._eval(workspace, setup, good, tmp_path / "run") == 0
+        else:
+            assert self._verify(workspace, setup, good) == 0
 
 
 class TestProfile:

@@ -3,9 +3,14 @@ oracles, and segment truncation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
+from amcrn import scoring
 from amcrn.audio import SAMPLE_RATE, AudioBuffer
-from amcrn.errors import DegenerateInput, InsufficientTrials, MissingUtterance
+from amcrn.errors import (DegenerateInput, InsufficientTrials, MissingUtterance,
+                          NumericalError)
 from amcrn.model import AmcrnModel, SpeakerEmbedding, tiny_config
 from amcrn.scoring import (EvalReport, PldaModel, Trial, compute_eer,
                            compute_mindcf, csm, decide, det_sweep, far_frr,
@@ -36,6 +41,35 @@ def eer_oracle(labels, scores):
             return pfar + alpha * (far - pfar)
         prev = (t, far, frr)
     return 1.0
+
+
+def _gaussian_logpdf(x, cov):
+    chol = np.linalg.cholesky(cov)
+    y = solve_triangular(chol, x, lower=True)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (len(x) * np.log(2.0 * np.pi) + logdet + y @ y)
+
+
+def plda_llr_oracle(model, a, b):
+    """Same/different-speaker log-likelihood ratio of one pair from the
+    2D x 2D joint Gaussian, with no closed-form algebra."""
+    a = model.preprocess(a) - model.mu
+    b = model.preprocess(b) - model.mu
+    total = model.between + model.within
+    joint_same = np.block([[total, model.between], [model.between, total]])
+    ll_same = _gaussian_logpdf(np.concatenate([a, b]), joint_same)
+    ll_diff = _gaussian_logpdf(a, total) + _gaussian_logpdf(b, total)
+    return float(ll_same - ll_diff)
+
+
+def random_plda(rng, dim, spread, length_norm):
+    """Random model whose covariance eigenvalues span `spread` decades."""
+    def covariance():
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        return (basis * 10.0 ** rng.uniform(-spread, 0.0, dim)) @ basis.T
+    center = rng.standard_normal(dim) if length_norm else None
+    return PldaModel(0.1 * rng.standard_normal(dim), covariance(), covariance(),
+                     center=center, length_norm=length_norm)
 
 
 def mindcf_oracle(labels, scores, p_target=0.01, c_miss=1.0, c_fa=1.0):
@@ -85,6 +119,25 @@ class TestCsm:
         assert decide(0.4999999, 0.5) == "reject"
         assert decide(-1.0, -2.0) == "accept"
 
+    @pytest.mark.parametrize("threshold", [0.5, -np.inf, np.inf, np.nan])
+    def test_nan_score_is_never_accepted(self, threshold):
+        with pytest.raises(NumericalError):
+            decide(float("nan"), threshold)
+
+    def test_row_stack_matches_per_pair_calls(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((30, 7)), rng.standard_normal((30, 7))
+        got = csm(a, b)
+        assert got.shape == (30,)
+        np.testing.assert_allclose(got, [csm(x, y) for x, y in zip(a, b)],
+                                   rtol=0, atol=1e-15)
+
+    def test_zero_row_in_stack_rejected(self):
+        a = np.ones((3, 4))
+        a[1] = 0.0
+        with pytest.raises(DegenerateInput):
+            csm(a, np.ones((3, 4)))
+
 
 class TestPlda:
     @staticmethod
@@ -122,6 +175,40 @@ class TestPlda:
         ll_diff = sum(-0.5 * (np.log(2 * np.pi * 2.0) + x * x / 2.0) for x in (a, b))
         got = plda_score(model, np.array([a]), np.array([b]))
         assert got == pytest.approx(ll_same - ll_diff, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 6, 64]),
+           spread=st.floats(0.0, 5.0), length_norm=st.booleans())
+    def test_row_stack_matches_joint_gaussian_oracle(self, seed, dim, spread, length_norm):
+        # Scores reach 1e5 in magnitude, so the tolerance is relative.
+        rng = np.random.default_rng(seed)
+        model = random_plda(rng, dim, spread, length_norm)
+        a, b = rng.standard_normal((2, 5, dim))
+        got = plda_score(model, a, b)
+        want = np.array([plda_llr_oracle(model, x, y) for x, y in zip(a, b)])
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), (got, want)
+
+    def test_row_stack_matches_per_pair_calls(self):
+        # The matrix products round differently for one row and for many,
+        # so equality holds to the oracle tolerance, not bit for bit.
+        rng = np.random.default_rng(12)
+        embs, labels = self._clustered(rng, dim=16)
+        model = plda_train(embs, labels)
+        a, b = rng.standard_normal((2, 25, 16))
+        got = plda_score(model, a, b)
+        assert got.shape == (25,)
+        pairs = np.array([plda_score(model, x, y) for x, y in zip(a, b)])
+        assert all(isinstance(plda_score(model, x, y), float) for x, y in zip(a, b))
+        np.testing.assert_allclose(got, pairs, rtol=1e-9)
+
+    @pytest.mark.parametrize("between, within", [
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.eye(2), -np.eye(2)),
+        (np.eye(2), np.diag([1.0, -3.0])),
+    ])
+    def test_singular_total_covariance_is_numerical_error(self, between, within):
+        with pytest.raises(NumericalError):
+            plda_score(PldaModel(np.zeros(2), between, within), np.ones(2), np.ones(2))
 
     def test_identical_embeddings_favor_same_hypothesis(self):
         model = PldaModel(mu=np.zeros(2), between=np.eye(2), within=0.1 * np.eye(2))
@@ -229,6 +316,24 @@ class TestMetrics:
         with pytest.raises(InsufficientTrials):
             compute_eer([1, 1], [0.5, 0.6])
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sweep_equals_far_frr_at_every_threshold(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n_t, n_n = (int(n) for n in rng.integers(1, 300, 2))
+        scores = np.concatenate([rng.standard_normal(n_t) + 1.0, rng.standard_normal(n_n)])
+        if seed % 2:  # ties
+            scores = np.round(scores, 1)
+        labels = np.concatenate([np.ones(n_t, int), np.zeros(n_n, int)])
+        rows = det_sweep(labels, scores)
+        assert [r[0] for r in rows] == np.unique(scores).tolist()
+        for t, far, frr in rows:
+            assert (far, frr) == far_frr(scores[:n_t], scores[n_t:], t)
+
+    @pytest.mark.parametrize("metric", [compute_eer, compute_mindcf, det_sweep])
+    def test_nan_score_is_numerical_error(self, metric):
+        with pytest.raises(NumericalError):
+            metric([1, 0, 1, 0], [0.9, 0.1, float("nan"), 0.2])
+
     def test_det_sweep_monotone_far(self):
         rng = np.random.default_rng(8)
         scores = np.concatenate([rng.standard_normal(20) + 1, rng.standard_normal(20)])
@@ -320,6 +425,10 @@ class TestRunTrials:
         run_trials(model, trials, audio.__getitem__)
         assert len(calls) == len(audio)
 
+    def test_empty_trial_list_rejected(self):
+        with pytest.raises(InsufficientTrials):
+            run_trials(AmcrnModel(tiny_config(), seed=0), [], {}.__getitem__)
+
     def test_truncated_test_side_gets_its_own_embedding(self, dataset, monkeypatch):
         audio, trials = dataset
         model, calls = self._counted_model(monkeypatch)
@@ -328,3 +437,26 @@ class TestRunTrials:
         cut, _ = run_trials(model, trials, audio.__getitem__, truncation=0.25, seed=1)
         assert len(calls) == 2 * len(audio)
         assert not np.allclose(cut, whole)
+
+    def test_truncation_offset_differs_per_ref_and_repeats(self, monkeypatch):
+        # Six identical ramps: a segment's first sample gives its offset.
+        ramp = AudioBuffer(np.arange(SAMPLE_RATE // 2) / (2.0 * SAMPLE_RATE))
+        refs = [f"u{i}" for i in range(6)]
+        trials = [Trial(int(i % 2 == 0), "u0", ref) for i, ref in enumerate(refs)]
+        offsets = []
+        extract = scoring.extract_lms
+
+        def recording(audio, spec):
+            if len(audio) == SAMPLE_RATE // 4:
+                offsets.append(int(round(audio.samples[0] * 2.0 * SAMPLE_RATE)))
+            return extract(audio, spec)
+
+        monkeypatch.setattr(scoring, "extract_lms", recording)
+        model = AmcrnModel(tiny_config(), seed=0)
+        run_trials(model, trials, lambda ref: ramp, truncation=0.25, seed=3)
+        first = list(offsets)
+        assert len(first) == len(refs)
+        assert len(set(first)) == len(refs)
+        offsets.clear()
+        run_trials(model, trials, lambda ref: ramp, truncation=0.25, seed=3)
+        assert offsets == first

@@ -63,6 +63,33 @@ class TestEmbeddingStore:
         with pytest.raises(ConfigError, match="2"):
             EmbeddingStore(path)
 
+    def test_add_rejects_a_second_dimension(self, tmp_path):
+        store = EmbeddingStore()
+        store.add("a", np.ones(3))
+        with pytest.raises(ConfigError):
+            store.add("b", np.ones(4))
+        store.add("a", np.ones(4), overwrite=True)  # replaces the only record
+        path = tmp_path / "s.tsv"
+        store.save(path)
+        assert len(EmbeddingStore(path).get("a").vector) == 4
+
+    @pytest.mark.parametrize("bad_line", [
+        "b\t1\tnan 1.0",
+        "b\t1\t0.5 inf",
+        "b\t1\t-inf -inf",
+        "b\t1\t",
+        "b\t1\t0.5  1.0",
+        "b\t1\t0.5 x",
+        "b\tone\t0.5 1.0",
+        "b\t1\t0.5",
+        "b\t1\t0.5 1.0 2.0",
+    ])
+    def test_bad_value_line_reports_location(self, tmp_path, bad_line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\t1\t0.25 0.75\n{bad_line}\n")
+        with pytest.raises(ConfigError, match=f"{path.name}:2: "):
+            EmbeddingStore(path)
+
     @pytest.mark.parametrize("rec_id", ["a\tb", "a\nb", "a\rb", "\t", "a\n"])
     def test_id_with_separator_rejected(self, rec_id):
         store = EmbeddingStore()
