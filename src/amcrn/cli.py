@@ -163,9 +163,13 @@ def cmd_verify(args):
         print(f"error: unknown speaker {args.id!r}", file=sys.stderr)
         return 2
     enrolled = store.get(args.id).vector
+    dim = model.config.embedding_dim
+    if len(enrolled) != dim:
+        raise ConfigError(f"{args.store}: id {args.id!r} holds a {len(enrolled)}-d vector, "
+                          f"the checkpoint embeds {dim}-d")
     test = _embed_wav(model, args.wav)
     if args.backend == "plda":
-        plda = _load_plda(args.plda_file, model.config.embedding_dim)
+        plda = _load_plda(args.plda_file, dim)
         score = scoring.plda_score(plda, enrolled, test)
     else:
         score = scoring.csm(enrolled, test)

@@ -5,6 +5,8 @@ logarithm, followed by short-time mean/variance normalization with a
 sliding window.
 """
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +106,17 @@ def mel_filter_centers(spec: FrameSpec) -> np.ndarray:
 
 
 def mel_filterbank(spec: FrameSpec, sample_rate: int) -> np.ndarray:
-    """M x (n_fft/2 + 1) triangular mel filterbank matrix."""
+    """M x (n_fft/2 + 1) triangular mel filterbank matrix.
+
+    Built once per (FrameSpec fields, sample rate) and shared, so the
+    returned array is read-only.
+    """
+    return _filterbank(dataclasses.astuple(spec), sample_rate)
+
+
+@functools.lru_cache(maxsize=16)
+def _filterbank(spec_fields, sample_rate):
+    spec = FrameSpec(*spec_fields)
     spec.validate(sample_rate)
     mel_edges = np.linspace(hz_to_mel(spec.f_min), hz_to_mel(spec.f_max), spec.n_mels + 2)
     hz_edges = mel_to_hz(mel_edges)
@@ -119,6 +131,7 @@ def mel_filterbank(spec: FrameSpec, sample_rate: int) -> np.ndarray:
             # Degenerate narrow triangle between bins: put unit weight on
             # the bin nearest the center so every filter stays usable.
             bank[m, int(np.argmin(np.abs(bin_freqs - center)))] = 1.0
+    bank.flags.writeable = False
     return bank
 
 

@@ -4,6 +4,10 @@ Structure: initial dilated-free convolution, a stack of multi-scale
 convolutional blocks with temporal attention, a residual BLSTM block,
 channel attentive statistics pooling, and a fully connected embedding
 layer with normalization. The output head is only used during training.
+
+Every block takes a T x C sequence or a B x T x C stack of B sequences of
+equal length (time on axis -2, channels on axis -1, as in `autodiff`);
+statistics over time stay per utterance.
 """
 
 import dataclasses
@@ -138,6 +142,10 @@ class SpeakerEmbedding:
 
 
 def _uniform(rng, shape, fan_in):
+    """U(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws; zeros, drawing nothing,
+    when `rng` is None (a skeleton whose values are assigned later)."""
+    if rng is None:
+        return np.zeros(shape)
     bound = 1.0 / math.sqrt(max(1, fan_in))
     return rng.uniform(-bound, bound, size=shape)
 
@@ -172,8 +180,9 @@ class Linear:
 class BatchNorm:
     """Per-channel normalization over the time axis.
 
-    Train mode normalizes with batch statistics (eps 1e-5) and updates the
-    running statistics with momentum 0.1; eval mode uses the running
+    Train mode normalizes each utterance with its own statistics over
+    time (eps 1e-5) and updates the running statistics with momentum 0.1,
+    once per utterance in batch order; eval mode uses the running
     statistics.
     """
 
@@ -189,13 +198,13 @@ class BatchNorm:
 
     def __call__(self, x, mode):
         if mode == "train":
-            mean = ad.tmean(x, axis=0)
-            var = ad.tmean((x - mean) ** 2, axis=0)
-            self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean.data
-            self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var.data
-            xhat = (x - mean) / ad.sqrt(var + self.EPS)
-        else:
-            xhat = (x - Tensor(self.running_mean)) / Tensor(np.sqrt(self.running_var + self.EPS))
+            out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.EPS)
+            channels = self.running_mean.shape[0]
+            for m, v in zip(mean.reshape(-1, channels), var.reshape(-1, channels)):
+                self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * m
+                self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * v
+            return out
+        xhat = (x - Tensor(self.running_mean)) / Tensor(np.sqrt(self.running_var + self.EPS))
         return self.gamma * xhat + self.beta
 
     def params(self):
@@ -211,7 +220,9 @@ class VectorNorm:
 
     A per-sample batch statistic is degenerate for a lone embedding, so
     both modes normalize with the running estimates; train mode updates
-    them as exponential moving averages over samples.
+    them as exponential moving averages over samples. A B x D stack is
+    taken one row at a time in order: row b is normalized with the
+    estimates after its own update, as if the rows came in B calls.
     """
 
     EPS = 1e-5
@@ -226,10 +237,18 @@ class VectorNorm:
 
     def __call__(self, x, mode):
         if mode == "train":
-            delta = x.data - self.running_mean
-            self.running_mean = self.running_mean + self.MOMENTUM * delta
-            self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * delta**2
-        xhat = (x - Tensor(self.running_mean)) / Tensor(np.sqrt(self.running_var + self.EPS))
+            means, variances = [], []
+            for row in x.data.reshape(-1, x.shape[-1]):
+                delta = row - self.running_mean
+                self.running_mean = self.running_mean + self.MOMENTUM * delta
+                self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * delta**2
+                means.append(self.running_mean)
+                variances.append(self.running_var)
+            mean = np.reshape(means, x.shape)
+            var = np.reshape(variances, x.shape)
+        else:
+            mean, var = self.running_mean, self.running_var
+        xhat = (x - Tensor(mean)) / Tensor(np.sqrt(var + self.EPS))
         return self.gamma * xhat + self.beta
 
     def params(self):
@@ -248,11 +267,11 @@ class VectorNorm:
 def temporal_attention(x, kernel, bias):
     """Frame-level gating from channel mean/max statistics.
 
-    Returns (coefficients A in (0,1) of shape T x 1, gated map A * x).
+    Returns (coefficients A in (0,1) of shape (B x) T x 1, gated map A * x).
     """
-    avg = ad.tmean(x, axis=1, keepdims=True)
-    mx = ad.tmax(x, axis=1, keepdims=True)
-    stats = ad.concat([avg, mx], axis=1)
+    avg = ad.tmean(x, axis=-1, keepdims=True)
+    mx = ad.tmax(x, axis=-1, keepdims=True)
+    stats = ad.concat([avg, mx], axis=-1)
     a = ad.sigmoid(ad.conv1d_dilated(stats, kernel, bias, dilation=1))
     return a, a * x
 
@@ -297,14 +316,14 @@ class McbBlock:
 
     def __call__(self, s, mode):
         p = ad.relu(self.bn_pre(self.conv_pre(s), mode))
-        subsets = ad.split(p, self.n_scales, axis=1)
+        subsets = ad.split(p, self.n_scales, axis=-1)
         fused = [subsets[0]]
         prev = None
         for j in range(1, self.n_scales):
             inp = subsets[j] if prev is None else subsets[j] + prev
             prev = self.scale_convs[j - 1](inp)
             fused.append(prev)
-        x = self.bn_post(self.conv_post(ad.concat(fused, axis=1) if len(fused) > 1 else fused[0]), mode)
+        x = self.bn_post(self.conv_post(ad.concat(fused, axis=-1) if len(fused) > 1 else fused[0]), mode)
         if self.attention is not None:
             _, x = self.attention(x)
         return ad.relu(s + x)
@@ -350,7 +369,7 @@ class BlstmLayer:
         self.bwd = LstmDirection(f"{name}.bwd", d_in, hidden, rng)
 
     def __call__(self, x):
-        return ad.concat([self.fwd(x, reverse=False), self.bwd(x, reverse=True)], axis=1)
+        return ad.concat([self.fwd(x, reverse=False), self.bwd(x, reverse=True)], axis=-1)
 
     def params(self):
         return self.fwd.params() + self.bwd.params()
@@ -358,7 +377,11 @@ class BlstmLayer:
 
 class ResidualBlstm:
     """Two BLSTM layers with dropout between them, a linear projection
-    back to the input width, and a residual connection."""
+    back to the input width, and a residual connection.
+
+    `rng` feeds the dropout (see `autodiff.dropout`): a Generator, or the
+    draws `AmcrnModel.draw_dropout` took for each utterance, stacked like x.
+    """
 
     def __init__(self, name, channels, hidden, dropout_p, rng):
         self.dropout_p = dropout_p
@@ -377,7 +400,8 @@ class ResidualBlstm:
 
 
 class AttentiveStatPool:
-    """Channel-wise attentive mean and standard deviation over time."""
+    """Channel-wise attentive mean and standard deviation over time:
+    (B x) T x C in, (B x) 2C out."""
 
     VAR_FLOOR = 1e-9
 
@@ -386,21 +410,22 @@ class AttentiveStatPool:
         self.score2 = Linear(f"{name}.score2", bottleneck, channels, rng)
 
     def __call__(self, h):
-        if h.shape[0] < 2:
+        if h.shape[-2] < 2:
             raise InputTooShort("attentive pooling needs at least 2 frames")
         scores = self.score2(ad.tanh(self.score1(h)))
-        alpha = ad.softmax(scores, axis=0)
-        mean = ad.tsum(alpha * h, axis=0)
-        second = ad.tsum(alpha * h * h, axis=0)
+        alpha = ad.softmax(scores, axis=-2)
+        mean = ad.tsum(alpha * h, axis=-2)
+        second = ad.tsum(alpha * h * h, axis=-2)
         std = ad.sqrt(ad.clamp_min(second - mean * mean, self.VAR_FLOOR))
-        return ad.concat([mean, std], axis=0)
+        return ad.concat([mean, std], axis=-1)
 
     def params(self):
         return self.score1.params() + self.score2.params()
 
 
-def aam_logits(embedding, class_weights, label, margin, scale):
-    """Additive-angular-margin logits for one embedding.
+def aam_logits(embedding, class_weights, labels, margin, scale):
+    """Additive-angular-margin logits for a D embedding and one label, or
+    a B x D stack and B labels; (B x) C out.
 
     Non-target logits are scale * cos(theta); the target logit is
     scale * cos(theta + margin), computed from cos/sin identities.
@@ -408,18 +433,18 @@ def aam_logits(embedding, class_weights, label, margin, scale):
     emb = ad.as_tensor(embedding)
     w = ad.as_tensor(class_weights)
     n_classes, dim = w.shape
-    if np.linalg.norm(emb.data) == 0.0:
+    if np.any(np.linalg.norm(emb.data, axis=-1) == 0.0):
         raise DegenerateInput("zero-norm embedding")
     row_norm_sq = ad.tsum(w * w, axis=1)
     if np.any(row_norm_sq.data == 0.0):
         raise DegenerateInput("zero-norm class weight row")
-    emb_norm = ad.sqrt(ad.tsum(emb * emb))
-    dots = (emb.reshape(1, dim) @ transpose(w)).reshape(n_classes)
+    emb_norm = ad.sqrt(ad.tsum(emb * emb, axis=-1, keepdims=True))
+    dots = (emb.reshape(-1, dim) @ transpose(w)).reshape(*emb.shape[:-1], n_classes)
     cos = dots / (ad.sqrt(row_norm_sq) * emb_norm)
-    target_cos = ad.narrow(cos, 0, int(label), 1)
+    onehot = Tensor(np.eye(n_classes)[np.asarray(labels, dtype=np.int64)])
+    target_cos = ad.tsum(cos * onehot, axis=-1, keepdims=True)
     sin_t = ad.sqrt(ad.clamp_min(1.0 - target_cos * target_cos, 1e-12))
     cos_margin = target_cos * math.cos(margin) - sin_t * math.sin(margin)
-    onehot = Tensor(np.eye(n_classes)[int(label)])
     return scale * (cos + onehot * (cos_margin - target_cos))
 
 
@@ -444,8 +469,19 @@ class AmcrnModel:
     """Speaker embedding network plus the training-time classifier head."""
 
     def __init__(self, config: AmcrnConfig, seed=0):
+        self._build(config, np.random.default_rng(seed))
+
+    @classmethod
+    def skeleton(cls, config: AmcrnConfig) -> "AmcrnModel":
+        """The network's layers with every array allocated but none drawn:
+        randomly initialized parameters are zero. `restore_model` assigns
+        every array."""
+        model = cls.__new__(cls)
+        model._build(config, None)
+        return model
+
+    def _build(self, config, rng):
         self.config = config
-        rng = np.random.default_rng(seed)
         c0 = config.initial_channels
         self.initial_conv = Conv1d("initial.conv", config.initial_kernel,
                                    config.n_mels, c0, 1, rng)
@@ -463,30 +499,47 @@ class AmcrnModel:
     # -- forward --------------------------------------------------------
 
     def embed_tensor(self, lms, mode="eval", rng=None):
-        """Differentiable embedding of a T x n_mels feature matrix."""
+        """Differentiable embedding of a T x n_mels feature matrix (D out),
+        or of a B x T x n_mels stack of equal-length utterances (B x D).
+
+        `rng` feeds the train-mode dropout (see `ResidualBlstm`).
+        """
         x = ad.as_tensor(lms)
-        if x.data.ndim != 2 or x.data.shape[1] != self.config.n_mels:
-            raise ShapeError(f"expected T x {self.config.n_mels} features")
+        if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.n_mels:
+            raise ShapeError(f"expected (B x) T x {self.config.n_mels} features")
+        batch = x.shape[:-2]
         x = ad.relu(self.initial_bn(self.initial_conv(x), mode))
         for block in self.blocks:
             x = block(x, mode)
         if self.rblstm is not None:
             x = self.rblstm(x, mode, rng)
         pooled = self.pool(x)
-        emb = self.emb_linear(pooled.reshape(1, -1)).reshape(self.config.embedding_dim)
-        return self.emb_norm(emb, mode)
+        emb = self.emb_linear(pooled.reshape(-1, pooled.shape[-1]))
+        return self.emb_norm(emb.reshape(*batch, self.config.embedding_dim), mode)
 
     def embed(self, lms_values, speaker_id=None) -> SpeakerEmbedding:
         """Deterministic eval-mode embedding as plain numpy."""
         return SpeakerEmbedding(self.embed_tensor(lms_values, mode="eval").data.copy(),
                                 speaker_id)
 
-    def classify_loss(self, lms_values, label, mode="train", rng=None):
-        """AAM-softmax cross-entropy loss for one labeled utterance."""
+    def classify_loss(self, lms_values, labels, mode="train", rng=None):
+        """AAM-softmax cross-entropy loss of one labeled T x n_mels
+        utterance, or the summed loss of a B x T x n_mels stack and its B
+        labels."""
         emb = self.embed_tensor(lms_values, mode=mode, rng=rng)
-        logits = aam_logits(emb, self.head, label,
+        logits = aam_logits(emb, self.head, labels,
                             self.config.aam_margin, self.config.aam_scale)
-        return ad.cross_entropy(logits, label)
+        return ad.cross_entropy(logits, labels)
+
+    def draw_dropout(self, n_frames, rng):
+        """The uniform draws a train-mode forward pass over one utterance
+        of `n_frames` frames takes from `rng` (None if it takes none).
+        Stacked per utterance, they can stand in for `rng` in a batched
+        pass, so that draws for several utterances can be taken in turn
+        with other draws between them."""
+        if self.rblstm is None or self.rblstm.dropout_p <= 0.0:
+            return None
+        return rng.random((n_frames, 2 * self.config.blstm_hidden))
 
     # -- parameter access ----------------------------------------------
 
@@ -606,19 +659,19 @@ def restore_model(blob: bytes, config: AmcrnConfig) -> AmcrnModel:
     (n_entries,) = struct.unpack_from("<I", blob, end)
     if n_entries != len(values):
         raise ConfigError(f"checkpoint entry count mismatch: {n_entries} != {len(values)}")
-    model = AmcrnModel(config, seed=0)
+    model = AmcrnModel.skeleton(config)
     for p in model.parameters():
         if p.name not in values:
             raise ConfigError(f"checkpoint missing parameter {p.name}")
         if values[p.name].shape != p.data.shape:
             raise ConfigError(f"shape mismatch for {p.name}")
-        p.data = values[p.name].copy()
+        p.data = values[p.name]
     for name, owner, attr in model.buffers():
         if name not in values:
             raise ConfigError(f"checkpoint missing buffer {name}")
         if values[name].shape != getattr(owner, attr).shape:
             raise ConfigError(f"shape mismatch for {name}")
-        setattr(owner, attr, values[name].copy())
+        setattr(owner, attr, values[name])
     return model
 
 

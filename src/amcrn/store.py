@@ -28,6 +28,7 @@ class EmbeddingStore:
 
     def _load(self, path):
         dim = None
+        first_line = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
@@ -49,6 +50,10 @@ class EmbeddingStore:
                 elif len(vec) != dim:
                     raise ConfigError(f"{path}:{lineno}: {len(vec)} values, "
                                       f"earlier lines have {dim}")
+                if rec_id in first_line:
+                    raise ConfigError(f"{path}:{lineno}: id {rec_id!r} repeats line "
+                                      f"{first_line[rec_id]}")
+                first_line[rec_id] = lineno
                 self.records[rec_id] = StoreRecord(vec, n)
 
     def add(self, rec_id, vector, n_utterances=1, overwrite=False):

@@ -120,13 +120,47 @@ def _random_crop(audio: AudioBuffer, seconds: float, rng) -> AudioBuffer:
     return AudioBuffer(audio.samples[start : start + want], audio.sample_rate)
 
 
+def _by_frame_count(rows):
+    """Group (features, ...) rows by frame count, groups in order of first
+    appearance and rows in order within each; each group is returned
+    column by column."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(len(row[0]), []).append(row)
+    return [tuple(zip(*group)) for group in groups.values()]
+
+
+def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> float:
+    """Accumulate the gradient of the summed loss of one minibatch of
+    (audio, label) views into the parameters; return that summed loss.
+
+    The views are taken in order, and each is cropped (its offset draw)
+    and given its dropout draws before the next, so `rng` is consumed as
+    by one forward pass per crop. Crops of equal frame count then run as
+    one B x T x n_mels forward and backward pass; with mixed lengths the
+    groups run in order of first appearance.
+    """
+    rows = []
+    for audio, label in batch:
+        feats = _features(_random_crop(audio, crop_seconds, rng), model.config.n_mels)
+        rows.append((feats, label, model.draw_dropout(len(feats), rng)))
+    total = 0.0
+    for feats, labels, draws in _by_frame_count(rows):
+        noise = None if draws[0] is None else np.stack(draws)
+        loss = model.classify_loss(np.stack(feats), labels, mode="train", rng=noise)
+        loss.backward()
+        total += float(loss.data)
+    return total
+
+
 def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     """Train on labeled utterances and return the lowest-validation-loss
     checkpoint.
 
     `dataset` is a list of objects with `.speaker_id` and `.audio`. Each
     epoch sees every training utterance plus `augment_copies` freshly
-    augmented views of it, randomly cropped to `crop_seconds`.
+    augmented views of it, randomly cropped to `crop_seconds`. Each
+    minibatch of `batch_size` views is one `minibatch_backward` call.
     """
     speakers = sorted({u.speaker_id for u in dataset})
     if len(speakers) < 2:
@@ -159,16 +193,11 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
                               label_of[utt.speaker_id]))
         rng.shuffle(views)
 
-        losses = []
+        loss_sum = 0.0
         for start in range(0, len(views), cfg.batch_size):
             batch = views[start : start + cfg.batch_size]
             model.zero_grad()
-            for audio, label in batch:
-                crop = _random_crop(audio, cfg.crop_seconds, rng)
-                feats = _features(crop, model.config.n_mels)
-                loss = model.classify_loss(feats, label, mode="train", rng=rng)
-                loss.backward()
-                losses.append(float(loss.data))
+            loss_sum += minibatch_backward(model, batch, cfg.crop_seconds, rng)
             inv = 1.0 / len(batch)
             for p in params:
                 if p.grad is not None:
@@ -177,7 +206,7 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
             adam_step(params, state, lr)
 
         val_loss = validation_loss(model, val_set, label_of, cfg)
-        record = EpochRecord(epoch, float(np.mean(losses)), val_loss, lr, len(views))
+        record = EpochRecord(epoch, loss_sum / len(views), val_loss, lr, len(views))
         history.append(record)
         if best is None or val_loss < best[1]:
             best = (epoch, val_loss, checkpoint_bytes(model))
@@ -190,12 +219,13 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig) -> float:
-    losses = []
-    for utt in val_set:
-        feats = _features(utt.audio, model.config.n_mels)
-        loss = model.classify_loss(feats, label_of[utt.speaker_id], mode="eval")
-        losses.append(float(loss.data))
-    return float(np.mean(losses))
+    """Mean eval-mode loss over whole utterances, equal-length ones batched."""
+    rows = [(_features(utt.audio, model.config.n_mels), label_of[utt.speaker_id])
+            for utt in val_set]
+    total = 0.0
+    for feats, labels in _by_frame_count(rows):
+        total += float(model.classify_loss(np.stack(feats), labels, mode="eval").data)
+    return total / len(val_set)
 
 
 def write_history_csv(path, history) -> None:

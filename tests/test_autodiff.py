@@ -232,3 +232,140 @@ class TestSemantics:
     def test_parameter_requires_grad(self):
         p = Parameter(np.zeros(3), "p")
         assert p.requires_grad and p.name == "p"
+
+
+def batch_norm_composite(x, gamma, beta, eps):
+    """Reference for `ad.batch_norm` built from elementary tape ops."""
+    mean = ad.tmean(x, axis=-2, keepdims=True)
+    var = ad.tmean((x - mean) ** 2, axis=-2, keepdims=True)
+    return gamma * ((x - mean) / ad.sqrt(var + eps)) + beta
+
+
+class TestBatchAxis:
+    """A B x T x C stack must behave as B separate T x C calls."""
+
+    TOL = 1e-4
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_grad_check(self, reverse):
+        rng = np.random.default_rng(20)
+        w_x = Tensor(0.5 * rng.standard_normal((2, 12)))
+        w_h = Tensor(0.5 * rng.standard_normal((3, 12)))
+        bias = Tensor(rng.standard_normal(12))
+        weights = Tensor(rng.standard_normal((3, 4, 3)))
+        f = lambda x: ad.tsum(ad.lstm(x, w_x, w_h, bias, reverse) * weights)
+        assert grad_check(f, Tensor(rng.standard_normal((3, 4, 2)))) < self.TOL
+        x = Tensor(rng.standard_normal((3, 4, 2)))
+        g = lambda w: ad.tsum(ad.lstm(x, w_x, w, bias, reverse) * weights)
+        assert grad_check(g, w_h) < self.TOL
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_rows_match_unbatched_calls(self, reverse):
+        rng = np.random.default_rng(21)
+        values = [rng.standard_normal((3, 6, 2)), 0.5 * rng.standard_normal((2, 16)),
+                  0.5 * rng.standard_normal((4, 16)), rng.standard_normal(16)]
+        weights = rng.standard_normal((3, 6, 4))
+        batched = [Tensor(v.copy(), requires_grad=True) for v in values]
+        out = ad.lstm(*batched, reverse)
+        ad.tsum(out * Tensor(weights)).backward()
+        singles = [Tensor(v.copy(), requires_grad=True) for v in values[1:]]
+        for b in range(3):
+            x = Tensor(values[0][b].copy(), requires_grad=True)
+            row = ad.lstm(x, *singles, reverse)
+            ad.tsum(row * Tensor(weights[b])).backward()
+            np.testing.assert_allclose(out.data[b], row.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batched[0].grad[b], x.grad, rtol=0, atol=1e-12)
+        for name, t, ref in zip(("w_x", "w_h", "bias"), batched[1:], singles):
+            np.testing.assert_allclose(t.grad, ref.grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_conv_grad_check(self):
+        rng = np.random.default_rng(22)
+        kern = Tensor(rng.standard_normal((3, 2, 3)))
+        bias = Tensor(rng.standard_normal(3))
+        f = lambda x: ad.tsum(ad.relu(ad.conv1d_dilated(x, kern, bias, dilation=2)) ** 2)
+        assert grad_check(f, Tensor(rng.standard_normal((2, 7, 2)))) < self.TOL
+        x = Tensor(rng.standard_normal((2, 7, 2)))
+        g = lambda k: ad.tsum(ad.conv1d_dilated(x, k, bias, dilation=3) ** 2)
+        assert grad_check(g, kern) < self.TOL
+        h = lambda b: ad.tsum(ad.conv1d_dilated(x, kern, b, dilation=1) ** 2)
+        assert grad_check(h, bias) < self.TOL
+
+    def test_conv_rows_match_brute_force(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((3, 9, 2))
+        kern = rng.standard_normal((5, 2, 4))
+        got = ad.conv1d_dilated(Tensor(x), Tensor(kern), dilation=2).data
+        for b in range(3):  # each sequence is padded on its own
+            np.testing.assert_allclose(got[b], conv_reference(x[b], kern, 2), atol=1e-12)
+
+    def test_softmax_over_time_grad_check(self):
+        rng = np.random.default_rng(24)
+        w = Tensor(rng.standard_normal((2, 5, 3)))
+        f = lambda x: ad.tsum(ad.softmax(x, axis=-2) * w)
+        assert grad_check(f, Tensor(rng.standard_normal((2, 5, 3)))) < self.TOL
+
+    def test_cross_entropy_sums_rows(self):
+        rng = np.random.default_rng(25)
+        labels = np.array([2, 0, 4])
+        f = lambda x: ad.cross_entropy(x, labels)
+        assert grad_check(f, Tensor(rng.standard_normal((3, 5)))) < self.TOL
+        logits = rng.standard_normal((3, 5))
+        rows = sum(float(ad.cross_entropy(Tensor(l), c).data) for l, c in zip(logits, labels))
+        assert float(ad.cross_entropy(Tensor(logits), labels).data) == pytest.approx(rows,
+                                                                                    abs=1e-12)
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(Tensor(logits), labels[:2])
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3)])
+    def test_batch_norm_matches_composite(self, shape):
+        rng = np.random.default_rng(26)
+        values = [rng.standard_normal(shape), rng.uniform(0.5, 1.5, 3), rng.standard_normal(3)]
+        weights = Tensor(rng.standard_normal(shape))
+        results = []
+        for fused in (True, False):
+            inputs = [Tensor(v.copy(), requires_grad=True) for v in values]
+            if fused:
+                out, mean, var = ad.batch_norm(*inputs, 1e-5)
+                np.testing.assert_allclose(mean[..., 0, :], values[0].mean(axis=-2), atol=1e-12)
+                np.testing.assert_allclose(var[..., 0, :], values[0].var(axis=-2), atol=1e-12)
+            else:
+                out = batch_norm_composite(*inputs, 1e-5)
+            ad.tsum(out * weights).backward()
+            results.append([out.data] + [t.grad for t in inputs])
+        for name, got, ref in zip(("out", "x", "gamma", "beta"), *results):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_batch_norm_grad_check(self):
+        rng = np.random.default_rng(27)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 3))
+        beta = Tensor(rng.standard_normal(3))
+        w = Tensor(rng.standard_normal((2, 6, 3)))
+        f = lambda x: ad.tsum(ad.batch_norm(x, gamma, beta, 1e-5)[0] * w)
+        assert grad_check(f, Tensor(rng.standard_normal((2, 6, 3)))) < self.TOL
+        x = Tensor(rng.standard_normal((2, 6, 3)))
+        g = lambda gm: ad.tsum(ad.batch_norm(x, gm, beta, 1e-5)[0] ** 2)
+        assert grad_check(g, gamma) < self.TOL
+
+    def test_matmul_weight_gradient_sums_the_batch(self):
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.standard_normal((2, 4, 3)))
+        f = lambda w: ad.tsum((x @ w) ** 2)
+        assert grad_check(f, Tensor(rng.standard_normal((3, 5)))) < self.TOL
+        with pytest.raises(ShapeError):
+            Tensor(np.ones(3)) @ Tensor(np.ones((3, 2)))
+
+    def test_dropout_takes_draws_made_ahead(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        draws = np.random.default_rng(3).random((2, 3, 4))
+        live = ad.dropout(x, 0.25, "train", np.random.default_rng(3)).data
+        np.testing.assert_array_equal(ad.dropout(x, 0.25, "train", draws).data, live)
+        with pytest.raises(ShapeError):
+            ad.dropout(x, 0.25, "train", draws[0])
+
+    def test_backward_releases_interior_nodes(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = x * 3.0
+        loss = ad.tsum(y * y)
+        loss.backward()
+        np.testing.assert_allclose(x.grad, [18.0, 36.0])
+        assert y.grad is None and y._parents == () and loss._parents == ()

@@ -157,6 +157,21 @@ class TestEnrollVerify:
                      "--id", "a\tb", wav]) == 2
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("backend", ["csm", "plda"])
+    def test_store_dimension_mismatch_is_data_error(self, workspace, tmp_path, capsys,
+                                                    backend):
+        _, data_dir, ckpt = workspace
+        dim = load_checkpoint(ckpt).config.embedding_dim
+        path = tmp_path / "five.tsv"
+        path.write_text("alice\t1\t0.1 0.2 0.3 0.4 0.5\n")
+        wav = str(data_dir / "spk000" / "utt003.wav")
+        assert main(["verify", "--checkpoint", str(ckpt), "--store", str(path),
+                     "--id", "alice", "--backend", backend,
+                     "--plda-file", str(tmp_path / "plda.npz"), wav]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: id 'alice' holds a 5-d vector" in err
+        assert f"the checkpoint embeds {dim}-d" in err
+
     def test_duplicate_enroll_needs_overwrite(self, workspace, store):
         _, data_dir, ckpt = workspace
         wav = str(data_dir / "spk001" / "utt000.wav")

@@ -1,8 +1,11 @@
 """Front-end feature extraction tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from amcrn import dsp
 from amcrn.audio import SAMPLE_RATE, AudioBuffer
 from amcrn.dsp import (FrameSpec, LmsFeature, apply_cmvn, cmvn_window_bounds,
                        extract_lms, frame_and_window, hamming_window, hz_to_mel,
@@ -114,6 +117,24 @@ class TestMelFilterbank:
     def test_fmax_above_nyquist_rejected(self):
         with pytest.raises(ConfigError):
             mel_filterbank(FrameSpec(f_max=9000.0), SAMPLE_RATE)
+
+    def test_cached_bank_is_shared_and_read_only(self):
+        bank = mel_filterbank(FrameSpec(n_mels=24), SAMPLE_RATE)
+        assert mel_filterbank(FrameSpec(n_mels=24), SAMPLE_RATE) is bank
+        assert mel_filterbank(FrameSpec(n_mels=40), SAMPLE_RATE).shape == (40, 257)
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+        assert not bank.flags.writeable
+
+    @pytest.mark.parametrize("n_mels", [24, 80])
+    def test_extraction_with_cached_bank_is_bit_identical(self, n_mels):
+        spec = FrameSpec(n_mels=n_mels)
+        audio = tone(440.0, seconds=0.5)
+        fresh = dsp._filterbank.__wrapped__(dataclasses.astuple(spec), SAMPLE_RATE)
+        power = power_spectrum(frame_and_window(audio, spec), spec.n_fft)
+        want = np.log(np.maximum(power @ fresh.T, dsp.LOG_FLOOR))
+        for _ in range(2):  # the first call may fill the cache, the second reads it
+            np.testing.assert_array_equal(extract_lms(audio, spec).values, want)
 
 
 class TestExtractLms:

@@ -378,6 +378,91 @@ class TestAamLogits:
         assert grad_check(f, Tensor(rng.standard_normal(5) * 2.0)) < 1e-4
 
 
+def per_crop_classify_loss(model, crops, labels, rng):
+    """Reference for a batched `classify_loss`: one train-mode forward and
+    backward per crop, in order; returns the summed loss."""
+    total = 0.0
+    for x, label in zip(crops, labels):
+        loss = model.classify_loss(x, int(label), mode="train", rng=rng)
+        loss.backward()
+        total += float(loss.data)
+    return total
+
+
+class TestBatchedModel:
+    @pytest.mark.parametrize("batch", [1, 2, 4])
+    def test_classify_loss_matches_per_crop_loop(self, batch):
+        cfg = tiny_config()
+        rng = np.random.default_rng(40)
+        crops = rng.standard_normal((batch, 12, cfg.n_mels))
+        labels = rng.integers(0, cfg.n_classes, batch)
+        ref, got = AmcrnModel(cfg, seed=2), AmcrnModel(cfg, seed=2)
+        ref_rng, got_rng = np.random.default_rng(41), np.random.default_rng(41)
+        want = per_crop_classify_loss(ref, crops, labels, ref_rng)
+        loss = got.classify_loss(crops, labels, mode="train", rng=got_rng)
+        loss.backward()
+        assert abs(float(loss.data) - want) <= 1e-12
+        for p, q in zip(ref.parameters(), got.parameters()):
+            np.testing.assert_allclose(q.grad, p.grad, rtol=0, atol=1e-12, err_msg=p.name)
+        # BatchNorm and VectorNorm statistics move once per crop, in order.
+        for (name, o1, a1), (_, o2, a2) in zip(ref.buffers(), got.buffers()):
+            np.testing.assert_allclose(getattr(o2, a2), getattr(o1, a1), rtol=0, atol=1e-12,
+                                       err_msg=name)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_eval_embedding_rows_match_single_calls(self):
+        cfg = tiny_config()
+        model = AmcrnModel(cfg, seed=3)
+        x = np.random.default_rng(42).standard_normal((3, 10, cfg.n_mels))
+        stacked = model.embed_tensor(x, mode="eval").data
+        assert stacked.shape == (3, cfg.embedding_dim)
+        for b in range(3):
+            np.testing.assert_allclose(stacked[b], model.embed(x[b]).values, rtol=0, atol=1e-12)
+
+    def test_pooling_grad_check(self):
+        rng = np.random.default_rng(43)
+        pool = AttentiveStatPool("p", 3, 4, rng)
+        w = Tensor(rng.standard_normal((2, 6)))
+        f = lambda x: ad.tsum(pool(x) * w)
+        assert grad_check(f, Tensor(rng.standard_normal((2, 5, 3)))) < 1e-4
+
+    def test_aam_cross_entropy_grad_check(self):
+        rng = np.random.default_rng(44)
+        w = Tensor(rng.standard_normal((4, 5)))
+        labels = np.array([1, 3, 1])
+        f = lambda x: ad.cross_entropy(aam_logits(x, w, labels, 0.2, 30.0), labels)
+        assert grad_check(f, Tensor(2.0 * rng.standard_normal((3, 5)))) < 1e-4
+        emb = Tensor(rng.standard_normal((3, 5)))
+        g = lambda v: ad.cross_entropy(aam_logits(emb, v, labels, 0.2, 30.0), labels)
+        assert grad_check(g, w) < 1e-4
+
+    def test_aam_rows_match_single_calls(self):
+        rng = np.random.default_rng(45)
+        emb = rng.standard_normal((3, 6))
+        w = rng.standard_normal((4, 6))
+        labels = [0, 2, 3]
+        got = aam_logits(Tensor(emb), Tensor(w), labels, 0.2, 30.0).data
+        for b in range(3):
+            np.testing.assert_allclose(got[b], aam_logits(Tensor(emb[b]), Tensor(w), labels[b],
+                                                          0.2, 30.0).data, atol=1e-12)
+
+    def test_zero_row_in_a_stack_rejected(self):
+        emb = np.ones((2, 3))
+        emb[1] = 0.0
+        with pytest.raises(DegenerateInput):
+            aam_logits(Tensor(emb), Tensor(np.eye(3)), [0, 1], 0.2, 30.0)
+
+    def test_skeleton_draws_nothing_and_matches_shapes(self):
+        cfg = tiny_config()
+        built = AmcrnModel(cfg, seed=0)
+        bare = AmcrnModel.skeleton(cfg)
+        assert [p.name for p in bare.parameters()] == [p.name for p in built.parameters()]
+        for p, q in zip(bare.parameters(), built.parameters()):
+            assert p.data.shape == q.data.shape
+            if p.name.endswith(("kernel", "weight", "w_x", "w_h")):  # the sampled ones
+                assert not p.data.any(), p.name
+
+
 class TestFullModel:
     @pytest.mark.parametrize("t_len", [2, 7, 200])
     def test_embedding_shape_for_varied_lengths(self, t_len):

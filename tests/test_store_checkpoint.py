@@ -90,6 +90,12 @@ class TestEmbeddingStore:
         with pytest.raises(ConfigError, match=f"{path.name}:2: "):
             EmbeddingStore(path)
 
+    def test_repeated_id_names_the_first_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\t1\t0.5 1.0\nb\t1\t0.25 0.75\na\t1\t-0.5 3.0\n")
+        with pytest.raises(ConfigError, match=f"{path.name}:3: id 'a' repeats line 1"):
+            EmbeddingStore(path)
+
     @pytest.mark.parametrize("rec_id", ["a\tb", "a\nb", "a\rb", "\t", "a\n"])
     def test_id_with_separator_rejected(self, rec_id):
         store = EmbeddingStore()

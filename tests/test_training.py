@@ -7,8 +7,10 @@ from amcrn.autodiff import Parameter, Tensor
 from amcrn.errors import ConfigError, NumericalError
 from amcrn.model import AmcrnModel, restore_model, tiny_config
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
-from amcrn.training import (AdamState, TrainConfig, adam_step, clip_gradients,
-                            lr_schedule, train, validation_loss,
+from amcrn.audio import AudioBuffer
+from amcrn.training import (AdamState, TrainConfig, _features, _random_crop,
+                            adam_step, clip_gradients, lr_schedule,
+                            minibatch_backward, train, validation_loss,
                             write_history_csv)
 
 
@@ -228,3 +230,89 @@ class TestTrainLoop:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,lr"
         assert len(lines) == 1 + len(result.history)
+
+
+def per_crop_step(model, batch, crop_seconds, rng):
+    """The per-crop training step `minibatch_backward` replaces: crop,
+    featurize, forward and backward one view at a time; the summed loss."""
+    total = 0.0
+    for audio, label in batch:
+        feats = _features(_random_crop(audio, crop_seconds, rng), model.config.n_mels)
+        loss = model.classify_loss(feats, label, mode="train", rng=rng)
+        loss.backward()
+        total += float(loss.data)
+    return total
+
+
+def assert_same_state(got, ref):
+    for p, q in zip(ref.parameters(), got.parameters()):
+        np.testing.assert_allclose(q.grad, p.grad, rtol=0, atol=1e-12, err_msg=p.name)
+    for (name, o1, a1), (_, o2, a2) in zip(ref.buffers(), got.buffers()):
+        np.testing.assert_allclose(getattr(o2, a2), getattr(o1, a1), rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+class TestMinibatch:
+    @staticmethod
+    def _views(seconds):
+        spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=3,
+                              utterance_seconds=0.5, seed=5)
+        data = make_toy_dataset(spec)
+        return [(AudioBuffer(u.audio.samples[: int(s * u.audio.sample_rate)]), i % 2)
+                for i, (u, s) in enumerate(zip(data, seconds))]
+
+    def test_equal_lengths_match_the_per_crop_step(self):
+        batch = self._views([0.5, 0.5, 0.5, 0.5])
+        cfg = tiny_config(n_classes=2)
+        ref, got = AmcrnModel(cfg, seed=4), AmcrnModel(cfg, seed=4)
+        ref_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+        want = per_crop_step(ref, batch, 0.3, ref_rng)
+        have = minibatch_backward(got, batch, 0.3, got_rng)
+        # Offsets and dropout draws come off the stream in crop order.
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert abs(have - want) <= 1e-12
+        assert_same_state(got, ref)
+
+    def test_mixed_lengths_split_into_groups(self, monkeypatch):
+        # 0.2 s views are shorter than the 0.3 s crop and stay whole. Three
+        # offset draws: with two, the second is the buffered half of the
+        # first 64-bit output, whatever is drawn between them.
+        batch = self._views([0.5, 0.2, 0.5, 0.5, 0.2])
+        cfg = tiny_config(n_classes=2)
+        ref, got = AmcrnModel(cfg, seed=4), AmcrnModel(cfg, seed=4)
+        ref_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+        shapes = []
+        forward = AmcrnModel.classify_loss
+
+        def spy(self, lms, *args, **kwargs):
+            shapes.append(np.shape(lms))
+            return forward(self, lms, *args, **kwargs)
+
+        monkeypatch.setattr(AmcrnModel, "classify_loss", spy)
+        minibatch_backward(got, batch, 0.3, got_rng)
+        long_t = _features(_random_crop(batch[0][0], 0.3, np.random.default_rng(0)),
+                           cfg.n_mels).shape[0]
+        short_t = _features(batch[1][0], cfg.n_mels).shape[0]
+        assert shapes == [(3, long_t, cfg.n_mels), (2, short_t, cfg.n_mels)]
+        # Reference: draws in crop order, then one crop at a time in group order.
+        rows = []
+        for audio, label in batch:
+            feats = _features(_random_crop(audio, 0.3, ref_rng), cfg.n_mels)
+            rows.append((feats, label, ref.draw_dropout(len(feats), ref_rng)))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        for feats, label, draws in (rows[0], rows[2], rows[3], rows[1], rows[4]):
+            forward(ref, feats, label, mode="train", rng=draws).backward()
+        assert_same_state(got, ref)
+
+    def test_validation_batches_equal_lengths(self):
+        spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=2,
+                              utterance_seconds=0.5, seed=6)
+        val_set = make_toy_dataset(spec)
+        val_set[1].audio = AudioBuffer(val_set[1].audio.samples[:4000])
+        model = AmcrnModel(tiny_config(n_classes=2), seed=5)
+        label_of = {"spk000": 0, "spk001": 1}
+        per_utt = [float(model.classify_loss(_features(u.audio, model.config.n_mels),
+                                             label_of[u.speaker_id],
+                                             mode="eval").data) for u in val_set]
+        got = validation_loss(model, val_set, label_of, TrainConfig())
+        assert got == pytest.approx(np.mean(per_utt), rel=1e-12)
