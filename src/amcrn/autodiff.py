@@ -11,8 +11,13 @@ Sequence ops read axis -2 as time and axis -1 as channels; any axes in
 front of them are batch axes. A T x C sequence is therefore the
 unbatched case of the same code, and a B x T x C stack runs B sequences
 of equal length in one call.
+
+Inside `no_grad()` the same operations record nothing, which is how the
+eval-mode forward passes run: the output is bit-identical, and no tape
+outlives the pass.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -33,17 +38,44 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block.
+
+    A node created inside keeps neither its parents nor its backward
+    closure, so each intermediate array is freed as soon as the forward
+    pass no longer needs it. The previous state comes back on exit, also
+    when the block raises. The switch is process-wide, not per thread.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 class Tensor:
     """A node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        if _grad_enabled:
+            self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            # Neither link is kept: the closure holds the inputs as well.
+            self.requires_grad = bool(requires_grad)
+            self._parents = ()
+            self._backward = None
 
     @property
     def shape(self):
@@ -102,7 +134,6 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, _parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
@@ -110,20 +141,17 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(g, other.data.shape))
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other), _backward=bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, _parents=(self,))
 
         def bwd(g):
             if self.requires_grad:
                 self._accum(-g)
 
-        out._backward = bwd
-        return out
+        return Tensor(-self.data, _parents=(self,), _backward=bwd)
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -133,7 +161,6 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, _parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
@@ -141,14 +168,12 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(g * self.data, other.data.shape))
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other), _backward=bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data / other.data, _parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
@@ -156,15 +181,13 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(-g * self.data / other.data**2, other.data.shape))
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data / other.data, _parents=(self, other), _backward=bwd)
 
     def __matmul__(self, other):
         """(... x) N x K stack of rows times a K x M matrix."""
         other = as_tensor(other)
         if self.data.ndim < 2 or other.data.ndim != 2:
             raise ShapeError("matmul expects a (... x) N x K left operand and a 2-D right one")
-        out = Tensor(self.data @ other.data, _parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
@@ -173,29 +196,24 @@ class Tensor:
                 rows = self.data.reshape(-1, self.data.shape[-1])
                 other._accum(rows.T @ g.reshape(-1, g.shape[-1]))
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data @ other.data, _parents=(self, other), _backward=bwd)
 
     def __pow__(self, exponent):
         assert np.isscalar(exponent)
-        out = Tensor(self.data**exponent, _parents=(self,))
 
         def bwd(g):
             if self.requires_grad:
                 self._accum(g * exponent * self.data ** (exponent - 1))
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data**exponent, _parents=(self,), _backward=bwd)
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), _parents=(self,))
 
         def bwd(g):
             if self.requires_grad:
                 self._accum(g.reshape(self.data.shape))
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data.reshape(*shape), _parents=(self,), _backward=bwd)
 
 
 class Parameter(Tensor):
@@ -217,91 +235,77 @@ def as_tensor(x):
 
 def relu(x):
     x = as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g * (x.data > 0.0))
 
-    out._backward = bwd
-    return out
+    return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _backward=bwd)
 
 
 def sigmoid(x):
     x = as_tensor(x)
     y = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g * y * (1.0 - y))
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(x,), _backward=bwd)
 
 
 def tanh(x):
     x = as_tensor(x)
     y = np.tanh(x.data)
-    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g * (1.0 - y * y))
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(x,), _backward=bwd)
 
 
 def exp(x):
     x = as_tensor(x)
     y = np.exp(x.data)
-    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g * y)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(x,), _backward=bwd)
 
 
 def log(x):
     x = as_tensor(x)
-    out = Tensor(np.log(x.data), _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g / x.data)
 
-    out._backward = bwd
-    return out
+    return Tensor(np.log(x.data), _parents=(x,), _backward=bwd)
 
 
 def sqrt(x):
     x = as_tensor(x)
     y = np.sqrt(x.data)
-    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g * 0.5 / y)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(x,), _backward=bwd)
 
 
 def clamp_min(x, floor):
     """max(x, floor) with gradient passing only where x > floor."""
     x = as_tensor(x)
-    out = Tensor(np.maximum(x.data, floor), _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g * (x.data > floor))
 
-    out._backward = bwd
-    return out
+    return Tensor(np.maximum(x.data, floor), _parents=(x,), _backward=bwd)
 
 
 # -- reductions ---------------------------------------------------------
@@ -309,7 +313,6 @@ def clamp_min(x, floor):
 
 def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,))
 
     def bwd(g):
         if not x.requires_grad:
@@ -320,8 +323,7 @@ def tsum(x, axis=None, keepdims=False):
             gg = g if keepdims else np.expand_dims(g, axis)
             x._accum(np.broadcast_to(gg, x.data.shape).copy())
 
-    out._backward = bwd
-    return out
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,), _backward=bwd)
 
 
 def tmean(x, axis=None, keepdims=False):
@@ -336,15 +338,13 @@ def tmax(x, axis, keepdims=False):
     y = x.data.max(axis=axis, keepdims=True)
     mask = (x.data == y).astype(np.float64)
     mask /= mask.sum(axis=axis, keepdims=True)
-    out = Tensor(y if keepdims else np.squeeze(y, axis=axis), _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             gg = g if keepdims else np.expand_dims(g, axis)
             x._accum(gg * mask)
 
-    out._backward = bwd
-    return out
+    return Tensor(y if keepdims else np.squeeze(y, axis=axis), _parents=(x,), _backward=bwd)
 
 
 def softmax(x, axis):
@@ -353,15 +353,13 @@ def softmax(x, axis):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             dot = (g * y).sum(axis=axis, keepdims=True)
             x._accum(y * (g - dot))
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(x,), _backward=bwd)
 
 
 # -- structure ----------------------------------------------------------
@@ -369,7 +367,6 @@ def softmax(x, axis):
 
 def concat(xs, axis):
     xs = [as_tensor(x) for x in xs]
-    out = Tensor(np.concatenate([x.data for x in xs], axis=axis), _parents=tuple(xs))
     sizes = [x.data.shape[axis] for x in xs]
     offsets = np.cumsum([0] + sizes)
 
@@ -380,8 +377,8 @@ def concat(xs, axis):
                 sl[axis] = slice(lo, hi)
                 x._accum(g[tuple(sl)])
 
-    out._backward = bwd
-    return out
+    return Tensor(np.concatenate([x.data for x in xs], axis=axis), _parents=tuple(xs),
+                  _backward=bwd)
 
 
 def narrow(x, axis, start, length):
@@ -390,7 +387,6 @@ def narrow(x, axis, start, length):
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    out = Tensor(x.data[sl], _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
@@ -398,8 +394,7 @@ def narrow(x, axis, start, length):
             full[sl] = g
             x._accum(full)
 
-    out._backward = bwd
-    return out
+    return Tensor(x.data[sl], _parents=(x,), _backward=bwd)
 
 
 def split(x, n, axis):
@@ -438,7 +433,6 @@ def batch_norm(x, gamma, beta, eps):
     var = (centered**2).sum(axis=-2, keepdims=True) * scale
     std = np.sqrt(var + eps)
     xhat = centered / std
-    out = Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta))
 
     def bwd(g):
         channels = g.shape[-1]
@@ -451,7 +445,7 @@ def batch_norm(x, gamma, beta, eps):
             proj = (gx * xhat).sum(axis=-2, keepdims=True) * scale
             x._accum((gx - gx.sum(axis=-2, keepdims=True) * scale - xhat * proj) / std)
 
-    out._backward = bwd
+    out = Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta), _backward=bwd)
     return out, mean, var
 
 
@@ -487,7 +481,6 @@ def conv1d_dilated(x, kernel, bias=None, dilation=1):
         bias = as_tensor(bias)
         acc += bias.data
         parents += (bias,)
-    out = Tensor(acc, _parents=parents)
 
     def bwd(g):
         if x.requires_grad:
@@ -506,8 +499,7 @@ def conv1d_dilated(x, kernel, bias=None, dilation=1):
         if bias is not None and bias.requires_grad:
             bias._accum(_unbroadcast(g_rows.sum(axis=0), bias.data.shape))
 
-    out._backward = bwd
-    return out
+    return Tensor(acc, _parents=parents, _backward=bwd)
 
 
 def lstm(x, w_x, w_h, bias, reverse=False):
@@ -554,7 +546,6 @@ def lstm(x, w_x, w_h, bias, reverse=False):
         cells[t] = c
         hs[t] = h
     out_data = (hs[::-1] if reverse else hs).swapaxes(0, 1)
-    out = Tensor(out_data.reshape(x.data.shape[:-1] + (h_dim,)), _parents=(x, w_x, w_h, bias))
 
     def bwd(grad):
         gs = grad.reshape(n, t_len, h_dim).swapaxes(0, 1)
@@ -592,8 +583,8 @@ def lstm(x, w_x, w_h, bias, reverse=False):
         if bias.requires_grad:
             bias._accum(dpre.reshape(-1, 4 * h_dim).sum(axis=0))
 
-    out._backward = bwd
-    return out
+    return Tensor(out_data.reshape(x.data.shape[:-1] + (h_dim,)), _parents=(x, w_x, w_h, bias),
+                  _backward=bwd)
 
 
 def dropout(x, p, mode, rng):

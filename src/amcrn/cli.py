@@ -16,7 +16,6 @@ import numpy as np
 
 from . import profiling, scoring, toydata, training
 from .audio import read_wav, write_wav
-from .dsp import FrameSpec, apply_cmvn, extract_lms
 from .errors import AmcrnError, ConfigError, NumericalError
 from .model import (AmcrnConfig, AmcrnModel, _atomic_write, load_checkpoint,
                     tiny_config)
@@ -128,15 +127,14 @@ def cmd_train(args):
     return 0
 
 
-def _embed_wav(model, path):
-    audio = read_wav(path)
-    feats = apply_cmvn(extract_lms(audio, FrameSpec(n_mels=model.config.n_mels)))
-    return model.embed(feats.values).values
+def _embed_wavs(model, paths):
+    """One embedding row per WAV file, equal-length files batched."""
+    return scoring.embed_audio(model, [(path, read_wav(path)) for path in paths])
 
 
 def cmd_embed(args):
     model = load_checkpoint(args.checkpoint)
-    vec = _embed_wav(model, args.wav)
+    (vec,) = _embed_wavs(model, [args.wav])
     out = " ".join(repr(float(v)) for v in vec)
     if args.out:
         _atomic_write(args.out, (out + "\n").encode())
@@ -148,8 +146,8 @@ def cmd_embed(args):
 def cmd_enroll(args):
     model = load_checkpoint(args.checkpoint)
     store = EmbeddingStore(args.store)
-    vecs = [_embed_wav(model, w) for w in args.wavs]
-    store.add(args.id, np.mean(vecs, axis=0), n_utterances=len(vecs),
+    vecs = _embed_wavs(model, args.wavs)
+    store.add(args.id, vecs.mean(axis=0), n_utterances=len(vecs),
               overwrite=args.overwrite)
     store.save(args.store)
     print(f"enrolled {args.id} from {len(vecs)} utterance(s)")
@@ -167,7 +165,7 @@ def cmd_verify(args):
     if len(enrolled) != dim:
         raise ConfigError(f"{args.store}: id {args.id!r} holds a {len(enrolled)}-d vector, "
                           f"the checkpoint embeds {dim}-d")
-    test = _embed_wav(model, args.wav)
+    (test,) = _embed_wavs(model, [args.wav])
     if args.backend == "plda":
         plda = _load_plda(args.plda_file, dim)
         score = scoring.plda_score(plda, enrolled, test)
@@ -227,7 +225,7 @@ def cmd_eval(args):
             plda = _load_plda(args.plda_file, model.config.embedding_dim)
         elif args.plda_train_dir:
             data = _load_dataset_dir(args.plda_train_dir)
-            embs = [_embed_wav_buffer(model, u.audio) for u in data]
+            embs = scoring.embed_audio(model, [(u.utterance_id, u.audio) for u in data])
             plda = scoring.plda_train(embs, [u.speaker_id for u in data])
             if args.plda_file:
                 _save_plda(args.plda_file, plda)
@@ -246,11 +244,6 @@ def cmd_eval(args):
     _atomic_write(prefix + ".sweep.csv", sweep_csv.encode())
     print(report.to_text(), end="")
     return 0
-
-
-def _embed_wav_buffer(model, audio):
-    feats = apply_cmvn(extract_lms(audio, FrameSpec(n_mels=model.config.n_mels)))
-    return model.embed(feats.values).values
 
 
 def cmd_profile(args):

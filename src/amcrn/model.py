@@ -450,19 +450,27 @@ def aam_logits(embedding, class_weights, labels, margin, scale):
 
 def transpose(x):
     x = ad.as_tensor(x)
-    out = Tensor(x.data.T, _parents=(x,))
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g.T)
 
-    out._backward = bwd
-    return out
+    return Tensor(x.data.T, _parents=(x,), _backward=bwd)
 
 
 # ----------------------------------------------------------------------
 # Full model
 # ----------------------------------------------------------------------
+
+
+def by_frame_count(rows):
+    """Group (features, ...) rows by frame count, groups in order of first
+    appearance and rows in order within each; each group is returned
+    column by column, ready to stack into one batched pass."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(len(row[0]), []).append(row)
+    return [tuple(zip(*group)) for group in groups.values()]
 
 
 class AmcrnModel:
@@ -518,9 +526,13 @@ class AmcrnModel:
         return self.emb_norm(emb.reshape(*batch, self.config.embedding_dim), mode)
 
     def embed(self, lms_values, speaker_id=None) -> SpeakerEmbedding:
-        """Deterministic eval-mode embedding as plain numpy."""
-        return SpeakerEmbedding(self.embed_tensor(lms_values, mode="eval").data.copy(),
-                                speaker_id)
+        """Deterministic eval-mode embedding as plain numpy: D values for a
+        T x n_mels matrix, B x D for a B x T x n_mels stack of equal-length
+        utterances. The pass runs under `autodiff.no_grad`, so it keeps no
+        tape and gives the same bits as `embed_tensor(..., mode="eval")`."""
+        with ad.no_grad():
+            emb = self.embed_tensor(lms_values, mode="eval")
+        return SpeakerEmbedding(emb.data, speaker_id)
 
     def classify_loss(self, lms_values, labels, mode="train", rng=None):
         """AAM-softmax cross-entropy loss of one labeled T x n_mels

@@ -6,12 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .augment import KINDS as AUGMENT_KINDS
 from .augment import augment
 from .audio import AudioBuffer
 from .dsp import FrameSpec, apply_cmvn, extract_lms
 from .errors import ConfigError, NumericalError
-from .model import AmcrnModel, checkpoint_bytes, restore_model
+from .model import AmcrnModel, by_frame_count, checkpoint_bytes, restore_model
 
 
 @dataclass
@@ -120,16 +121,6 @@ def _random_crop(audio: AudioBuffer, seconds: float, rng) -> AudioBuffer:
     return AudioBuffer(audio.samples[start : start + want], audio.sample_rate)
 
 
-def _by_frame_count(rows):
-    """Group (features, ...) rows by frame count, groups in order of first
-    appearance and rows in order within each; each group is returned
-    column by column."""
-    groups = {}
-    for row in rows:
-        groups.setdefault(len(row[0]), []).append(row)
-    return [tuple(zip(*group)) for group in groups.values()]
-
-
 def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> float:
     """Accumulate the gradient of the summed loss of one minibatch of
     (audio, label) views into the parameters; return that summed loss.
@@ -145,7 +136,7 @@ def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> fl
         feats = _features(_random_crop(audio, crop_seconds, rng), model.config.n_mels)
         rows.append((feats, label, model.draw_dropout(len(feats), rng)))
     total = 0.0
-    for feats, labels, draws in _by_frame_count(rows):
+    for feats, labels, draws in by_frame_count(rows):
         noise = None if draws[0] is None else np.stack(draws)
         loss = model.classify_loss(np.stack(feats), labels, mode="train", rng=noise)
         loss.backward()
@@ -219,12 +210,14 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig) -> float:
-    """Mean eval-mode loss over whole utterances, equal-length ones batched."""
+    """Mean eval-mode loss over whole utterances, equal-length ones batched,
+    computed without a tape."""
     rows = [(_features(utt.audio, model.config.n_mels), label_of[utt.speaker_id])
             for utt in val_set]
     total = 0.0
-    for feats, labels in _by_frame_count(rows):
-        total += float(model.classify_loss(np.stack(feats), labels, mode="eval").data)
+    with ad.no_grad():
+        for feats, labels in by_frame_count(rows):
+            total += float(model.classify_loss(np.stack(feats), labels, mode="eval").data)
     return total / len(val_set)
 
 

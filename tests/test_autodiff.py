@@ -233,6 +233,23 @@ class TestSemantics:
         p = Parameter(np.zeros(3), "p")
         assert p.requires_grad and p.name == "p"
 
+    def test_no_grad_records_nothing(self):
+        w = Parameter(np.array([0.5, -1.0]), "w")
+        with ad.no_grad():
+            y = ad.tsum(ad.tanh(w * 3.0))
+            inner = Parameter(np.zeros(2), "inner")
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert float(y.data) == float(ad.tsum(ad.tanh(w * 3.0)).data)
+        assert inner.requires_grad
+
+    def test_no_grad_restored_after_a_raise(self):
+        w = Parameter(np.array([0.5, -1.0]), "w")
+        with pytest.raises(ShapeError):
+            with ad.no_grad():
+                w @ w  # a 1-D left operand raises
+        ad.tsum(ad.tanh(w * 3.0)).backward()
+        np.testing.assert_allclose(w.grad, 3.0 * (1.0 - np.tanh(3.0 * w.data) ** 2))
+
 
 def batch_norm_composite(x, gamma, beta, eps):
     """Reference for `ad.batch_norm` built from elementary tape ops."""

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from amcrn.audio import read_wav
+from amcrn.audio import AudioBuffer, read_wav, write_wav
 from amcrn.cli import main
+from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms
 from amcrn.model import load_checkpoint
+from amcrn.store import EmbeddingStore
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -172,6 +174,20 @@ class TestEnrollVerify:
         assert f"{path}: id 'alice' holds a 5-d vector" in err
         assert f"the checkpoint embeds {dim}-d" in err
 
+    def test_enrolled_vector_is_the_per_file_mean(self, workspace, tmp_path):
+        _, data_dir, ckpt = workspace
+        wavs = [str(data_dir / "spk000" / f"utt{i:03d}.wav") for i in range(3)]
+        path = tmp_path / "speakers.tsv"
+        assert main(["enroll", "--checkpoint", str(ckpt), "--store", str(path),
+                     "--id", "alice", *wavs]) == 0
+        model = load_checkpoint(ckpt)
+        spec = FrameSpec(n_mels=model.config.n_mels)
+        # Oracle: each file embedded on its own by the taped eval-mode pass.
+        vecs = [model.embed_tensor(apply_cmvn(extract_lms(read_wav(wav), spec)).values,
+                                   mode="eval").data for wav in wavs]
+        got = EmbeddingStore(path).get("alice").vector
+        np.testing.assert_allclose(got, np.mean(vecs, axis=0), rtol=0, atol=1e-12)
+
     def test_duplicate_enroll_needs_overwrite(self, workspace, store):
         _, data_dir, ckpt = workspace
         wav = str(data_dir / "spk001" / "utt000.wav")
@@ -235,6 +251,18 @@ class TestEval:
         _, data_dir, ckpt = workspace
         assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(trial_file),
                      "--audio-root", str(data_dir), "--backend", "plda"]) == 2
+
+    @pytest.mark.parametrize("samples", [320, 400])
+    def test_too_short_ref_is_named(self, workspace, tmp_path, capsys, samples):
+        # 320 samples make no frame; 400 make one, too few to pool.
+        _, data_dir, ckpt = workspace
+        write_wav(str(tmp_path / "blip.wav"), AudioBuffer(np.full(samples, 0.01)))
+        good = data_dir / "spk000" / "utt000.wav"
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"1 {good} {good}\n0 {good} blip.wav\n")
+        assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(bad),
+                     "--audio-root", str(tmp_path)]) == 2
+        assert "'blip.wav'" in capsys.readouterr().err
 
     def test_missing_audio_is_data_error(self, workspace, tmp_path):
         _, _, ckpt = workspace

@@ -1,7 +1,9 @@
 """Network component tests: hand oracles for attention, pooling, the
 multi-scale block, the BLSTM, and the margin-softmax head."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -527,3 +529,61 @@ class TestFullModel:
         w = Tensor(rng.standard_normal((5, 4)))
         f = lambda x: ad.tsum((transpose(x) @ w) ** 2)
         assert grad_check(f, Tensor(rng.standard_normal((5, 3)))) < 1e-4
+
+
+class TestTapeFreeEmbed:
+    """`embed` runs under `no_grad`; the taped eval-mode pass is its oracle."""
+
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(),
+        tiny_config(n_mels=80, channels=64, n_scales=4, hidden=64, embedding_dim=256),
+    ], ids=["tiny", "acceptance"])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_bit_identical_to_taped_pass(self, cfg, batch):
+        model = AmcrnModel(cfg, seed=7)
+        x = np.random.default_rng(44).standard_normal(batch + (30, cfg.n_mels))
+        taped = model.embed_tensor(x, mode="eval")
+        assert taped._parents  # the oracle does build a tape
+        got = model.embed(x).values
+        assert got.shape == batch + (cfg.embedding_dim,)
+        np.testing.assert_array_equal(got, taped.data)
+
+    def test_no_intermediate_outlives_the_pass(self, monkeypatch):
+        cfg = tiny_config()
+        model = AmcrnModel(cfg, seed=8)
+        x = np.random.default_rng(45).standard_normal((12, cfg.n_mels))
+        refs = []
+        relu = ad.relu
+
+        def recording(t):
+            out = relu(t)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(ad, "relu", recording)
+        gc.disable()  # reference counting alone must free the graph
+        try:
+            taped = model.embed_tensor(x, mode="eval")
+            assert any(r() is not None for r in refs)  # held by the tape
+            del taped
+            refs.clear()
+            with ad.no_grad():
+                emb = model.embed_tensor(x, mode="eval")
+            assert emb._parents == () and emb._backward is None
+            assert refs and all(r() is None for r in refs)
+            refs.clear()
+            model.embed(x)
+            assert refs and all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_gradients_flow_after_a_failed_pass(self):
+        cfg = tiny_config()
+        model = AmcrnModel(cfg, seed=9)
+        rng = np.random.default_rng(46)
+        with pytest.raises(InputTooShort):
+            model.embed(rng.standard_normal((1, cfg.n_mels)))
+        loss = model.classify_loss(rng.standard_normal((8, cfg.n_mels)), 1, mode="train",
+                                   rng=np.random.default_rng(0))
+        loss.backward()
+        assert [p.name for p in model.parameters() if p.grad is None] == []

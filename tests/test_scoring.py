@@ -1,6 +1,8 @@
 """Back-end tests: cosine scoring, PLDA, EER/minDCF against exhaustive
 oracles, and segment truncation."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from scipy.linalg import solve_triangular
 
 from amcrn import scoring
 from amcrn.audio import SAMPLE_RATE, AudioBuffer
-from amcrn.errors import (DegenerateInput, InsufficientTrials, MissingUtterance,
-                          NumericalError)
+from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms
+from amcrn.errors import (DegenerateInput, InputTooShort, InsufficientTrials,
+                          MissingUtterance, NumericalError)
 from amcrn.model import AmcrnModel, SpeakerEmbedding, tiny_config
 from amcrn.scoring import (EvalReport, PldaModel, Trial, compute_eer,
                            compute_mindcf, csm, decide, det_sweep, far_frr,
@@ -405,25 +408,27 @@ class TestRunTrials:
 
     @staticmethod
     def _counted_model(monkeypatch):
+        """A model whose `embed` records the input shape of every call."""
         model = AmcrnModel(tiny_config(), seed=0)
-        calls = []
+        shapes = []
         embed = model.embed
 
         def counted(lms_values):
-            calls.append(1)
+            shapes.append(np.shape(lms_values))
             return embed(lms_values)
 
         monkeypatch.setattr(model, "embed", counted)
-        return model, calls
+        return model, shapes
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_each_ref_embedded_once_without_truncation(self, dataset, monkeypatch,
-                                                       threads):
+    @staticmethod
+    def _rows(shapes):
+        return sum(1 if len(shape) == 2 else shape[0] for shape in shapes)
+
+    def test_each_ref_embedded_once_without_truncation(self, dataset, monkeypatch):
         audio, trials = dataset
-        monkeypatch.setenv("AMCRN_THREADS", threads)
-        model, calls = self._counted_model(monkeypatch)
+        model, shapes = self._counted_model(monkeypatch)
         run_trials(model, trials, audio.__getitem__)
-        assert len(calls) == len(audio)
+        assert self._rows(shapes) == len(audio)
 
     def test_empty_trial_list_rejected(self):
         with pytest.raises(InsufficientTrials):
@@ -431,12 +436,65 @@ class TestRunTrials:
 
     def test_truncated_test_side_gets_its_own_embedding(self, dataset, monkeypatch):
         audio, trials = dataset
-        model, calls = self._counted_model(monkeypatch)
+        model, shapes = self._counted_model(monkeypatch)
         whole, _ = run_trials(model, trials, audio.__getitem__)
-        calls.clear()
+        shapes.clear()
         cut, _ = run_trials(model, trials, audio.__getitem__, truncation=0.25, seed=1)
-        assert len(calls) == 2 * len(audio)
+        assert self._rows(shapes) == 2 * len(audio)
         assert not np.allclose(cut, whole)
+
+    @staticmethod
+    def _per_ref_taped_scores(model, trials, audio, backend, plda, truncation, seed):
+        """Oracle: each trial side embedded on its own by the taped
+        eval-mode pass, then scored pair by pair."""
+        spec = FrameSpec(n_mels=model.config.n_mels)
+
+        def embedding(ref, trunc):
+            segment = audio[ref]
+            if trunc is not None:
+                segment, _ = truncate_segment(segment, trunc,
+                                              (seed, zlib.crc32(ref.encode())))
+            feats = apply_cmvn(extract_lms(segment, spec)).values
+            return model.embed_tensor(feats, mode="eval").data
+
+        score = csm if backend == "csm" else (lambda a, b: plda_score(plda, a, b))
+        return [score(embedding(t.enroll_ref, None), embedding(t.test_ref, truncation))
+                for t in trials]
+
+    @pytest.mark.parametrize("backend", ["csm", "plda"])
+    @pytest.mark.parametrize("truncation", [None, 0.25])
+    @pytest.mark.parametrize("frame_limit", [scoring.EMBED_FRAME_LIMIT, 100, 1])
+    def test_batched_scores_match_per_ref_taped_embedding(self, dataset, monkeypatch,
+                                                          backend, truncation,
+                                                          frame_limit):
+        audio, trials = dataset
+        # Four 0.5 s refs (48 frames each): a limit of 100 frames splits
+        # their group into passes of two, a limit of 1 into single refs.
+        monkeypatch.setattr(scoring, "EMBED_FRAME_LIMIT", frame_limit)
+        model, shapes = self._counted_model(monkeypatch)
+        dim = model.config.embedding_dim
+        rng = np.random.default_rng(2)
+        spread = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+        plda = PldaModel(mu=np.zeros(dim), between=spread @ spread.T + np.eye(dim),
+                         within=np.eye(dim))
+        got, _ = run_trials(model, trials, audio.__getitem__, backend=backend,
+                            plda_model=plda, truncation=truncation, seed=4)
+        want = self._per_ref_taped_scores(model, trials, audio, backend, plda,
+                                          truncation, seed=4)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert all(len(shape) == 3 for shape in shapes)
+        assert all(n == 1 or n * t <= frame_limit for n, t, _ in shapes)
+        if frame_limit < 4 * 48:
+            assert len(shapes) > len({t for _, t, _ in shapes})
+
+    @pytest.mark.parametrize("samples", [320, 400])
+    def test_too_short_ref_is_named(self, dataset, samples):
+        # 320 samples make no frame; 400 make one, too few to pool.
+        audio, trials = dataset
+        audio = dict(audio, tiny=AudioBuffer(np.ones(samples) * 0.01))
+        trials = trials + [Trial(0, trials[0].enroll_ref, "tiny")]
+        with pytest.raises(InputTooShort, match="'tiny'"):
+            run_trials(AmcrnModel(tiny_config(), seed=0), trials, audio.__getitem__)
 
     def test_truncation_offset_differs_per_ref_and_repeats(self, monkeypatch):
         # Six identical ramps: a segment's first sample gives its offset.

@@ -5,7 +5,7 @@ import pytest
 
 from amcrn.autodiff import Parameter, Tensor
 from amcrn.errors import ConfigError, NumericalError
-from amcrn.model import AmcrnModel, restore_model, tiny_config
+from amcrn.model import AmcrnModel, by_frame_count, restore_model, tiny_config
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
 from amcrn.audio import AudioBuffer
 from amcrn.training import (AdamState, TrainConfig, _features, _random_crop,
@@ -316,3 +316,30 @@ class TestMinibatch:
                                              mode="eval").data) for u in val_set]
         got = validation_loss(model, val_set, label_of, TrainConfig())
         assert got == pytest.approx(np.mean(per_utt), rel=1e-12)
+
+    def test_validation_without_tape_matches_taped_pass(self, monkeypatch):
+        spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=3,
+                              utterance_seconds=0.5, seed=7)
+        val_set = make_toy_dataset(spec)
+        val_set[2].audio = AudioBuffer(val_set[2].audio.samples[:4000])
+        model = AmcrnModel(tiny_config(n_classes=2), seed=6)
+        label_of = {"spk000": 0, "spk001": 1}
+        rows = [(_features(u.audio, model.config.n_mels), label_of[u.speaker_id])
+                for u in val_set]
+        taped = []
+        for feats, labels in by_frame_count(rows):
+            loss = model.classify_loss(np.stack(feats), labels, mode="eval")
+            assert loss._parents  # the oracle pass builds a tape
+            taped.append(float(loss.data))
+        losses = []
+        forward = AmcrnModel.classify_loss
+
+        def spy(self, *args, **kwargs):
+            losses.append(forward(self, *args, **kwargs))
+            return losses[-1]
+
+        monkeypatch.setattr(AmcrnModel, "classify_loss", spy)
+        got = validation_loss(model, val_set, label_of, TrainConfig())
+        assert got == sum(taped) / len(val_set)
+        assert len(losses) == 2
+        assert all(loss._parents == () and loss._backward is None for loss in losses)
