@@ -424,10 +424,14 @@ class TestRunTrials:
     def _rows(shapes):
         return sum(1 if len(shape) == 2 else shape[0] for shape in shapes)
 
-    def test_each_ref_embedded_once_without_truncation(self, dataset, monkeypatch):
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_each_ref_embedded_once_without_truncation(self, dataset, monkeypatch,
+                                                       copies):
+        # A trial list that names every pair `copies` times still embeds
+        # each ref once.
         audio, trials = dataset
         model, shapes = self._counted_model(monkeypatch)
-        run_trials(model, trials, audio.__getitem__)
+        run_trials(model, trials * copies, audio.__getitem__)
         assert self._rows(shapes) == len(audio)
 
     def test_empty_trial_list_rejected(self):
