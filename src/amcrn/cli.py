@@ -128,8 +128,9 @@ def cmd_train(args):
 
 
 def _embed_wavs(model, paths):
-    """One embedding row per WAV file, equal-length files batched."""
-    return scoring.embed_audio(model, [(path, read_wav(path)) for path in paths])
+    """One embedding row per WAV file, equal-length files batched; each
+    file is read only when its turn to be featurized comes."""
+    return scoring.embed_audio(model, ((path, read_wav(path)) for path in paths))
 
 
 def cmd_embed(args):

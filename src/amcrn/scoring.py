@@ -14,7 +14,6 @@ from .audio import AudioBuffer
 from .dsp import FrameSpec, apply_cmvn, extract_lms
 from .errors import (DegenerateInput, InputTooShort, InsufficientTrials,
                      MissingUtterance, NumericalError)
-from .model import by_frame_count
 
 # ----------------------------------------------------------------------
 # Similarity backends
@@ -317,35 +316,63 @@ def write_scored_trials(path, trials, scores):
 # and 692 ms one at a time and 247 MB and 353 ms at 4096 frames.
 EMBED_FRAME_LIMIT = 2048
 
+# Featurized utterances wait for others of their frame count to fill a
+# pass. Before the waiting features would exceed this many passes' worth
+# of frames, every waiting group is embedded as it stands, so what is
+# held between passes stays bounded however long the list is (8192
+# frames of 80 mels are 5 MB).
+EMBED_PENDING_PASSES = 4
+
 
 def embed_audio(model, named_audio):
     """Eval-mode embeddings of (name, AudioBuffer) pairs as an N x D array,
     row i for the i-th pair.
 
-    The pairs are featurized in order. Utterances of equal frame count
-    then share tape-free forward passes of at most EMBED_FRAME_LIMIT
-    frames (a longer utterance runs alone). Audio too short to featurize
-    or to pool raises InputTooShort naming it.
+    The pairs are featurized in order, as they are drawn from
+    `named_audio`. Utterances of equal frame count share tape-free
+    forward passes of at most EMBED_FRAME_LIMIT frames (a longer
+    utterance runs alone): a group is embedded once it fills a pass, and
+    all waiting groups are embedded as they stand before the waiting
+    features would pass EMBED_PENDING_PASSES passes' worth of frames.
+    Audio too short to featurize or to pool raises InputTooShort naming
+    it.
     """
     spec = FrameSpec(n_mels=model.config.n_mels)
-    rows = []
-    for i, (name, audio) in enumerate(named_audio):
+    pending_limit = EMBED_PENDING_PASSES * EMBED_FRAME_LIMIT
+    vectors = []
+    waiting = {}  # frame count -> [(row, name, features)], in order
+    held = 0
+
+    def embed_group(frames):
+        nonlocal held
+        group = waiting.pop(frames)
+        held -= frames * len(group)
+        try:
+            out = model.embed(np.stack([feats for _, _, feats in group])).values
+        except InputTooShort as exc:
+            # All rows of a pass have the same frame count: name the first.
+            raise InputTooShort(f"utterance {group[0][1]!r}: {exc}") from exc
+        for (row, _, _), vector in zip(group, out):
+            vectors[row] = vector
+
+    for row, (name, audio) in enumerate(named_audio):
         try:
             feats = apply_cmvn(extract_lms(audio, spec)).values
         except InputTooShort as exc:
             raise InputTooShort(f"utterance {name!r}: {exc}") from exc
-        rows.append((feats, i, name))
-    out = np.empty((len(rows), model.config.embedding_dim))
-    for feats, index, names in by_frame_count(rows):
-        per_pass = max(1, EMBED_FRAME_LIMIT // len(feats[0]))
-        for lo in range(0, len(index), per_pass):
-            hi = lo + per_pass
-            try:
-                out[list(index[lo:hi])] = model.embed(np.stack(feats[lo:hi])).values
-            except InputTooShort as exc:
-                # All rows of a pass have the same frame count: name the first.
-                raise InputTooShort(f"utterance {names[lo]!r}: {exc}") from exc
-    return out
+        frames = len(feats)
+        if held + frames > pending_limit:
+            for waiting_frames in list(waiting):
+                embed_group(waiting_frames)
+        vectors.append(None)
+        group = waiting.setdefault(frames, [])
+        group.append((row, name, feats))
+        held += frames
+        if len(group) >= max(1, EMBED_FRAME_LIMIT // frames):
+            embed_group(frames)
+    for waiting_frames in list(waiting):
+        embed_group(waiting_frames)
+    return np.reshape(vectors, (len(vectors), model.config.embedding_dim))
 
 
 def run_trials(model, trials, resolve_audio, backend="csm", plda_model=None,
@@ -356,30 +383,39 @@ def run_trials(model, trials, resolve_audio, backend="csm", plda_model=None,
     Truncation (in seconds) applies to the test side only; each ref's
     offset is drawn from `seed` mixed with the CRC-32 of the ref, so
     equal-length utterances are cut at different offsets and a rerun
-    repeats them. Each (ref, requested truncation) key is embedded once, so
-    without truncation a ref used on both sides is embedded once; the
-    keys go through `embed_audio` in order of first appearance, in
-    batched passes. The whole list is scored in one back-end call on the
-    stacked sides.
+    repeats them. Each (ref, truncation applied) key is embedded once: a
+    ref used on both sides is embedded once unless its test side is cut,
+    and a test ref no longer than the truncation shares the embedding of
+    the whole ref. The keys stream through `embed_audio` in order of
+    first appearance, so no audio is held past its featurization. The
+    whole list is scored in one back-end call on the stacked sides.
     """
     if backend == "plda" and plda_model is None:
         raise NumericalError("PLDA backend requested without a trained model")
     if not trials:
         raise InsufficientTrials("empty trial list")
 
-    def audio_of(ref, trunc):
-        try:
-            audio = resolve_audio(ref)
-        except KeyError as exc:
-            raise MissingUtterance(f"cannot resolve utterance {ref!r}") from exc
-        if trunc is not None:
-            audio, _ = truncate_segment(audio, trunc, (seed, zlib.crc32(ref.encode())))
-        return audio
+    row = {}       # (ref, requested truncation) -> row of `vectors`
+    embedded = {}  # (ref, truncation applied) -> row of `vectors`
 
-    keys = dict.fromkeys([(t.enroll_ref, None) for t in trials]
-                         + [(t.test_ref, truncation) for t in trials])
-    vectors = embed_audio(model, ((ref, audio_of(ref, trunc)) for ref, trunc in keys))
-    row = {key: i for i, key in enumerate(keys)}
+    def unique_audio():
+        for ref, trunc in dict.fromkeys([(t.enroll_ref, None) for t in trials]
+                                        + [(t.test_ref, truncation) for t in trials]):
+            try:
+                audio = resolve_audio(ref)
+            except KeyError as exc:
+                raise MissingUtterance(f"cannot resolve utterance {ref!r}") from exc
+            applied = None
+            if trunc is not None:
+                audio, cut = truncate_segment(audio, trunc,
+                                              (seed, zlib.crc32(ref.encode())))
+                applied = trunc if cut else None
+            fresh = (ref, applied) not in embedded
+            row[ref, trunc] = embedded.setdefault((ref, applied), len(embedded))
+            if fresh:
+                yield ref, audio
+
+    vectors = embed_audio(model, unique_audio())
     enroll = vectors[[row[t.enroll_ref, None] for t in trials]]
     test = vectors[[row[t.test_ref, truncation] for t in trials]]
     if backend == "csm":

@@ -447,6 +447,58 @@ class TestRunTrials:
         assert self._rows(shapes) == 2 * len(audio)
         assert not np.allclose(cut, whole)
 
+    def test_test_ref_no_longer_than_truncation_shares_whole_embedding(
+            self, dataset, monkeypatch):
+        # Four 0.5 s refs are not cut at 2 s: each is embedded once.
+        audio, trials = dataset
+        model, shapes = self._counted_model(monkeypatch)
+        whole, _ = run_trials(model, trials, audio.__getitem__)
+        shapes.clear()
+        kept, _ = run_trials(model, trials, audio.__getitem__, truncation=2.0, seed=1)
+        assert self._rows(shapes) == len(audio)
+        assert kept == whole
+
+    @pytest.mark.parametrize("frame_limit, pending_passes",
+                             [(150, 2), (scoring.EMBED_FRAME_LIMIT,
+                                         scoring.EMBED_PENDING_PASSES)])
+    def test_waiting_features_stay_bounded(self, monkeypatch, frame_limit,
+                                           pending_passes):
+        # Twenty refs of ten lengths (28 to 64 frames), each length twice
+        # and ten refs apart, so that with a limit of 150 frames the first
+        # ten refs fill no pass; the test side is cut to 0.4 s where it
+        # is longer.
+        data = make_toy_dataset(ToySpeakerSpec(n_speakers=4, utterances_per_speaker=5,
+                                               utterance_seconds=1.0, seed=1))
+        seconds = [0.3 + 0.04 * i for i in range(10)]
+        audio = {u.utterance_id: AudioBuffer(u.audio.samples[:int(SAMPLE_RATE * s)])
+                 for u, s in zip(data, seconds * 2)}
+        speaker = {u.utterance_id: u.speaker_id for u in data}
+        refs = list(audio)
+        trials = [Trial(int(speaker[a] == speaker[b]), a, b)
+                  for i, a in enumerate(refs) for b in refs[i + 1:i + 4]]
+        monkeypatch.setattr(scoring, "EMBED_FRAME_LIMIT", frame_limit)
+        monkeypatch.setattr(scoring, "EMBED_PENDING_PASSES", pending_passes)
+        model, shapes = self._counted_model(monkeypatch)
+        featurized, waiting = [], []
+        extract = scoring.extract_lms
+
+        def recording(segment, spec):
+            # Frames featurized and not yet embedded, before this one.
+            waiting.append(sum(featurized) - sum(n * t for n, t, _ in shapes))
+            feats = extract(segment, spec)
+            featurized.append(len(feats.values))
+            return feats
+
+        monkeypatch.setattr(scoring, "extract_lms", recording)
+        got, _ = run_trials(model, trials, audio.__getitem__, truncation=0.4, seed=2)
+        monkeypatch.setattr(scoring, "extract_lms", extract)
+        want = self._per_ref_taped_scores(model, trials, audio, "csm", None, 0.4, seed=2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert 0 < max(waiting) <= frame_limit * pending_passes
+        assert sum(n * t for n, t, _ in shapes) == sum(featurized)
+        assert all(n == 1 or n * t <= frame_limit for n, t, _ in shapes)
+        assert any(n > 1 for n, _, _ in shapes)
+
     @staticmethod
     def _per_ref_taped_scores(model, trials, audio, backend, plda, truncation, seed):
         """Oracle: each trial side embedded on its own by the taped
