@@ -91,8 +91,10 @@ class Tensor:
 
     def _accum(self, grad):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A copy: later accumulations add into it in place.
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     def backward(self):
         """Reverse accumulation from a scalar loss.
@@ -449,6 +451,14 @@ def batch_norm(x, gamma, beta, eps):
     return out, mean, var
 
 
+def _pad_time(data, pad):
+    """`data` with `pad` zero frames added at both ends of axis -2."""
+    t_len = data.shape[-2]
+    out = np.zeros(data.shape[:-2] + (t_len + 2 * pad, data.shape[-1]))
+    out[..., pad : pad + t_len, :] = data
+    return out
+
+
 def conv1d_dilated(x, kernel, bias=None, dilation=1):
     """1-D dilated convolution over time with "same" zero padding.
 
@@ -470,8 +480,7 @@ def conv1d_dilated(x, kernel, bias=None, dilation=1):
     pad = dilation * n_taps
     t_len, c_in = x.data.shape[-2:]
     c_out = kernel.data.shape[2]
-    pad_width = ((0, 0),) * (x.data.ndim - 2) + ((pad, pad), (0, 0))
-    xp = np.pad(x.data, pad_width)
+    xp = _pad_time(x.data, pad)
     acc = np.zeros(x.data.shape[:-1] + (c_out,))
     starts = [dilation * (2 * n_taps - i) for i in range(k)]
     for i, s in enumerate(starts):
@@ -491,7 +500,7 @@ def conv1d_dilated(x, kernel, bias=None, dilation=1):
         g_rows = g.reshape(-1, c_out)
         if kernel.requires_grad:
             # Padded again: a copy kept from forward would live as long as the tape.
-            xp = np.pad(x.data, pad_width)
+            xp = _pad_time(x.data, pad)
             gk = np.empty_like(kernel.data)
             for i, s in enumerate(starts):
                 gk[i] = xp[..., s : s + t_len, :].reshape(-1, c_in).T @ g_rows
@@ -510,10 +519,19 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     the recurrence runs from the last frame to the first. The input
     projection is one matmul over all B*T frames, transposed once to
     time-major order so that each step reads a contiguous B x 4H block
-    and multiplies the B x H states by w_h in one product. The forward
-    pass caches gate activations, cell and hidden states; backward is
-    one BPTT loop filling the T x B x 4H pre-activation gradient, from
-    which the four parameter/input gradients are whole-batch products.
+    and multiplies the B x H states by w_h in one product.
+
+    Each step does only the recurrent work. The sigmoid-gate columns
+    (i, f, o) of the input projection and of a copy of w_h are negated
+    once per call, which is exact (-(a + b) = -a + -b, h (-W) = -(h W)),
+    so a step evaluates 1 / (1 + exp(pre)) over the whole B x 4H block
+    in place and then overwrites the cell columns with tanh. The forward
+    pass caches gate activations, cell states, their tanh and the hidden
+    states. Backward first forms, for all t at once, every factor of the
+    pre-activation gradient that does not depend on the recurrence; the
+    BPTT loop then carries only dh and dc and fills the T x B x 4H
+    pre-activation gradient, from which the four parameter/input
+    gradients are whole-batch products.
     """
     x, w_x, w_h, bias = (as_tensor(v) for v in (x, w_x, w_h, bias))
     if x.data.ndim < 2 or x.data.shape[-1] != w_x.data.shape[0]:
@@ -524,51 +542,65 @@ def lstm(x, w_x, w_h, bias, reverse=False):
         raise ShapeError("lstm expects H x 4H recurrent weights and a 4H bias")
     t_len, d_in = x.data.shape[-2:]
     n = math.prod(x.data.shape[:-2])  # 1 for an unbatched sequence
+    i_sl, f_sl, c_sl, o_sl = (slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
     # Work in processing order; a reversed direction is a flipped sequence.
     xs = x.data[..., ::-1, :] if reverse else x.data
     x_rows = xs.reshape(n * t_len, d_in)
     pre_x = (x_rows @ w_x.data + bias.data).reshape(n, t_len, 4 * h_dim)
     pre_x = np.ascontiguousarray(pre_x.swapaxes(0, 1))
+    w_neg = w_h.data.copy()
+    for sl in (slice(0, 2 * h_dim), o_sl):
+        np.negative(pre_x[..., sl], out=pre_x[..., sl])
+        np.negative(w_neg[:, sl], out=w_neg[:, sl])
     gates = np.empty((t_len, n, 4 * h_dim))
     cells = np.empty((t_len, n, h_dim))
+    tanh_c = np.empty((t_len, n, h_dim))
     hs = np.empty((t_len, n, h_dim))
-    i_f, c_sl, o_sl = slice(0, 2 * h_dim), slice(2 * h_dim, 3 * h_dim), slice(3 * h_dim, None)
-    h = np.zeros((n, h_dim))
-    c = np.zeros((n, h_dim))
-    for t in range(t_len):
-        pre = pre_x[t] + h @ w_h.data
-        g = gates[t]
-        g[:, i_f] = 1.0 / (1.0 + np.exp(-pre[:, i_f]))
-        g[:, c_sl] = np.tanh(pre[:, c_sl])
-        g[:, o_sl] = 1.0 / (1.0 + np.exp(-pre[:, o_sl]))
-        c = g[:, h_dim : 2 * h_dim] * c + g[:, :h_dim] * g[:, c_sl]
-        h = g[:, o_sl] * np.tanh(c)
-        cells[t] = c
-        hs[t] = h
+    h = c = np.zeros((n, h_dim))
+    # exp of a large cell pre-activation overflows to inf harmlessly: its
+    # columns are overwritten by tanh, and a sigmoid gate reads 1 / inf = 0.
+    with np.errstate(over="ignore"):
+        for t in range(t_len):
+            pre = h @ w_neg
+            pre += pre_x[t]
+            g = gates[t]
+            np.exp(pre, out=g)
+            g += 1.0
+            np.divide(1.0, g, out=g)
+            np.tanh(pre[:, c_sl], out=g[:, c_sl])
+            c = np.multiply(g[:, f_sl], c, out=cells[t])
+            c += g[:, i_sl] * g[:, c_sl]
+            h = np.multiply(g[:, o_sl], np.tanh(c, out=tanh_c[t]), out=hs[t])
     out_data = (hs[::-1] if reverse else hs).swapaxes(0, 1)
 
     def bwd(grad):
         gs = grad.reshape(n, t_len, h_dim).swapaxes(0, 1)
         if reverse:
             gs = gs[::-1]
+        gi, gf, gc, go = (gates[..., sl] for sl in (i_sl, f_sl, c_sl, o_sl))
+        # The factors that do not depend on the recurrence, for all t:
+        # dc gains dh * dc_dh, the i/f/c columns of dpre are dc * from_dc
+        # and the o columns are dh * from_dh.
+        dc_dh = go * (1.0 - tanh_c * tanh_c)
+        from_dc = np.empty((t_len, n, 3, h_dim))
+        from_dc[:, :, 0] = gc * gi * (1.0 - gi)
+        from_dc[0, :, 1] = 0.0  # the initial cell state is zero
+        from_dc[1:, :, 1] = cells[:-1] * gf[1:] * (1.0 - gf[1:])
+        from_dc[:, :, 2] = gi * (1.0 - gc * gc)
+        from_dh = tanh_c * go * (1.0 - go)
         w_h_t = w_h.data.T
         dpre = np.empty((t_len, n, 4 * h_dim))
-        dh_next = np.zeros((n, h_dim))
-        dc_next = np.zeros((n, h_dim))
+        dpre_by_gate = dpre.reshape(t_len, n, 4, h_dim)
+        dh_next = dc_next = np.zeros((n, h_dim))
         for t in range(t_len - 1, -1, -1):
-            g = gates[t]
-            gi, gf, gc, go = g[:, :h_dim], g[:, h_dim : 2 * h_dim], g[:, c_sl], g[:, o_sl]
-            tc = np.tanh(cells[t])
             dh = gs[t] + dh_next
-            dc = dc_next + dh * go * (1.0 - tc * tc)
-            c_prev = cells[t - 1] if t else 0.0
-            d = dpre[t]
-            d[:, :h_dim] = dc * gc * gi * (1.0 - gi)
-            d[:, h_dim : 2 * h_dim] = dc * c_prev * gf * (1.0 - gf)
-            d[:, c_sl] = dc * gi * (1.0 - gc * gc)
-            d[:, o_sl] = dh * tc * go * (1.0 - go)
-            dc_next = dc * gf
-            dh_next = d @ w_h_t
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            d = dpre_by_gate[t]
+            np.multiply(dc[:, None], from_dc[t], out=d[:, :3])
+            np.multiply(dh, from_dh[t], out=d[:, 3])
+            dc_next = dc * gf[t]
+            dh_next = dpre[t] @ w_h_t
         # Batch-major rows in processing order, matching x_rows.
         d_rows = dpre.swapaxes(0, 1).reshape(n * t_len, 4 * h_dim)
         if x.requires_grad:

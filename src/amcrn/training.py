@@ -196,17 +196,16 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
             clip_gradients(params, cfg.grad_clip)
             adam_step(params, state, lr)
 
-        val_loss = validation_loss(model, val_set, label_of, cfg)
+        # Validate the checkpoint as stored (float32), so that loading it
+        # reproduces the reported loss bit for bit.
+        blob = checkpoint_bytes(model)
+        val_loss = validation_loss(restore_model(blob, model.config), val_set, label_of, cfg)
         record = EpochRecord(epoch, loss_sum / len(views), val_loss, lr, len(views))
         history.append(record)
         if best is None or val_loss < best[1]:
-            best = (epoch, val_loss, checkpoint_bytes(model))
+            best = (epoch, val_loss, blob)
 
-    # Recompute the stored loss on the round-tripped checkpoint so that
-    # save/load reproduces it bit-for-bit.
-    restored = restore_model(best[2], model.config)
-    best_val = validation_loss(restored, val_set, label_of, cfg)
-    return TrainResult(best[2], best[0], best_val, history)
+    return TrainResult(best[2], best[0], best[1], history)
 
 
 def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig) -> float:

@@ -108,6 +108,16 @@ class TestGradChecks:
 
         assert grad_check(f, Tensor(a)) < self.TOL
 
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_operand_used_twice(self, op):
+        rng = np.random.default_rng(40)
+        w = Tensor(rng.standard_normal((3, 4)))
+
+        def f(x):
+            return ad.tsum((x + x if op == "add" else x * x) * w)
+
+        assert grad_check(f, Tensor(rng.standard_normal((3, 4)))) < self.TOL
+
     def test_matmul(self):
         rng = np.random.default_rng(4)
         w = Tensor(rng.standard_normal((3, 5)))
@@ -187,6 +197,24 @@ class TestSemantics:
         y = x * x + x  # dy/dx = 2x + 1 = 7
         y.backward()
         assert float(x.grad) == pytest.approx(7.0)
+
+    def test_first_accumulation_copies_the_gradient(self):
+        t = Tensor(np.zeros(3), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        t._accum(g)
+        assert not np.shares_memory(t.grad, g)
+        t._accum(g)
+        np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(t.grad, [2.0, 4.0, 6.0])
+
+    def test_one_gradient_array_passed_to_two_parents(self):
+        # The outer add hands the same array to both of its parents; a
+        # later accumulation into one of them must not reach the other.
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        ad.tsum((a + b) + a).backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_diamond_graph(self):
         x = Tensor(np.array(2.0), requires_grad=True)

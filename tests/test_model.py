@@ -3,6 +3,7 @@ multi-scale block, the BLSTM, and the margin-softmax head."""
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -184,6 +185,61 @@ def lstm_per_step(x, w_x, w_h, bias, reverse):
     return ad.concat(outs, axis=0)
 
 
+def lstm_forward_reference(x, w_x, w_h, bias, reverse):
+    """Reference forward pass of `ad.lstm` on arrays: the plain per-step
+    loop, evaluating each sigmoid gate as 1 / (1 + exp(-pre)) on its own
+    slice. The fused op must reproduce its output bit for bit."""
+    h_dim = w_h.shape[0]
+    t_len, d_in = x.shape[-2:]
+    n = math.prod(x.shape[:-2])
+    xs = x[..., ::-1, :] if reverse else x
+    pre_x = (xs.reshape(n * t_len, d_in) @ w_x + bias).reshape(n, t_len, 4 * h_dim)
+    pre_x = np.ascontiguousarray(pre_x.swapaxes(0, 1))
+    i_f, c_sl, o_sl = slice(0, 2 * h_dim), slice(2 * h_dim, 3 * h_dim), slice(3 * h_dim, None)
+    gates = np.empty((t_len, n, 4 * h_dim))
+    hs = np.empty((t_len, n, h_dim))
+    h = np.zeros((n, h_dim))
+    c = np.zeros((n, h_dim))
+    for t in range(t_len):
+        pre = pre_x[t] + h @ w_h
+        g = gates[t]
+        g[:, i_f] = 1.0 / (1.0 + np.exp(-pre[:, i_f]))
+        g[:, c_sl] = np.tanh(pre[:, c_sl])
+        g[:, o_sl] = 1.0 / (1.0 + np.exp(-pre[:, o_sl]))
+        c = g[:, h_dim : 2 * h_dim] * c + g[:, :h_dim] * g[:, c_sl]
+        h = g[:, o_sl] * np.tanh(c)
+        hs[t] = h
+    return (hs[::-1] if reverse else hs).swapaxes(0, 1).reshape(x.shape[:-1] + (h_dim,))
+
+
+def batched_lstm_per_step(x, w_x, w_h, bias, reverse):
+    """`lstm_per_step` run on each row of a B x T x Din input."""
+    rows = [lstm_per_step(ad.narrow(x, 0, b, 1).reshape(*x.shape[1:]), w_x, w_h, bias,
+                          reverse) for b in range(x.shape[0])]
+    return ad.concat([r.reshape(1, *r.shape) for r in rows], axis=0)
+
+
+def saturated_lstm_values(rng, batch, t_len, hidden, sigmoid_sign):
+    """Inputs that drive the first half of the units to |pre| of about
+    800 (sigmoid gates at sign(sigmoid_sign) * 800, the cell gate at
+    either sign) and leave the second half moderate."""
+    d_in = 2
+    x = np.stack([np.ones((batch, t_len)),
+                  rng.standard_normal((batch, t_len))], axis=-1)
+    w_x = 0.5 * rng.standard_normal((d_in, 4 * hidden))
+    w_h = 0.5 * rng.standard_normal((hidden, 4 * hidden))
+    bias = rng.standard_normal(4 * hidden)
+    half = hidden // 2
+    for gate in range(4):
+        cols = slice(gate * hidden, gate * hidden + half)
+        w_x[1, cols] = 0.0
+        if gate == 2:
+            w_x[0, cols] = 800.0 * rng.choice([-1.0, 1.0], half)
+        else:
+            w_x[0, cols] = 800.0 * sigmoid_sign
+    return [x, w_x, w_h, bias]
+
+
 class TestLstm:
     @staticmethod
     def _scalar_reference(x_seq, w_x, w_h, b):
@@ -285,6 +341,77 @@ class TestLstm:
         for name, ref, got in zip(("out", "x", "w_x", "w_h", "bias"), *results):
             assert got.shape == ref.shape, name
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=name)
+
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 2, 50])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_forward_bit_identical_to_reference_loop(self, batch, t_len, reverse):
+        rng = np.random.default_rng(36)
+        d_in, hidden = 3, 5
+        x = rng.standard_normal((batch, t_len, d_in))
+        w_x = 0.5 * rng.standard_normal((d_in, 4 * hidden))
+        w_h = 0.5 * rng.standard_normal((hidden, 4 * hidden))
+        bias = rng.standard_normal(4 * hidden)
+        got = ad.lstm(Tensor(x), Tensor(w_x), Tensor(w_h), Tensor(bias), reverse).data
+        want = lstm_forward_reference(x, w_x, w_h, bias, reverse)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @staticmethod
+    def _outputs_and_grads(op, values, weights, reverse):
+        inputs = [Tensor(v.copy(), requires_grad=True) for v in values]
+        out = op(*inputs, reverse)
+        ad.tsum(out * weights).backward()
+        return [out.data] + [t.grad for t in inputs]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 2, 50])
+    def test_batched_bptt_matches_per_step_oracle(self, t_len, reverse):
+        rng = np.random.default_rng(37)
+        batch, d_in, hidden = 3, 3, 4
+        values = [rng.standard_normal((batch, t_len, d_in)),
+                  0.5 * rng.standard_normal((d_in, 4 * hidden)),
+                  0.5 * rng.standard_normal((hidden, 4 * hidden)),
+                  rng.standard_normal(4 * hidden)]
+        weights = Tensor(rng.standard_normal((batch, t_len, hidden)))
+        ref = self._outputs_and_grads(batched_lstm_per_step, values, weights, reverse)
+        got = self._outputs_and_grads(ad.lstm, values, weights, reverse)
+        for name, r, g in zip(("out", "x", "w_x", "w_h", "bias"), ref, got):
+            assert g.shape == r.shape, name
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("sigmoid_sign", [1.0, -1.0])
+    def test_saturated_gates(self, sigmoid_sign, reverse):
+        """|pre| of about 800: exp overflows to inf on one side. The output
+        stays finite and bit-identical to the reference loop, and the
+        gradients match the per-step oracle."""
+        rng = np.random.default_rng(38)
+        values = saturated_lstm_values(rng, 3, 20, 6, sigmoid_sign)
+        weights = Tensor(rng.standard_normal((3, 20, 6)))
+        with np.errstate(over="ignore"):  # the oracles overflow in exp(-pre)
+            want = lstm_forward_reference(*values, reverse)
+            ref = self._outputs_and_grads(batched_lstm_per_step, values, weights, reverse)
+        got = self._outputs_and_grads(ad.lstm, values, weights, reverse)
+        assert np.all(np.isfinite(got[0]))
+        assert np.array_equal(got[0], want)
+        for name, r, g in zip(("out", "x", "w_x", "w_h", "bias"), ref, got):
+            assert np.all(np.isfinite(g)), name
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_saturated_forward_warns_no_more_than_reference(self):
+        """Sigmoid gates at +800 and cell gates at +-800: the reference
+        loop evaluates exp(-800) and tanh, which raise no warning, so the
+        fused forward must not raise one either (exp(+800) on the cell
+        columns would overflow)."""
+        rng = np.random.default_rng(39)
+        values = saturated_lstm_values(rng, 2, 10, 6, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            want = lstm_forward_reference(*values, False)
+            got = ad.lstm(*(Tensor(v) for v in values), False).data
+        assert np.array_equal(got, want)
 
 
 class TestAttentivePooling:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from amcrn import training
 from amcrn.autodiff import Parameter, Tensor
 from amcrn.errors import ConfigError, NumericalError
 from amcrn.model import AmcrnModel, by_frame_count, restore_model, tiny_config
@@ -214,6 +215,27 @@ class TestTrainLoop:
         r2 = train(AmcrnModel(cfg, seed=3), data, tcfg)
         assert r1.best_checkpoint == r2.best_checkpoint
         assert r1.history[0].train_loss == r2.history[0].train_loss
+
+    def test_validates_once_per_epoch(self, monkeypatch):
+        """Each epoch validates its stored checkpoint once; the best loss
+        is that epoch's recorded loss, with no recompute at the end."""
+        calls = []
+
+        def counting(model, *args):
+            calls.append(model)
+            return validation_loss(model, *args)
+
+        monkeypatch.setattr(training, "validation_loss", counting)
+        spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=3,
+                              utterance_seconds=0.5, seed=2)
+        tcfg = TrainConfig(lr_start=1e-3, lr_end=1e-4, epochs=3, batch_size=4,
+                           crop_seconds=0.5, val_fraction=0.2, augment_copies=0,
+                           seed=7)
+        model = AmcrnModel(tiny_config(n_classes=2), seed=3)
+        result = train(model, make_toy_dataset(spec), tcfg)
+        assert len(calls) == tcfg.epochs
+        assert all(m is not model for m in calls)  # a restored checkpoint each time
+        assert result.best_val_loss == result.history[result.best_epoch].val_loss
 
     def test_speaker_count_mismatch_rejected(self):
         spec = ToySpeakerSpec(n_speakers=3, utterances_per_speaker=2,
