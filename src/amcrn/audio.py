@@ -4,14 +4,14 @@ All audio in this package is mono 16 kHz. 16-bit samples map to [-1, 1)
 by division by 32768.
 """
 
-import os
-import tempfile
+import io
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .model import _atomic_write
 
 SAMPLE_RATE = 16000
 _PCM_SCALE = 32768.0
@@ -41,6 +41,16 @@ class AudioBuffer:
         return len(self.samples)
 
 
+def random_crop(audio: AudioBuffer, seconds: float, rng) -> AudioBuffer:
+    """A contiguous `seconds` of `audio` at an offset drawn uniformly from
+    `rng`; audio no longer than that is returned whole, drawing nothing."""
+    want = int(round(seconds * audio.sample_rate))
+    if len(audio) <= want:
+        return audio
+    start = int(rng.integers(0, len(audio) - want + 1))
+    return AudioBuffer(audio.samples[start : start + want], audio.sample_rate)
+
+
 def read_wav(path) -> AudioBuffer:
     """Read a mono 16-bit PCM WAV file at 16 kHz."""
     with wave.open(str(path), "rb") as wf:
@@ -60,17 +70,10 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(path, audio: AudioBuffer) -> None:
     """Write a mono 16-bit PCM WAV file atomically (temp file + rename)."""
     pcm = np.clip(np.round(audio.samples * _PCM_SCALE), -32768, 32767).astype("<i2")
-    path = str(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            with wave.open(fh, "wb") as wf:
-                wf.setnchannels(1)
-                wf.setsampwidth(2)
-                wf.setframerate(audio.sample_rate)
-                wf.writeframes(pcm.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(audio.sample_rate)
+        wf.writeframes(pcm.tobytes())
+    _atomic_write(path, buf.getvalue())

@@ -409,6 +409,17 @@ def split(x, n, axis):
     return [narrow(x, axis, i * step, step) for i in range(n)]
 
 
+def transpose(x):
+    """The transpose of a matrix."""
+    x = as_tensor(x)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(g.T)
+
+    return Tensor(x.data.T, _parents=(x,), _backward=bwd)
+
+
 # -- network operations -------------------------------------------------
 
 

@@ -18,50 +18,8 @@ from . import profiling, scoring, toydata, training
 from .audio import read_wav, write_wav
 from .errors import AmcrnError, ConfigError, NumericalError
 from .model import (AmcrnConfig, AmcrnModel, _atomic_write, load_checkpoint,
-                    tiny_config)
+                    parse_config, tiny_config, write_checkpoint)
 from .store import EmbeddingStore
-
-_AMCRN_FIELDS = {f.name for f in dataclasses.fields(AmcrnConfig)}
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(training.TrainConfig)}
-
-
-def _parse_run_config(path):
-    """Flat `key = value` file with `#` comments; unknown keys rejected."""
-    model_kv, train_kv = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise AmcrnError(f"{path}:{lineno}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key in _AMCRN_FIELDS:
-                model_kv[key] = val
-            elif key in _TRAIN_FIELDS:
-                train_kv[key] = val
-            else:
-                raise AmcrnError(f"{path}:{lineno}: unknown key {key!r}")
-    return model_kv, train_kv
-
-
-def _coerce(cls, kv):
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in kv:
-            continue
-        val = kv[f.name]
-        default = f.default
-        if isinstance(default, bool):
-            kwargs[f.name] = val.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            kwargs[f.name] = int(val)
-        elif isinstance(default, float):
-            kwargs[f.name] = float(val)
-        else:
-            kwargs[f.name] = tuple(int(x) for x in val.split(","))
-    return kwargs
-
 
 def _load_dataset_dir(root):
     """One subdirectory per speaker, WAV files inside."""
@@ -89,22 +47,23 @@ def _parse_toy(arg, seed):
     )
 
 
-def _build_model_config(args, n_classes, train_kv_model):
+def _run_config(args):
+    """(AmcrnConfig kwargs, TrainConfig kwargs) from `--config`, if given."""
+    if not args.config:
+        return {}, {}
+    return parse_config(args.config, (AmcrnConfig, training.TrainConfig))
+
+
+def _build_model_config(args, n_classes, model_kv):
     if args.preset == "full":
-        base = {}
+        preset = AmcrnConfig()
     else:
-        cfg = tiny_config(n_mels=24, channels=32, n_scales=4, hidden=32,
-                          embedding_dim=64, n_classes=n_classes)
-        base = {f: getattr(cfg, f) for f in _AMCRN_FIELDS}
-    base.update(_coerce(AmcrnConfig, train_kv_model))
-    base["n_classes"] = n_classes
-    return AmcrnConfig(**base)
+        preset = tiny_config(n_mels=24, channels=32, n_scales=4, hidden=32, embedding_dim=64)
+    return dataclasses.replace(preset, **{**model_kv, "n_classes": n_classes})
 
 
 def cmd_train(args):
-    model_kv, train_kv = ({}, {})
-    if args.config:
-        model_kv, train_kv = _parse_run_config(args.config)
+    model_kv, train_kv = _run_config(args)
     if args.toy:
         dataset = toydata.make_toy_dataset(_parse_toy(args.toy, args.seed))
     elif args.data:
@@ -113,15 +72,13 @@ def cmd_train(args):
         raise AmcrnError("train needs --data or --toy")
     n_classes = len({u.speaker_id for u in dataset})
     config = _build_model_config(args, n_classes, model_kv)
-    tkwargs = _coerce(training.TrainConfig, train_kv)
-    tkwargs.setdefault("seed", args.seed)
+    train_kv.setdefault("seed", args.seed)
     if args.epochs is not None:
-        tkwargs["epochs"] = args.epochs
-    tcfg = training.TrainConfig(**tkwargs)
+        train_kv["epochs"] = args.epochs
+    tcfg = training.TrainConfig(**train_kv)
     model = AmcrnModel(config, seed=args.seed)
     result = training.train(model, dataset, tcfg)
-    _atomic_write(args.out, result.best_checkpoint)
-    _atomic_write(args.out + ".cfg", config.to_text().encode())
+    write_checkpoint(args.out, result.best_checkpoint, config)
     training.write_history_csv(args.loss_csv or args.out + ".loss.csv", result.history)
     print(f"best epoch {result.best_epoch}  val_loss {result.best_val_loss!r}")
     return 0
@@ -248,11 +205,7 @@ def cmd_eval(args):
 
 
 def cmd_profile(args):
-    if args.config:
-        model_kv, _ = _parse_run_config(args.config)
-        config = AmcrnConfig(**_coerce(AmcrnConfig, model_kv)) if model_kv else AmcrnConfig()
-    else:
-        config = AmcrnConfig()
+    config = AmcrnConfig(**_run_config(args)[0])
     durations = tuple(float(d) for d in args.durations.split(","))
     reports = profiling.emit_cost_report(config, durations, include_head=args.include_head)
     print(profiling.format_report_table(reports), end="")

@@ -7,7 +7,7 @@ sliding window.
 
 import dataclasses
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,6 +169,11 @@ def apply_cmvn(lms: LmsFeature, window: float = 3.0) -> LmsFeature:
     var = (csum2[hi] - csum2[lo]) / count - mean**2
     std = np.sqrt(np.maximum(var, 0.0))
     return LmsFeature((x - mean) / np.maximum(std, STD_FLOOR), lms.frame_spec)
+
+
+def featurize(audio: AudioBuffer, n_mels: int) -> np.ndarray:
+    """The network's T x n_mels input: the LMS of `audio` after sliding CMVN."""
+    return apply_cmvn(extract_lms(audio, FrameSpec(n_mels=n_mels))).values
 
 
 def cmvn_window_bounds(t: int, n_frames: int, w: int):

@@ -16,13 +16,66 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ConfigError, DegenerateInput, InputTooShort, ShapeError
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+# field default's type -> (what the error calls it, text -> value)
+_VALUE_PARSERS = {
+    bool: ("a boolean", lambda text: _BOOLS[text.lower()]),
+    int: ("an integer", int),
+    float: ("a number", float),
+    tuple: ("comma-separated integers", lambda text: tuple(int(x) for x in text.split(","))),
+}
+
+
+def config_text(config) -> str:
+    """`key = value` lines for every field of a config dataclass, in the
+    form `parse_config` reads back."""
+    lines = []
+    for f in dataclasses.fields(config):
+        v = getattr(config, f.name)
+        if isinstance(v, tuple):
+            v = ",".join(str(x) for x in v)
+        lines.append(f"{f.name} = {v}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_config(path, classes):
+    """Read a flat `key = value` file with `#` comments into one kwargs
+    dict per dataclass in `classes`: each key goes to the class that has
+    that field, its value parsed by the type of the field's default.
+    Booleans are 1/true/yes or 0/false/no in any case. A line without
+    `=`, an unknown key or an unparsable value raises ConfigError
+    prefixed `<path>:<line>:`."""
+    out = [{} for _ in classes]
+    owner = {f.name: (kwargs, f.default)
+             for cls, kwargs in zip(classes, out) for f in dataclasses.fields(cls)}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, text = (s.strip() for s in line.partition("="))
+            if not eq:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            if key not in owner:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            kwargs, default = owner[key]
+            kind, parse = _VALUE_PARSERS[type(default)]
+            try:
+                kwargs[key] = parse(text)
+            except (KeyError, ValueError):
+                raise ConfigError(f"{path}:{lineno}: {key}: expected {kind}, "
+                                  f"got {text!r}") from None
+    return out
 
 
 @dataclass
@@ -75,38 +128,7 @@ class AmcrnConfig:
     def dilation(self, i):
         return 1 if self.standard_conv else self.mcb_dilations[i]
 
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "AmcrnConfig":
-        kwargs = {}
-        types = {f.name: f for f in dataclasses.fields(cls)}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in types:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            default = types[key].default
-            if isinstance(default, bool):
-                kwargs[key] = val.lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                kwargs[key] = int(val)
-            elif isinstance(default, float):
-                kwargs[key] = float(val)
-            else:
-                kwargs[key] = tuple(int(x) for x in val.split(","))
-        return cls(**kwargs)
+    to_text = config_text
 
 
 def tiny_config(n_mels=8, channels=16, n_scales=2, hidden=8, **overrides) -> AmcrnConfig:
@@ -177,14 +199,9 @@ class Linear:
         return [self.weight, self.bias]
 
 
-class BatchNorm:
-    """Per-channel normalization over the time axis.
-
-    Train mode normalizes each utterance with its own statistics over
-    time (eps 1e-5) and updates the running statistics with momentum 0.1,
-    once per utterance in batch order; eval mode uses the running
-    statistics.
-    """
+class _RunningNorm:
+    """Per-channel affine normalization with running mean and variance
+    buffers (eps 1e-5, momentum 0.1)."""
 
     EPS = 1e-5
     MOMENTUM = 0.1
@@ -196,58 +213,7 @@ class BatchNorm:
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def __call__(self, x, mode):
-        if mode == "train":
-            out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.EPS)
-            channels = self.running_mean.shape[0]
-            for m, v in zip(mean.reshape(-1, channels), var.reshape(-1, channels)):
-                self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * m
-                self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * v
-            return out
-        xhat = (x - Tensor(self.running_mean)) / Tensor(np.sqrt(self.running_var + self.EPS))
-        return self.gamma * xhat + self.beta
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def buffers(self):
-        return [(f"{self.name}.running_mean", "running_mean"),
-                (f"{self.name}.running_var", "running_var")]
-
-
-class VectorNorm:
-    """Normalization for a single vector using tracked population statistics.
-
-    A per-sample batch statistic is degenerate for a lone embedding, so
-    both modes normalize with the running estimates; train mode updates
-    them as exponential moving averages over samples. A B x D stack is
-    taken one row at a time in order: row b is normalized with the
-    estimates after its own update, as if the rows came in B calls.
-    """
-
-    EPS = 1e-5
-    MOMENTUM = 0.1
-
-    def __init__(self, name, dim, rng=None):
-        self.name = name
-        self.gamma = Parameter(np.ones(dim), f"{name}.gamma")
-        self.beta = Parameter(np.zeros(dim), f"{name}.beta")
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-
-    def __call__(self, x, mode):
-        if mode == "train":
-            means, variances = [], []
-            for row in x.data.reshape(-1, x.shape[-1]):
-                delta = row - self.running_mean
-                self.running_mean = self.running_mean + self.MOMENTUM * delta
-                self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * delta**2
-                means.append(self.running_mean)
-                variances.append(self.running_var)
-            mean = np.reshape(means, x.shape)
-            var = np.reshape(variances, x.shape)
-        else:
-            mean, var = self.running_mean, self.running_var
+    def _normalize(self, x, mean, var):
         xhat = (x - Tensor(mean)) / Tensor(np.sqrt(var + self.EPS))
         return self.gamma * xhat + self.beta
 
@@ -257,6 +223,48 @@ class VectorNorm:
     def buffers(self):
         return [(f"{self.name}.running_mean", "running_mean"),
                 (f"{self.name}.running_var", "running_var")]
+
+
+class BatchNorm(_RunningNorm):
+    """Per-channel normalization over the time axis.
+
+    Train mode normalizes each utterance with its own statistics over
+    time and updates the running statistics once per utterance in batch
+    order; eval mode uses the running statistics.
+    """
+
+    def __call__(self, x, mode):
+        if mode == "train":
+            out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.EPS)
+            channels = self.running_mean.shape[0]
+            for m, v in zip(mean.reshape(-1, channels), var.reshape(-1, channels)):
+                self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * m
+                self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * v
+            return out
+        return self._normalize(x, self.running_mean, self.running_var)
+
+
+class VectorNorm(_RunningNorm):
+    """Normalization for a single vector using tracked population statistics.
+
+    A per-sample batch statistic is degenerate for a lone embedding, so
+    both modes normalize with the running estimates; train mode updates
+    them as exponential moving averages over samples. A B x D stack is
+    taken one row at a time in order: row b is normalized with the
+    estimates after its own update, as if the rows came in B calls.
+    """
+
+    def __call__(self, x, mode):
+        if mode != "train":
+            return self._normalize(x, self.running_mean, self.running_var)
+        means, variances = [], []
+        for row in x.data.reshape(-1, x.shape[-1]):
+            delta = row - self.running_mean
+            self.running_mean = self.running_mean + self.MOMENTUM * delta
+            self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * delta**2
+            means.append(self.running_mean)
+            variances.append(self.running_var)
+        return self._normalize(x, np.reshape(means, x.shape), np.reshape(variances, x.shape))
 
 
 # ----------------------------------------------------------------------
@@ -439,23 +447,13 @@ def aam_logits(embedding, class_weights, labels, margin, scale):
     if np.any(row_norm_sq.data == 0.0):
         raise DegenerateInput("zero-norm class weight row")
     emb_norm = ad.sqrt(ad.tsum(emb * emb, axis=-1, keepdims=True))
-    dots = (emb.reshape(-1, dim) @ transpose(w)).reshape(*emb.shape[:-1], n_classes)
+    dots = (emb.reshape(-1, dim) @ ad.transpose(w)).reshape(*emb.shape[:-1], n_classes)
     cos = dots / (ad.sqrt(row_norm_sq) * emb_norm)
     onehot = Tensor(np.eye(n_classes)[np.asarray(labels, dtype=np.int64)])
     target_cos = ad.tsum(cos * onehot, axis=-1, keepdims=True)
     sin_t = ad.sqrt(ad.clamp_min(1.0 - target_cos * target_cos, 1e-12))
     cos_margin = target_cos * math.cos(margin) - sin_t * math.sin(margin)
     return scale * (cos + onehot * (cos_margin - target_cos))
-
-
-def transpose(x):
-    x = ad.as_tensor(x)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g.T)
-
-    return Tensor(x.data.T, _parents=(x,), _backward=bwd)
 
 
 # ----------------------------------------------------------------------
@@ -621,15 +619,20 @@ def checkpoint_bytes(model) -> bytes:
     return buf.getvalue()
 
 
+def write_checkpoint(path, blob: bytes, config: AmcrnConfig) -> None:
+    """Write a `checkpoint_bytes` blob and the `<path>.cfg` sidecar holding
+    its config, each atomically."""
+    _atomic_write(path, blob)
+    _atomic_write(str(path) + ".cfg", config.to_text().encode())
+
+
 def save_checkpoint(path, model) -> None:
-    """Write the checkpoint and a `<path>.cfg` sidecar, atomically."""
-    _atomic_write(path, checkpoint_bytes(model))
-    _atomic_write(str(path) + ".cfg", model.config.to_text().encode())
+    write_checkpoint(path, checkpoint_bytes(model), model.config)
 
 
 def load_checkpoint(path) -> AmcrnModel:
-    with open(str(path) + ".cfg", encoding="utf-8") as fh:
-        config = AmcrnConfig.from_text(fh.read())
+    (kwargs,) = parse_config(str(path) + ".cfg", (AmcrnConfig,))
+    config = AmcrnConfig(**kwargs)
     with open(path, "rb") as fh:
         blob = fh.read()
     return restore_model(blob, config)
@@ -688,6 +691,9 @@ def restore_model(blob: bytes, config: AmcrnConfig) -> AmcrnModel:
 
 
 def _atomic_write(path, payload: bytes) -> None:
+    """Write `payload` to `path` through a temp file in the same directory
+    and a rename, so the path holds either its old bytes or all of the
+    new ones."""
     path = str(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:

@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .audio import AudioBuffer
-from .dsp import FrameSpec, apply_cmvn, extract_lms
+from .audio import AudioBuffer, random_crop
+from .dsp import featurize
 from .errors import (DegenerateInput, InputTooShort, InsufficientTrials,
                      MissingUtterance, NumericalError)
+from .model import _atomic_write
 
 # ----------------------------------------------------------------------
 # Similarity backends
@@ -22,6 +23,12 @@ from .errors import (DegenerateInput, InputTooShort, InsufficientTrials,
 
 def _rows(x):
     return np.asarray(getattr(x, "values", x), dtype=np.float64)
+
+
+def _length_norm(x):
+    """Rows scaled to unit L2 norm; rows of norm <= 1e-12 are left as they are."""
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.where(norm > 1e-12, x / np.maximum(norm, 1e-12), x)
 
 
 def csm(a, b):
@@ -96,10 +103,7 @@ class PldaModel:
         x = _rows(x)
         if self.center is not None:
             x = x - self.center
-        if self.length_norm:
-            norm = np.linalg.norm(x, axis=-1, keepdims=True)
-            x = np.where(norm > 1e-12, x / np.maximum(norm, 1e-12), x)
-        return x
+        return _length_norm(x) if self.length_norm else x
 
 
 RIDGE = 1e-6
@@ -117,9 +121,7 @@ def plda_train(embeddings, labels) -> PldaModel:
     if len(set(labels)) < 2:
         raise DegenerateInput("PLDA training needs at least 2 speakers")
     center = x.mean(axis=0)
-    x = x - center
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    x = np.where(norms > 1e-12, x / np.maximum(norms, 1e-12), x)
+    x = _length_norm(x - center)
     dim = x.shape[1]
 
     by_speaker = {}
@@ -280,12 +282,8 @@ def truncate_segment(audio: AudioBuffer, duration: float, seed):
     passed through whole with the flag unset. `seed` is an int or a
     sequence of ints, as `np.random.default_rng` takes.
     """
-    want = int(round(duration * audio.sample_rate))
-    if len(audio) <= want:
-        return audio, False
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(0, len(audio) - want + 1))
-    return AudioBuffer(audio.samples[start : start + want], audio.sample_rate), True
+    segment = random_crop(audio, duration, np.random.default_rng(seed))
+    return segment, segment is not audio
 
 
 def read_trial_list(path):
@@ -304,9 +302,8 @@ def read_trial_list(path):
 
 
 def write_scored_trials(path, trials, scores):
-    with open(path, "w", encoding="utf-8") as fh:
-        for trial, score in zip(trials, scores):
-            fh.write(f"{trial.label} {trial.enroll_ref} {trial.test_ref} {score!r}\n")
+    _atomic_write(path, "".join(f"{t.label} {t.enroll_ref} {t.test_ref} {score!r}\n"
+                                for t, score in zip(trials, scores)).encode("utf-8"))
 
 
 # The most frames one batched forward pass takes; it bounds the memory
@@ -337,7 +334,6 @@ def embed_audio(model, named_audio):
     Audio too short to featurize or to pool raises InputTooShort naming
     it.
     """
-    spec = FrameSpec(n_mels=model.config.n_mels)
     pending_limit = EMBED_PENDING_PASSES * EMBED_FRAME_LIMIT
     vectors = []
     waiting = {}  # frame count -> [(row, name, features)], in order
@@ -357,7 +353,7 @@ def embed_audio(model, named_audio):
 
     for row, (name, audio) in enumerate(named_audio):
         try:
-            feats = apply_cmvn(extract_lms(audio, spec)).values
+            feats = featurize(audio, model.config.n_mels)
         except InputTooShort as exc:
             raise InputTooShort(f"utterance {name!r}: {exc}") from exc
         frames = len(feats)

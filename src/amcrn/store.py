@@ -5,12 +5,12 @@ is bit-exact; writes are atomic (temp file + rename).
 """
 
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DuplicateId
+from .model import _atomic_write
 
 
 @dataclass
@@ -77,18 +77,9 @@ class EmbeddingStore:
         return rec_id in self.records
 
     def save(self, path=None):
-        path = str(path or self.path)
         lines = []
         for rec_id in sorted(self.records):
             rec = self.records[rec_id]
             values = " ".join(repr(float(v)) for v in rec.vector)
             lines.append(f"{rec_id}\t{rec.n_utterances}\t{values}\n")
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(path or self.path, "".join(lines).encode("utf-8"))

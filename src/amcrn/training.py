@@ -2,17 +2,19 @@
 and validation-based checkpoint selection."""
 
 import csv
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .augment import KINDS as AUGMENT_KINDS
 from .augment import augment
-from .audio import AudioBuffer
-from .dsp import FrameSpec, apply_cmvn, extract_lms
+from .audio import random_crop
+from .dsp import featurize
 from .errors import ConfigError, NumericalError
-from .model import AmcrnModel, by_frame_count, checkpoint_bytes, restore_model
+from .model import (AmcrnModel, _atomic_write, by_frame_count, checkpoint_bytes,
+                    restore_model)
 
 
 @dataclass
@@ -108,19 +110,6 @@ class TrainResult:
     history: list
 
 
-def _features(audio: AudioBuffer, n_mels: int):
-    spec = FrameSpec(n_mels=n_mels)
-    return apply_cmvn(extract_lms(audio, spec)).values
-
-
-def _random_crop(audio: AudioBuffer, seconds: float, rng) -> AudioBuffer:
-    want = int(round(seconds * audio.sample_rate))
-    if len(audio) <= want:
-        return audio
-    start = int(rng.integers(0, len(audio) - want + 1))
-    return AudioBuffer(audio.samples[start : start + want], audio.sample_rate)
-
-
 def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> float:
     """Accumulate the gradient of the summed loss of one minibatch of
     (audio, label) views into the parameters; return that summed loss.
@@ -133,7 +122,7 @@ def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> fl
     """
     rows = []
     for audio, label in batch:
-        feats = _features(_random_crop(audio, crop_seconds, rng), model.config.n_mels)
+        feats = featurize(random_crop(audio, crop_seconds, rng), model.config.n_mels)
         rows.append((feats, label, model.draw_dropout(len(feats), rng)))
     total = 0.0
     for feats, labels, draws in by_frame_count(rows):
@@ -211,7 +200,7 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
 def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig) -> float:
     """Mean eval-mode loss over whole utterances, equal-length ones batched,
     computed without a tape."""
-    rows = [(_features(utt.audio, model.config.n_mels), label_of[utt.speaker_id])
+    rows = [(featurize(utt.audio, model.config.n_mels), label_of[utt.speaker_id])
             for utt in val_set]
     total = 0.0
     with ad.no_grad():
@@ -221,8 +210,9 @@ def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig) -> f
 
 
 def write_history_csv(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
-        for rec in history:
-            writer.writerow([rec.epoch, repr(rec.train_loss), repr(rec.val_loss), repr(rec.lr)])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
+    for rec in history:
+        writer.writerow([rec.epoch, repr(rec.train_loss), repr(rec.val_loss), repr(rec.lr)])
+    _atomic_write(path, text.getvalue().encode())

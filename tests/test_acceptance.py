@@ -15,7 +15,7 @@ from amcrn.audio import SAMPLE_RATE, AudioBuffer
 from amcrn.autodiff import Tensor, grad_check
 from amcrn.cli import main as cli_main
 from amcrn.dsp import (FrameSpec, apply_cmvn, cmvn_window_bounds, extract_lms,
-                       power_spectrum)
+                       featurize, power_spectrum)
 from amcrn.errors import ConfigError
 from amcrn.model import (AmcrnModel, AttentiveStatPool, BatchNorm, BlstmLayer,
                          McbBlock, aam_logits, checkpoint_bytes, restore_model,
@@ -27,10 +27,6 @@ from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
 from amcrn.training import TrainConfig, train
 
 GRAD_TOL = 1e-4
-
-
-def _features(audio, n_mels=80):
-    return apply_cmvn(extract_lms(audio, FrameSpec(n_mels=n_mels))).values
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +62,7 @@ def toy_benchmark():
         by_speaker.setdefault(utt.speaker_id, []).append(utt)
     train_embs, train_labels, enroll = [], [], {}
     for sid in sorted(by_speaker):
-        vecs = [model.embed(_features(u.audio)).values for u in by_speaker[sid][:5]]
+        vecs = [model.embed(featurize(u.audio, 80)).values for u in by_speaker[sid][:5]]
         train_embs.extend(vecs)
         train_labels.extend([sid] * len(vecs))
         enroll[sid] = np.mean(vecs[:3], axis=0)
@@ -76,7 +72,7 @@ def toy_benchmark():
     held_spec = ToySpeakerSpec(n_speakers=20, utterances_per_speaker=3,
                                utterance_seconds=6.0, seed=0)
     held = make_toy_dataset(held_spec, utterance_offset=10)
-    whole_embs = {u.utterance_id: model.embed(_features(u.audio)).values
+    whole_embs = {u.utterance_id: model.embed(featurize(u.audio, 80)).values
                   for u in held}
 
     speakers = sorted(enroll)
@@ -340,7 +336,7 @@ def test_criterion_07_truncation_monotonicity(toy_benchmark):
             test_embs = {}
             for idx, utt in enumerate(bench["held"]):
                 seg, _ = truncate_segment(utt.audio, duration, 1000 * seed + idx)
-                test_embs[utt.utterance_id] = model.embed(_features(seg)).values
+                test_embs[utt.utterance_id] = model.embed(featurize(seg, 80)).values
             eer, _, _ = _eer_from_embs(bench, test_embs, csm)
             eers.append(eer)
         means[duration] = float(np.mean(eers))

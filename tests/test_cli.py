@@ -8,7 +8,7 @@ import pytest
 
 from amcrn.audio import AudioBuffer, read_wav, write_wav
 from amcrn.cli import main
-from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms
+from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms, featurize
 from amcrn.model import load_checkpoint
 from amcrn.store import EmbeddingStore
 
@@ -69,9 +69,7 @@ class TestTrain:
         _, data_dir, ckpt = workspace
         model = load_checkpoint(ckpt)
         audio = read_wav(data_dir / "spk000" / "utt000.wav")
-        from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms
-        feats = apply_cmvn(extract_lms(audio, FrameSpec(n_mels=model.config.n_mels)))
-        emb = model.embed(feats.values)
+        emb = model.embed(featurize(audio, model.config.n_mels))
         assert np.all(np.isfinite(emb.values))
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
@@ -82,6 +80,46 @@ class TestTrain:
 
     def test_missing_data_is_usage_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "m.ckpt")]) == 2
+
+
+# A bad config line -> what stderr says after `<path>:<line>: `.
+BAD_CONFIG_LINES = {
+    "unknown_key": ("not_a_key = 1", "unknown key 'not_a_key'"),
+    "no_equals": ("use_blstm true", "expected key = value"),
+    "bad_bool": ("use_blstm = flase", "use_blstm: expected a boolean, got 'flase'"),
+    "bad_int": ("n_mcb = three", "n_mcb: expected an integer, got 'three'"),
+    "bad_float": ("blstm_dropout = 0.2.1", "blstm_dropout: expected a number, got '0.2.1'"),
+    "bad_tuple": ("mcb_dilations = 2,3,four",
+                  "mcb_dilations: expected comma-separated integers, got '2,3,four'"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "profile", "embed"])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_LINES))
+def test_bad_config_line_is_located(workspace, tmp_path, capsys, command, case):
+    """Every bad line exits 2 naming its file and line, whether it comes
+    through `--config` or through a checkpoint's `.cfg` sidecar."""
+    _, data_dir, ckpt = workspace
+    line, message = BAD_CONFIG_LINES[case]
+    text = f"# edited by hand\n{line}\n"
+    if command == "train":
+        cfg = tmp_path / "run.cfg"
+        argv = ["train", "--toy", "speakers=2 utts=2 seconds=0.5", "--config", str(cfg),
+                "--out", str(tmp_path / "m.ckpt")]
+    elif command == "profile":
+        cfg = tmp_path / "run.cfg"
+        argv = ["profile", "--config", str(cfg)]
+    else:
+        copy = tmp_path / "m.ckpt"
+        copy.write_bytes(ckpt.read_bytes())
+        cfg = tmp_path / "m.ckpt.cfg"
+        text += ckpt.with_name(ckpt.name + ".cfg").read_text()
+        argv = ["embed", "--checkpoint", str(copy), str(data_dir / "spk000" / "utt000.wav")]
+    cfg.write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{cfg}:2: {message}" in captured.err
+    assert captured.out == ""
 
 
 class TestEmbed:

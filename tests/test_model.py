@@ -14,7 +14,9 @@ from amcrn.autodiff import Tensor, grad_check
 from amcrn.errors import ConfigError, DegenerateInput, InputTooShort, ShapeError
 from amcrn.model import (AmcrnConfig, AmcrnModel, AttentiveStatPool, BlstmLayer,
                          Conv1d, LstmDirection, McbBlock, ResidualBlstm,
-                         aam_logits, temporal_attention, tiny_config, transpose)
+                         aam_logits, config_text, parse_config, temporal_attention,
+                         tiny_config)
+from amcrn.training import TrainConfig
 
 
 class TestConfig:
@@ -35,10 +37,47 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AmcrnConfig(mcb_channels=(512, 512))
 
-    def test_text_round_trip(self):
+    def test_text_round_trip(self, tmp_path):
         cfg = tiny_config(n_scales=4, channels=32, standard_conv=True)
-        again = AmcrnConfig.from_text(cfg.to_text())
-        assert again == cfg
+        train_cfg = TrainConfig(lr_end=1e-6, crop_seconds=1.5, augment_copies=0)
+        path = tmp_path / "run.cfg"
+        path.write_text(cfg.to_text() + config_text(train_cfg))
+        model_kv, train_kv = parse_config(path, (AmcrnConfig, TrainConfig))
+        assert AmcrnConfig(**model_kv) == cfg
+        assert TrainConfig(**train_kv) == train_cfg
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("true", True), ("YES", True), ("True", True),
+        ("0", False), ("false", False), ("No", False), ("FALSE", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# ablation\nuse_blstm = {text}  # switch\n")
+        assert parse_config(path, (AmcrnConfig,)) == [{"use_blstm": value}]
+
+    def test_keys_go_to_the_class_that_has_them(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 7\nn_scales = 4\n\nmcb_kernel = 3, 5,7\n")
+        model_kv, train_kv = parse_config(path, (AmcrnConfig, TrainConfig))
+        assert model_kv == {"n_scales": 4, "mcb_kernel": (3, 5, 7)}
+        assert train_kv == {"epochs": 7}
+
+    @pytest.mark.parametrize("line, message", [
+        ("use_blstm = flase", "use_blstm: expected a boolean, got 'flase'"),
+        ("use_blstm =", "use_blstm: expected a boolean, got ''"),
+        ("n_mcb = three", "n_mcb: expected an integer, got 'three'"),
+        ("n_mcb = 3.0", "n_mcb: expected an integer, got '3.0'"),
+        ("aam_scale = thirty", "aam_scale: expected a number, got 'thirty'"),
+        ("mcb_kernel = 3,,3", "mcb_kernel: expected comma-separated integers, got '3,,3'"),
+        ("epochs = 2", "unknown key 'epochs'"),
+        ("n_mcb 3", "expected key = value"),
+    ])
+    def test_bad_line_is_located(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"n_mels = 8\n{line}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path, (AmcrnConfig,))
+        assert str(info.value) == f"{path}:2: {message}"
 
     def test_standard_conv_forces_dilation_one(self):
         cfg = tiny_config(standard_conv=True)
@@ -654,7 +693,7 @@ class TestFullModel:
     def test_transpose_gradient(self):
         rng = np.random.default_rng(32)
         w = Tensor(rng.standard_normal((5, 4)))
-        f = lambda x: ad.tsum((transpose(x) @ w) ** 2)
+        f = lambda x: ad.tsum((ad.transpose(x) @ w) ** 2)
         assert grad_check(f, Tensor(rng.standard_normal((5, 3)))) < 1e-4
 
 

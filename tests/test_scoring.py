@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from amcrn import scoring
+from amcrn import dsp, scoring
 from amcrn.audio import SAMPLE_RATE, AudioBuffer
 from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms
 from amcrn.errors import (DegenerateInput, InputTooShort, InsufficientTrials,
@@ -480,7 +480,7 @@ class TestRunTrials:
         monkeypatch.setattr(scoring, "EMBED_PENDING_PASSES", pending_passes)
         model, shapes = self._counted_model(monkeypatch)
         featurized, waiting = [], []
-        extract = scoring.extract_lms
+        extract = dsp.extract_lms
 
         def recording(segment, spec):
             # Frames featurized and not yet embedded, before this one.
@@ -489,9 +489,9 @@ class TestRunTrials:
             featurized.append(len(feats.values))
             return feats
 
-        monkeypatch.setattr(scoring, "extract_lms", recording)
+        monkeypatch.setattr(dsp, "extract_lms", recording)
         got, _ = run_trials(model, trials, audio.__getitem__, truncation=0.4, seed=2)
-        monkeypatch.setattr(scoring, "extract_lms", extract)
+        monkeypatch.setattr(dsp, "extract_lms", extract)
         want = self._per_ref_taped_scores(model, trials, audio, "csm", None, 0.4, seed=2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert 0 < max(waiting) <= frame_limit * pending_passes
@@ -558,14 +558,14 @@ class TestRunTrials:
         refs = [f"u{i}" for i in range(6)]
         trials = [Trial(int(i % 2 == 0), "u0", ref) for i, ref in enumerate(refs)]
         offsets = []
-        extract = scoring.extract_lms
+        extract = dsp.extract_lms
 
         def recording(audio, spec):
             if len(audio) == SAMPLE_RATE // 4:
                 offsets.append(int(round(audio.samples[0] * 2.0 * SAMPLE_RATE)))
             return extract(audio, spec)
 
-        monkeypatch.setattr(scoring, "extract_lms", recording)
+        monkeypatch.setattr(dsp, "extract_lms", recording)
         model = AmcrnModel(tiny_config(), seed=0)
         run_trials(model, trials, lambda ref: ramp, truncation=0.25, seed=3)
         first = list(offsets)

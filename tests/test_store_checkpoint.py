@@ -1,13 +1,83 @@
 """Persistence tests: the embedding store and model checkpoints must
-round-trip exactly."""
+round-trip exactly, and every output file is written atomically."""
+
+import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from amcrn.audio import AudioBuffer, write_wav
 from amcrn.errors import ConfigError, DuplicateId
-from amcrn.model import (AmcrnModel, checkpoint_bytes, load_checkpoint,
+from amcrn.model import (AmcrnModel, _atomic_write, checkpoint_bytes, load_checkpoint,
                          restore_model, save_checkpoint, tiny_config)
+from amcrn.scoring import Trial, write_scored_trials
 from amcrn.store import EmbeddingStore
+from amcrn.training import EpochRecord, write_history_csv
+
+
+def _write_fixed_wav(path):
+    t = np.arange(1600)
+    write_wav(path, AudioBuffer(0.5 * np.sin(2 * np.pi * 440 * t / 16000) + 0.7 * np.cos(t / 7.0)))
+
+
+def _write_fixed_store(path):
+    store = EmbeddingStore()
+    store.add("zo\u00eb", [1e-300, 3.0, -0.0], n_utterances=1)
+    store.add("alice", [0.1, -2.5, 1 / 3], n_utterances=2)
+    store.save(path)
+
+
+def _write_fixed_scores(path):
+    write_scored_trials(path, [Trial(1, "a.wav", "b.wav"), Trial(0, "a.wav", "c d/\u00e9.wav")],
+                        [0.25, -1 / 3])
+
+
+def _write_fixed_history(path):
+    write_history_csv(path, [EpochRecord(0, 1.5, 1 / 3, 0.005, 10),
+                             EpochRecord(1, 2e-17, float("inf"), 1e-6, 10)])
+
+
+# writer -> (SHA-256, size) of the file it writes, frozen from the
+# per-writer temp-file code these writers replaced.
+FIXED_OUTPUTS = {
+    _write_fixed_wav: ("17a01b4b8802a79e599108f630476ccdae01c76b5545479209e2facf31ac3a9c", 3244),
+    _write_fixed_store: ("fed92a00fcb284ed8b8e2c249da919264e21d44da72aef5a0e3e2f89bc928f35", 59),
+    _write_fixed_scores: ("3dbeb7b607df74ec1a359a82044f278046d60e7797388d363052e00de48c462e", 58),
+    _write_fixed_history: ("59ee61e5551ff9121858308f2f991cb11599b6e2001d58449c277184aa9d7377", 81),
+}
+WRITERS = [lambda path: _atomic_write(path, b"new bytes"), *FIXED_OUTPUTS]
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", list(FIXED_OUTPUTS), ids=lambda w: w.__name__)
+    def test_bytes_unchanged(self, tmp_path, writer):
+        path = tmp_path / "out"
+        writer(path)
+        data = path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == FIXED_OUTPUTS[writer]
+
+    @pytest.mark.parametrize("writer", WRITERS, ids=["bytes", "wav", "store", "scores",
+                                                     "history"])
+    def test_failed_rename_keeps_old_bytes(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"old bytes")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            writer(path)
+        assert path.read_bytes() == b"old bytes"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"a much longer old file")
+        _atomic_write(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestEmbeddingStore:

@@ -8,10 +8,10 @@ from amcrn.autodiff import Parameter, Tensor
 from amcrn.errors import ConfigError, NumericalError
 from amcrn.model import AmcrnModel, by_frame_count, restore_model, tiny_config
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
-from amcrn.audio import AudioBuffer
-from amcrn.training import (AdamState, TrainConfig, _features, _random_crop,
-                            adam_step, clip_gradients, lr_schedule,
-                            minibatch_backward, train, validation_loss,
+from amcrn.audio import AudioBuffer, random_crop
+from amcrn.dsp import featurize
+from amcrn.training import (AdamState, TrainConfig, adam_step, clip_gradients,
+                            lr_schedule, minibatch_backward, train, validation_loss,
                             write_history_csv)
 
 
@@ -259,7 +259,7 @@ def per_crop_step(model, batch, crop_seconds, rng):
     featurize, forward and backward one view at a time; the summed loss."""
     total = 0.0
     for audio, label in batch:
-        feats = _features(_random_crop(audio, crop_seconds, rng), model.config.n_mels)
+        feats = featurize(random_crop(audio, crop_seconds, rng), model.config.n_mels)
         loss = model.classify_loss(feats, label, mode="train", rng=rng)
         loss.backward()
         total += float(loss.data)
@@ -312,14 +312,14 @@ class TestMinibatch:
 
         monkeypatch.setattr(AmcrnModel, "classify_loss", spy)
         minibatch_backward(got, batch, 0.3, got_rng)
-        long_t = _features(_random_crop(batch[0][0], 0.3, np.random.default_rng(0)),
+        long_t = featurize(random_crop(batch[0][0], 0.3, np.random.default_rng(0)),
                            cfg.n_mels).shape[0]
-        short_t = _features(batch[1][0], cfg.n_mels).shape[0]
+        short_t = featurize(batch[1][0], cfg.n_mels).shape[0]
         assert shapes == [(3, long_t, cfg.n_mels), (2, short_t, cfg.n_mels)]
         # Reference: draws in crop order, then one crop at a time in group order.
         rows = []
         for audio, label in batch:
-            feats = _features(_random_crop(audio, 0.3, ref_rng), cfg.n_mels)
+            feats = featurize(random_crop(audio, 0.3, ref_rng), cfg.n_mels)
             rows.append((feats, label, ref.draw_dropout(len(feats), ref_rng)))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         for feats, label, draws in (rows[0], rows[2], rows[3], rows[1], rows[4]):
@@ -333,7 +333,7 @@ class TestMinibatch:
         val_set[1].audio = AudioBuffer(val_set[1].audio.samples[:4000])
         model = AmcrnModel(tiny_config(n_classes=2), seed=5)
         label_of = {"spk000": 0, "spk001": 1}
-        per_utt = [float(model.classify_loss(_features(u.audio, model.config.n_mels),
+        per_utt = [float(model.classify_loss(featurize(u.audio, model.config.n_mels),
                                              label_of[u.speaker_id],
                                              mode="eval").data) for u in val_set]
         got = validation_loss(model, val_set, label_of, TrainConfig())
@@ -346,7 +346,7 @@ class TestMinibatch:
         val_set[2].audio = AudioBuffer(val_set[2].audio.samples[:4000])
         model = AmcrnModel(tiny_config(n_classes=2), seed=6)
         label_of = {"spk000": 0, "spk001": 1}
-        rows = [(_features(u.audio, model.config.n_mels), label_of[u.speaker_id])
+        rows = [(featurize(u.audio, model.config.n_mels), label_of[u.speaker_id])
                 for u in val_set]
         taped = []
         for feats, labels in by_frame_count(rows):
