@@ -4,10 +4,14 @@ The additive kinds mix a synthetic interferer (colored noise, a tone
 mixture, or band-limited noise bursts) into the input at a requested SNR.
 Reverb convolves with a synthetic exponentially decaying impulse response.
 A file-based interferer hook accepts real noise recordings when available.
+
+scipy.signal is imported where a filter or convolution runs, not with
+the module: it takes about a second and 48 MB to load, and the commands
+that never augment (`embed`, `enroll`, `verify`, `eval`) import this
+module through the package.
 """
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .audio import AudioBuffer
 from .errors import ConfigError
@@ -18,6 +22,8 @@ KINDS = ADDITIVE_KINDS + ("reverb",)
 
 def _colored_noise(rng, n, sample_rate):
     """Gaussian noise shaped by a random one-pole lowpass."""
+    from scipy import signal as sp_signal
+
     white = rng.standard_normal(n)
     pole = rng.uniform(0.2, 0.9)
     return sp_signal.lfilter([1.0 - pole], [1.0, -pole], white)
@@ -38,6 +44,8 @@ def _tone_mixture(rng, n, sample_rate):
 
 def _babble(rng, n, sample_rate):
     """Sum of band-limited noise bursts with random on/off envelopes."""
+    from scipy import signal as sp_signal
+
     out = np.zeros(n)
     for _ in range(6):
         low = rng.uniform(100.0, 1500.0)
@@ -83,6 +91,8 @@ def augment(audio: AudioBuffer, kind: str, snr_db: float, seed: int,
     rng = np.random.default_rng(seed)
     x = audio.samples
     if kind == "reverb":
+        from scipy import signal as sp_signal
+
         ir_len = min(len(x), int(0.25 * audio.sample_rate))
         decay = rng.uniform(0.02, 0.08)  # seconds to 1/e
         t = np.arange(ir_len) / audio.sample_rate

@@ -528,17 +528,20 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     w_x: Din x 4H, w_h: H x 4H, bias: 4H, gate order (input, forget,
     cell, output); zero initial state; output (B x) T x H. With `reverse`
     the recurrence runs from the last frame to the first. The input
-    projection is one matmul over all B*T frames, transposed once to
-    time-major order so that each step reads a contiguous B x 4H block
-    and multiplies the B x H states by w_h in one product.
+    projection is one matmul over all B*T frames, taken in time-major
+    order so that each step reads a contiguous B x 4H block, and each
+    step multiplies the B x H states by w_h in one product.
 
     Each step does only the recurrent work. The sigmoid-gate columns
     (i, f, o) of the input projection and of a copy of w_h are negated
     once per call, which is exact (-(a + b) = -a + -b, h (-W) = -(h W)),
     so a step evaluates 1 / (1 + exp(pre)) over the whole B x 4H block
-    in place and then overwrites the cell columns with tanh. The forward
-    pass caches gate activations, cell states, their tanh and the hidden
-    states. Backward first forms, for all t at once, every factor of the
+    in place and then overwrites the cell columns with tanh. The
+    per-step gate activations, cell states and their tanh are kept only
+    when a backward pass can follow, that is when graph recording is on
+    and an input requires grad; otherwise every step writes them into
+    one reused slot, and only the T x B x H hidden states are stored.
+    Backward first forms, for all t at once, every factor of the
     pre-activation gradient that does not depend on the recurrence; the
     BPTT loop then carries only dh and dc and fills the T x B x 4H
     pre-activation gradient, from which the four parameter/input
@@ -556,32 +559,35 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     i_sl, f_sl, c_sl, o_sl = (slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
     # Work in processing order; a reversed direction is a flipped sequence.
     xs = x.data[..., ::-1, :] if reverse else x.data
-    x_rows = xs.reshape(n * t_len, d_in)
-    pre_x = (x_rows @ w_x.data + bias.data).reshape(n, t_len, 4 * h_dim)
-    pre_x = np.ascontiguousarray(pre_x.swapaxes(0, 1))
+    pre_x = (xs.reshape(n, t_len, d_in).swapaxes(0, 1).reshape(t_len * n, d_in)
+             @ w_x.data).reshape(t_len, n, 4 * h_dim)
+    pre_x += bias.data
     w_neg = w_h.data.copy()
     for sl in (slice(0, 2 * h_dim), o_sl):
         np.negative(pre_x[..., sl], out=pre_x[..., sl])
         np.negative(w_neg[:, sl], out=w_neg[:, sl])
-    gates = np.empty((t_len, n, 4 * h_dim))
-    cells = np.empty((t_len, n, h_dim))
-    tanh_c = np.empty((t_len, n, h_dim))
+    keep = _grad_enabled and any(v.requires_grad for v in (x, w_x, w_h, bias))
+    slots = t_len if keep else 1
+    gates = np.empty((slots, n, 4 * h_dim))
+    cells = np.empty((slots, n, h_dim))
+    tanh_c = np.empty((slots, n, h_dim))
     hs = np.empty((t_len, n, h_dim))
     h = c = np.zeros((n, h_dim))
     # exp of a large cell pre-activation overflows to inf harmlessly: its
     # columns are overwritten by tanh, and a sigmoid gate reads 1 / inf = 0.
     with np.errstate(over="ignore"):
         for t in range(t_len):
+            s = t if keep else 0
             pre = h @ w_neg
             pre += pre_x[t]
-            g = gates[t]
+            g = gates[s]
             np.exp(pre, out=g)
             g += 1.0
             np.divide(1.0, g, out=g)
             np.tanh(pre[:, c_sl], out=g[:, c_sl])
-            c = np.multiply(g[:, f_sl], c, out=cells[t])
+            c = np.multiply(g[:, f_sl], c, out=cells[s])
             c += g[:, i_sl] * g[:, c_sl]
-            h = np.multiply(g[:, o_sl], np.tanh(c, out=tanh_c[t]), out=hs[t])
+            h = np.multiply(g[:, o_sl], np.tanh(c, out=tanh_c[s]), out=hs[t])
     out_data = (hs[::-1] if reverse else hs).swapaxes(0, 1)
 
     def bwd(grad):
@@ -612,7 +618,7 @@ def lstm(x, w_x, w_h, bias, reverse=False):
             np.multiply(dh, from_dh[t], out=d[:, 3])
             dc_next = dc * gf[t]
             dh_next = dpre[t] @ w_h_t
-        # Batch-major rows in processing order, matching x_rows.
+        # Batch-major rows in processing order.
         d_rows = dpre.swapaxes(0, 1).reshape(n * t_len, 4 * h_dim)
         if x.requires_grad:
             dx = (d_rows @ w_x.data.T).reshape(n, t_len, d_in)
@@ -620,7 +626,7 @@ def lstm(x, w_x, w_h, bias, reverse=False):
                 dx = dx[:, ::-1]
             x._accum(dx.reshape(x.data.shape))
         if w_x.requires_grad:
-            w_x._accum(x_rows.T @ d_rows)
+            w_x._accum(xs.reshape(n * t_len, d_in).T @ d_rows)
         if w_h.requires_grad:
             w_h._accum(hs[:-1].reshape(-1, h_dim).T @ dpre[1:].reshape(-1, 4 * h_dim))
         if bias.requires_grad:

@@ -17,8 +17,8 @@ import numpy as np
 from . import profiling, scoring, toydata, training
 from .audio import read_wav, write_wav
 from .errors import AmcrnError, ConfigError, NumericalError
-from .model import (AmcrnConfig, AmcrnModel, _atomic_write, load_checkpoint,
-                    parse_config, tiny_config, write_checkpoint)
+from .model import (AmcrnConfig, AmcrnModel, _atomic_write, build_config,
+                    load_checkpoint, parse_config, tiny_config, write_checkpoint)
 from .store import EmbeddingStore
 
 def _load_dataset_dir(root):
@@ -64,6 +64,10 @@ def _build_model_config(args, n_classes, model_kv):
 
 def cmd_train(args):
     model_kv, train_kv = _run_config(args)
+    train_kv.setdefault("seed", args.seed)
+    tcfg = build_config(args.config, training.TrainConfig, **train_kv)
+    if args.epochs is not None:
+        tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     if args.toy:
         dataset = toydata.make_toy_dataset(_parse_toy(args.toy, args.seed))
     elif args.data:
@@ -71,11 +75,7 @@ def cmd_train(args):
     else:
         raise AmcrnError("train needs --data or --toy")
     n_classes = len({u.speaker_id for u in dataset})
-    config = _build_model_config(args, n_classes, model_kv)
-    train_kv.setdefault("seed", args.seed)
-    if args.epochs is not None:
-        train_kv["epochs"] = args.epochs
-    tcfg = training.TrainConfig(**train_kv)
+    config = build_config(args.config, _build_model_config, args, n_classes, model_kv)
     model = AmcrnModel(config, seed=args.seed)
     result = training.train(model, dataset, tcfg)
     write_checkpoint(args.out, result.best_checkpoint, config)
@@ -205,7 +205,7 @@ def cmd_eval(args):
 
 
 def cmd_profile(args):
-    config = AmcrnConfig(**_run_config(args)[0])
+    config = build_config(args.config, AmcrnConfig, **_run_config(args)[0])
     durations = tuple(float(d) for d in args.durations.split(","))
     reports = profiling.emit_cost_report(config, durations, include_head=args.include_head)
     print(profiling.format_report_table(reports), end="")

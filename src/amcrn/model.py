@@ -591,10 +591,19 @@ class AmcrnModel:
 CHECKPOINT_MAGIC = b"AMCRN1"
 
 
-def _checkpoint_entries(model):
+def _checkpoint_chunks(model):
+    """The checkpoint layout as bytes-like chunks: the magic, then per
+    entry a header and the float32 values, then the entry count; at most
+    one entry's float32 copy is held at a time."""
     entries = [(p.name, p.data) for p in model.parameters()]
     entries += [(name, getattr(owner, attr)) for name, owner, attr in model.buffers()]
-    return entries
+    yield CHECKPOINT_MAGIC
+    for name, data in entries:
+        encoded = name.encode("utf-8")
+        yield (struct.pack("<H", len(encoded)) + encoded
+               + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape))
+        yield np.ascontiguousarray(data, dtype="<f4")
+    yield struct.pack("<I", len(entries))
 
 
 def checkpoint_bytes(model) -> bytes:
@@ -604,59 +613,78 @@ def checkpoint_bytes(model) -> bytes:
     rank, u32 LE dims, raw little-endian float32 values; trailing u32
     entry count.
     """
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    entries = _checkpoint_entries(model)
-    for name, data in entries:
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", data.ndim))
-        for dim in data.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
-    buf.write(struct.pack("<I", len(entries)))
-    return buf.getvalue()
+    return b"".join(_checkpoint_chunks(model))
 
 
-def write_checkpoint(path, blob: bytes, config: AmcrnConfig) -> None:
-    """Write a `checkpoint_bytes` blob and the `<path>.cfg` sidecar holding
-    its config, each atomically."""
+def write_checkpoint(path, blob, config: AmcrnConfig) -> None:
+    """Write a checkpoint, as `checkpoint_bytes` output or as its chunks,
+    and the `<path>.cfg` sidecar holding its config, each atomically."""
     _atomic_write(path, blob)
     _atomic_write(str(path) + ".cfg", config.to_text().encode())
 
 
 def save_checkpoint(path, model) -> None:
-    write_checkpoint(path, checkpoint_bytes(model), model.config)
+    """Write `model`'s checkpoint and sidecar, one entry at a time."""
+    write_checkpoint(path, _checkpoint_chunks(model), model.config)
+
+
+def build_config(path, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, building a config from values that
+    `parse_config` read from `path`: a ConfigError from the config's own
+    checks gets the prefix `<path>: ` (none if `path` is None)."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        if path is None:
+            raise
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_checkpoint(path) -> AmcrnModel:
-    (kwargs,) = parse_config(str(path) + ".cfg", (AmcrnConfig,))
-    config = AmcrnConfig(**kwargs)
+    """Read a checkpoint and its `.cfg` sidecar. The file is read one entry
+    at a time into the model's arrays, so loading holds the model and one
+    entry's float32 values."""
+    sidecar = str(path) + ".cfg"
+    (kwargs,) = parse_config(sidecar, (AmcrnConfig,))
+    config = build_config(sidecar, AmcrnConfig, **kwargs)
     with open(path, "rb") as fh:
-        blob = fh.read()
-    return restore_model(blob, config)
+        return restore_model(fh, config)
 
 
-def restore_model(blob: bytes, config: AmcrnConfig) -> AmcrnModel:
-    """Rebuild a model from `checkpoint_bytes` output; any malformed,
-    truncated or mismatched blob raises ConfigError."""
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+def restore_model(source, config: AmcrnConfig) -> AmcrnModel:
+    """Rebuild a model from `checkpoint_bytes` output, given as bytes or as
+    a binary file open at its start; any malformed, truncated or
+    mismatched checkpoint raises ConfigError.
+
+    Each entry's values are read into the model's array of that name and
+    shape, so only one entry's float32 values are held besides the model;
+    the values of an entry the model has no array for are skipped.
+    """
+    fh = io.BytesIO(source) if isinstance(source, (bytes, bytearray, memoryview)) else source
+    end = fh.seek(0, io.SEEK_END) - 4  # the trailing entry count
+    fh.seek(0)
+    if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise ConfigError("not a recognized checkpoint file")
-    view = memoryview(blob)
     pos = len(CHECKPOINT_MAGIC)
-    end = len(blob) - 4  # the trailing entry count
 
-    def take(n):
+    def claim(n):
+        """Check that n more bytes lie before the entry count; advance."""
         nonlocal pos
         if n > end - pos:
             raise ConfigError(f"checkpoint truncated: {n} bytes wanted at offset {pos}, "
                               f"{max(end - pos, 0)} left")
-        chunk = view[pos : pos + n]
         pos += n
-        return chunk
 
-    values = {}
+    def take(n):
+        claim(n)
+        return fh.read(n)
+
+    model = AmcrnModel.skeleton(config)
+    arrays = {p.name: ("parameter", p.data) for p in model.parameters()}
+    arrays.update((name, ("buffer", getattr(owner, attr)))
+                  for name, owner, attr in model.buffers())
+    values = np.empty(max(a.size for _, a in arrays.values()), dtype="<f4")
+    shapes = {}  # entry name -> shape as read; a repeated name keeps its last
     while pos < end:
         (name_len,) = struct.unpack("<H", take(2))
         try:
@@ -666,39 +694,38 @@ def restore_model(blob: bytes, config: AmcrnConfig) -> AmcrnModel:
                               "is not UTF-8") from exc
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = math.prod(shape)
-        arr = np.frombuffer(take(4 * count), dtype="<f4").astype(np.float64)
-        values[name] = arr.reshape(shape)
+        n_bytes = 4 * math.prod(shape)
+        claim(n_bytes)
+        shapes[name] = shape
+        target = arrays.get(name, (None, None))[1]
+        if target is None or target.shape != shape:
+            fh.seek(n_bytes, io.SEEK_CUR)
+            continue
+        chunk = values[: target.size]
+        fh.readinto(chunk)
+        np.copyto(target, chunk.reshape(shape))
     if end < pos:
         raise ConfigError("checkpoint truncated: no entry count")
-    (n_entries,) = struct.unpack_from("<I", blob, end)
-    if n_entries != len(values):
-        raise ConfigError(f"checkpoint entry count mismatch: {n_entries} != {len(values)}")
-    model = AmcrnModel.skeleton(config)
-    for p in model.parameters():
-        if p.name not in values:
-            raise ConfigError(f"checkpoint missing parameter {p.name}")
-        if values[p.name].shape != p.data.shape:
-            raise ConfigError(f"shape mismatch for {p.name}")
-        p.data = values[p.name]
-    for name, owner, attr in model.buffers():
-        if name not in values:
-            raise ConfigError(f"checkpoint missing buffer {name}")
-        if values[name].shape != getattr(owner, attr).shape:
+    (n_entries,) = struct.unpack("<I", fh.read(4))
+    if n_entries != len(shapes):
+        raise ConfigError(f"checkpoint entry count mismatch: {n_entries} != {len(shapes)}")
+    for name, (kind, array) in arrays.items():
+        if name not in shapes:
+            raise ConfigError(f"checkpoint missing {kind} {name}")
+        if shapes[name] != array.shape:
             raise ConfigError(f"shape mismatch for {name}")
-        setattr(owner, attr, values[name])
     return model
 
 
-def _atomic_write(path, payload: bytes) -> None:
-    """Write `payload` to `path` through a temp file in the same directory
-    and a rename, so the path holds either its old bytes or all of the
-    new ones."""
+def _atomic_write(path, payload) -> None:
+    """Write `payload`, bytes or an iterable of bytes-like chunks, to `path`
+    through a temp file in the same directory and a rename, so the path
+    holds either its old bytes or all of the new ones."""
     path = str(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines([payload] if isinstance(payload, bytes) else payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

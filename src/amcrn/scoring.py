@@ -8,7 +8,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .audio import AudioBuffer, random_crop
 from .dsp import featurize
@@ -82,6 +81,10 @@ class PldaModel:
     c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Imported here: scipy.linalg adds about 0.3 s and 28 MB to every
+        # CLI start, and only a PLDA model needs it.
+        from scipy.linalg import cho_factor, cho_solve
+
         between = np.asarray(self.between, dtype=np.float64)
         total = between + np.asarray(self.within, dtype=np.float64)
         eye = np.eye(len(total))
@@ -309,8 +312,9 @@ def write_scored_trials(path, trials, scores):
 # The most frames one batched forward pass takes; it bounds the memory
 # the activations of a pass hold at once. Embedding 3 s utterances with
 # the full config (one BLAS thread, 2-core Xeon), 2048 frames per pass
-# added 117 MB of peak RSS and took 371 ms per utterance, against 21 MB
-# and 692 ms one at a time and 247 MB and 353 ms at 4096 frames.
+# (six utterances) added 75 MB of peak RSS and took about 315 ms per
+# utterance, against 6.5 MB and 630 ms one at a time and 175 MB and
+# 275 ms at 4096 frames (13 utterances).
 EMBED_FRAME_LIMIT = 2048
 
 # Featurized utterances wait for others of their frame count to fill a

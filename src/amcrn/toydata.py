@@ -3,13 +3,13 @@
 Each speaker is a fixed random vocal-tract-like filter (three resonances
 sampled once per speaker) driven by a pulse train at a speaker-specific
 fundamental frequency plus noise. Utterances of one speaker differ only
-by their excitation seed.
+by their excitation seed. scipy.signal is imported on first use, as in
+`augment`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .audio import SAMPLE_RATE, AudioBuffer
 from .errors import ConfigError
@@ -48,6 +48,8 @@ def _speaker_voice(spec: ToySpeakerSpec, spk: int):
 
 
 def _utterance(spec: ToySpeakerSpec, spk: int, utt: int) -> np.ndarray:
+    from scipy import signal as sp_signal
+
     f0, sos = _speaker_voice(spec, spk)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spk, utt, 13]))
     n = int(round(spec.utterance_seconds * SAMPLE_RATE))

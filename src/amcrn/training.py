@@ -34,6 +34,9 @@ class TrainConfig:
             raise ConfigError("need 0 < lr_end <= lr_start")
         if not (0.0 < self.val_fraction < 1.0):
             raise ConfigError("val_fraction must be in (0, 1)")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class AdamState:

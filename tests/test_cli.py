@@ -2,6 +2,8 @@
 
 import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -94,32 +96,90 @@ BAD_CONFIG_LINES = {
 }
 
 
+def _config_run(command, workspace, tmp_path):
+    """(config file, argv, text the file must keep) for a config read by
+    `train --config`, `profile --config` or an `embed` checkpoint's
+    `.cfg` sidecar."""
+    _, data_dir, ckpt = workspace
+    if command == "train":
+        cfg = tmp_path / "run.cfg"
+        return cfg, ["train", "--toy", "speakers=2 utts=2 seconds=0.5", "--config", str(cfg),
+                     "--out", str(tmp_path / "m.ckpt")], ""
+    if command == "profile":
+        cfg = tmp_path / "run.cfg"
+        return cfg, ["profile", "--config", str(cfg)], ""
+    copy = tmp_path / "m.ckpt"
+    copy.write_bytes(ckpt.read_bytes())
+    return (tmp_path / "m.ckpt.cfg",
+            ["embed", "--checkpoint", str(copy), str(data_dir / "spk000" / "utt000.wav")],
+            ckpt.with_name(ckpt.name + ".cfg").read_text())
+
+
 @pytest.mark.parametrize("command", ["train", "profile", "embed"])
 @pytest.mark.parametrize("case", sorted(BAD_CONFIG_LINES))
 def test_bad_config_line_is_located(workspace, tmp_path, capsys, command, case):
     """Every bad line exits 2 naming its file and line, whether it comes
     through `--config` or through a checkpoint's `.cfg` sidecar."""
-    _, data_dir, ckpt = workspace
     line, message = BAD_CONFIG_LINES[case]
-    text = f"# edited by hand\n{line}\n"
-    if command == "train":
-        cfg = tmp_path / "run.cfg"
-        argv = ["train", "--toy", "speakers=2 utts=2 seconds=0.5", "--config", str(cfg),
-                "--out", str(tmp_path / "m.ckpt")]
-    elif command == "profile":
-        cfg = tmp_path / "run.cfg"
-        argv = ["profile", "--config", str(cfg)]
-    else:
-        copy = tmp_path / "m.ckpt"
-        copy.write_bytes(ckpt.read_bytes())
-        cfg = tmp_path / "m.ckpt.cfg"
-        text += ckpt.with_name(ckpt.name + ".cfg").read_text()
-        argv = ["embed", "--checkpoint", str(copy), str(data_dir / "spk000" / "utt000.wav")]
-    cfg.write_text(text)
+    cfg, argv, kept = _config_run(command, workspace, tmp_path)
+    cfg.write_text(f"# edited by hand\n{line}\n" + kept)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"{cfg}:2: {message}" in captured.err
     assert captured.out == ""
+
+
+# A config whose every line parses but whose values fail the config's own
+# checks -> (the commands that check them, what stderr says after `<path>: `).
+INVALID_CONFIGS = {
+    "block_lists": ("n_mcb = 2", ("train", "profile", "embed"),
+                    "per-block lists must have length n_mcb"),
+    "no_scales": ("n_scales = 0", ("train", "profile", "embed"), "n_scales must be >= 1"),
+    "initial_channels": ("initial_channels = 7", ("train", "profile", "embed"),
+                         "initial_channels must match the first block's channels"),
+    "epochs": ("epochs = 0", ("train",), "epochs must be at least 1, got 0"),
+    "batch_size": ("batch_size = 0", ("train",), "batch_size must be at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("command, case", [(command, case) for case, (_, commands, _)
+                                           in sorted(INVALID_CONFIGS.items())
+                                           for command in commands])
+def test_invalid_config_names_its_file(workspace, tmp_path, capsys, command, case):
+    """Values that each parse but fail validation exit 2 with the file's
+    path in front of the config's own message."""
+    line, _, message = INVALID_CONFIGS[case]
+    cfg, argv, kept = _config_run(command, workspace, tmp_path)
+    cfg.write_text(kept + f"{line}\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {cfg}: {message}\n" == captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, field", [(["--epochs", "0"], "epochs"), ([], "batch_size")])
+def test_training_counts_below_one_are_usage_errors(tmp_path, capsys, flag, field):
+    """`--epochs 0` (no config file to name) and `batch_size = 0` in a
+    config file exit 2 naming the field, not with a traceback."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("batch_size = 0\n" if field == "batch_size" else "")
+    argv = ["train", "--toy", "speakers=2 utts=2 seconds=0.5", "--config", str(cfg),
+            "--out", str(tmp_path / "m.ckpt"), *flag]
+    assert main(argv) == 2
+    assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported only where augmentation, toy data or a PLDA model
+    needs it, so `embed`, `enroll` and `verify` start without it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, amcrn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestEmbed:

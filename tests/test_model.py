@@ -3,6 +3,7 @@ multi-scale block, the BLSTM, and the margin-softmax head."""
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -396,6 +397,56 @@ class TestLstm:
         want = lstm_forward_reference(x, w_x, w_h, bias, reverse)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 50])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_tape_free_bit_identical_to_taped(self, batch, t_len, reverse):
+        """Without a backward to follow (under no_grad, or with no input
+        requiring grad) the op keeps one step's caches; the output bits
+        are those of the taped op that keeps all of them."""
+        rng = np.random.default_rng(40)
+        d_in, hidden = 3, 5
+        values = [rng.standard_normal((batch, t_len, d_in)),
+                  0.5 * rng.standard_normal((d_in, 4 * hidden)),
+                  0.5 * rng.standard_normal((hidden, 4 * hidden)),
+                  rng.standard_normal(4 * hidden)]
+        taped = ad.lstm(*(Tensor(v, requires_grad=True) for v in values), reverse)
+        assert taped.requires_grad
+        with ad.no_grad():
+            free = ad.lstm(*(Tensor(v, requires_grad=True) for v in values), reverse)
+        plain = ad.lstm(*(Tensor(v) for v in values), reverse)
+        assert np.array_equal(free.data, taped.data)
+        assert np.array_equal(plain.data, taped.data)
+
+    @staticmethod
+    def _lstm_peak_bytes(requires_grad, t_len, hidden):
+        rng = np.random.default_rng(41)
+        values = [rng.standard_normal((1, t_len, 4)),
+                  0.5 * rng.standard_normal((4, 4 * hidden)),
+                  0.5 * rng.standard_normal((hidden, 4 * hidden)),
+                  rng.standard_normal(4 * hidden)]
+        inputs = [Tensor(v, requires_grad=requires_grad) for v in values]
+        tracemalloc.start()
+        try:
+            out = ad.lstm(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, out
+
+    def test_tape_free_allocates_no_step_caches(self):
+        """At T = 500 a tape-free call holds the T x 4H input projection
+        and the T x H output (1.25 T x 4H arrays); the taped call also
+        keeps T x 4H gates and two T x H cell caches (2.75)."""
+        t_len, hidden = 500, 64
+        projection = t_len * 4 * hidden * 8
+        with ad.no_grad():
+            free, out = self._lstm_peak_bytes(True, t_len, hidden)
+        assert out.data.shape == (1, t_len, hidden)
+        assert free < 1.5 * projection, free / projection
+        taped, _ = self._lstm_peak_bytes(True, t_len, hidden)
+        assert taped > 2.5 * projection, taped / projection
 
     @staticmethod
     def _outputs_and_grads(op, values, weights, reverse):

@@ -3,6 +3,7 @@ round-trip exactly, and every output file is written atomically."""
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,16 +242,19 @@ class TestCheckpoint:
             restore_model(blob, tiny_config(channels=32))
 
 
+def truncation_lengths(blob):
+    """Every prefix length below 64 bytes plus 50 evenly spaced longer ones."""
+    return list(range(64)) + list(np.linspace(64, len(blob) - 1, 50).astype(int))
+
+
 class TestCheckpointBounds:
     @pytest.fixture(scope="class")
     def blob(self):
         return checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
 
     def test_every_truncation_raises_config_error(self, blob):
-        # Every prefix below 64 bytes plus 50 evenly spaced longer ones.
-        lengths = list(range(64)) + list(np.linspace(64, len(blob) - 1, 50).astype(int))
         cfg = tiny_config()
-        for n in lengths:
+        for n in truncation_lengths(blob):
             with pytest.raises(ConfigError):
                 restore_model(blob[:n], cfg)
 
@@ -269,3 +273,98 @@ class TestCheckpointBounds:
         bad[8] = 0xFF  # first byte of the first entry name
         with pytest.raises(ConfigError):
             restore_model(bytes(bad), tiny_config())
+
+
+# SHA-256 and size of the checkpoint of AmcrnModel(tiny_config(), seed=0)
+# with 0.25 added to initial_bn.running_mean, frozen from the writer that
+# built the whole blob in memory before the entry-by-entry writer.
+SEEDED_CHECKPOINT = ("a0e9327935f0893f9b96b62f135596960eb6fad641f3ce4b6cea0bba36b072e5", 45074)
+
+
+def _seeded_model(**overrides):
+    model = AmcrnModel(tiny_config(**overrides), seed=0)
+    model.initial_bn.running_mean += 0.25
+    return model
+
+
+def _model_arrays(model):
+    return [p.data for p in model.parameters()] + [getattr(o, a) for _, o, a in model.buffers()]
+
+
+class TestStreamedCheckpoint:
+    """`save_checkpoint` writes and `load_checkpoint` reads one entry at a
+    time; the file bytes and every error stay those of the in-memory blob."""
+
+    def test_seeded_file_bytes_frozen(self, tmp_path):
+        model = _seeded_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        data = path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == SEEDED_CHECKPOINT
+        assert data == checkpoint_bytes(model)
+
+    def test_truncated_files_fail_as_truncated_blobs(self, tmp_path):
+        model = _seeded_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        for n in truncation_lengths(blob):
+            with pytest.raises(ConfigError) as from_bytes:
+                restore_model(blob[:n], model.config)
+            path.write_bytes(blob[:n])
+            with pytest.raises(ConfigError) as from_file:
+                load_checkpoint(path)
+            assert str(from_file.value) == str(from_bytes.value)
+            assert str(from_file.value).startswith(("checkpoint truncated",
+                                                    "checkpoint entry count mismatch",
+                                                    "not a recognized checkpoint file"))
+
+    @pytest.mark.parametrize("keep", [0, 5, 9, 200, -1])
+    def test_truncated_file_exits_2_via_embed(self, tmp_path, capsys, keep):
+        from amcrn.cli import main
+
+        model = _seeded_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        with pytest.raises(ConfigError) as expected:
+            restore_model(blob[:keep], model.config)
+        path.write_bytes(blob[:keep])
+        wav = tmp_path / "a.wav"
+        write_wav(wav, AudioBuffer(0.1 * np.sin(np.arange(8000) / 3.0)))
+        assert main(["embed", "--checkpoint", str(path), str(wav)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {expected.value}\n"
+        assert captured.out == ""
+
+    # Python-side allowance on top of the arrays: names, Tensor objects,
+    # headers, the temp file. The blob of the config below is 1 MB.
+    SLACK = 128 * 1024
+
+    def test_load_holds_model_and_one_entry(self, tmp_path):
+        model = _seeded_model(n_mels=16, channels=64, hidden=64)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        arrays = _model_arrays(model)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checkpoint_bytes(loaded) == path.read_bytes()
+        bound = sum(a.nbytes for a in arrays) + max(a.nbytes for a in arrays) + self.SLACK
+        assert peak < bound, (peak, bound, path.stat().st_size)
+
+    def test_save_holds_one_entry(self, tmp_path):
+        model = _seeded_model(n_mels=16, channels=64, hidden=64)
+        path = tmp_path / "m.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == checkpoint_bytes(model)
+        bound = max(a.nbytes for a in _model_arrays(model)) + self.SLACK
+        assert peak < bound, (peak, bound, path.stat().st_size)

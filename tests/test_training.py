@@ -104,6 +104,12 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(lr_start=1e-6, lr_end=1e-3)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be at least 1, got {value}$"):
+            TrainConfig(**{field: value})
+
 
 class TestToyDataset:
     def test_counts_and_labels(self):
