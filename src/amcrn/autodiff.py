@@ -81,9 +81,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 

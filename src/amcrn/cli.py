@@ -18,7 +18,7 @@ from . import profiling, scoring, toydata, training
 from .audio import read_wav, write_wav
 from .errors import AmcrnError, ConfigError, NumericalError
 from .model import (AmcrnConfig, AmcrnModel, _atomic_write, build_config,
-                    load_checkpoint, parse_config, tiny_config, write_checkpoint)
+                    load_checkpoint, parse_config, tiny_config)
 from .store import EmbeddingStore
 
 def _load_dataset_dir(root):
@@ -38,20 +38,28 @@ def _load_dataset_dir(root):
 
 
 def _parse_toy(arg, seed):
-    kv = dict(part.split("=", 1) for part in arg.replace(",", " ").split())
-    return toydata.ToySpeakerSpec(
-        n_speakers=int(kv.get("speakers", 8)),
-        utterances_per_speaker=int(kv.get("utts", 6)),
-        utterance_seconds=float(kv.get("seconds", 3.0)),
-        seed=seed,
-    )
+    """A ToySpeakerSpec from `speakers=N utts=N seconds=S` items, split by
+    spaces or commas; any other item raises ConfigError naming it."""
+    fields = {"speakers": "n_speakers", "utts": "utterances_per_speaker",
+              "seconds": "utterance_seconds"}
+    kwargs = {"n_speakers": 8, "utterances_per_speaker": 6, "utterance_seconds": 3.0}
+    for item in arg.replace(",", " ").split():
+        key, _, value = item.partition("=")
+        try:
+            field = fields[key]
+            kwargs[field] = type(kwargs[field])(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"toy spec item {item!r}: expected speakers=N, utts=N or "
+                              "seconds=S (N an integer, S a number)") from None
+    return toydata.ToySpeakerSpec(**kwargs, seed=seed)
 
 
 def _run_config(args):
-    """(AmcrnConfig kwargs, TrainConfig kwargs) from `--config`, if given."""
-    if not args.config:
-        return {}, {}
-    return parse_config(args.config, (AmcrnConfig, training.TrainConfig))
+    """(AmcrnConfig kwargs, checked TrainConfig) from `--config`, if given."""
+    model_kv, train_kv = (parse_config(args.config, (AmcrnConfig, training.TrainConfig))
+                          if args.config else ({}, {}))
+    train_kv.setdefault("seed", args.seed)
+    return model_kv, build_config(args.config, training.TrainConfig, **train_kv)
 
 
 def _build_model_config(args, n_classes, model_kv):
@@ -63,9 +71,7 @@ def _build_model_config(args, n_classes, model_kv):
 
 
 def cmd_train(args):
-    model_kv, train_kv = _run_config(args)
-    train_kv.setdefault("seed", args.seed)
-    tcfg = build_config(args.config, training.TrainConfig, **train_kv)
+    model_kv, tcfg = _run_config(args)
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     if args.toy:
@@ -78,7 +84,7 @@ def cmd_train(args):
     config = build_config(args.config, _build_model_config, args, n_classes, model_kv)
     model = AmcrnModel(config, seed=args.seed)
     result = training.train(model, dataset, tcfg)
-    write_checkpoint(args.out, result.best_checkpoint, config)
+    _atomic_write(args.out, result.best_checkpoint)
     training.write_history_csv(args.loss_csv or args.out + ".loss.csv", result.history)
     print(f"best epoch {result.best_epoch}  val_loss {result.best_val_loss!r}")
     return 0

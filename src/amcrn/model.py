@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,32 +50,37 @@ def config_text(config) -> str:
 
 
 def parse_config(path, classes):
-    """Read a flat `key = value` file with `#` comments into one kwargs
+    """`parse_config_text` over the file at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_config_text(fh.read(), classes, path)
+
+
+def parse_config_text(text, classes, name):
+    """Read flat `key = value` lines with `#` comments into one kwargs
     dict per dataclass in `classes`: each key goes to the class that has
     that field, its value parsed by the type of the field's default.
     Booleans are 1/true/yes or 0/false/no in any case. A line without
     `=`, an unknown key or an unparsable value raises ConfigError
-    prefixed `<path>:<line>:`."""
+    prefixed `<name>:<line>:`."""
     out = [{} for _ in classes]
     owner = {f.name: (kwargs, f.default)
              for cls, kwargs in zip(classes, out) for f in dataclasses.fields(cls)}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, text = (s.strip() for s in line.partition("="))
-            if not eq:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            if key not in owner:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            kwargs, default = owner[key]
-            kind, parse = _VALUE_PARSERS[type(default)]
-            try:
-                kwargs[key] = parse(text)
-            except (KeyError, ValueError):
-                raise ConfigError(f"{path}:{lineno}: {key}: expected {kind}, "
-                                  f"got {text!r}") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (s.strip() for s in line.partition("="))
+        if not eq:
+            raise ConfigError(f"{name}:{lineno}: expected key = value")
+        if key not in owner:
+            raise ConfigError(f"{name}:{lineno}: unknown key {key!r}")
+        kwargs, default = owner[key]
+        kind, parse = _VALUE_PARSERS[type(default)]
+        try:
+            kwargs[key] = parse(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{name}:{lineno}: {key}: expected {kind}, "
+                              f"got {value!r}") from None
     return out
 
 
@@ -115,15 +121,15 @@ class AmcrnConfig:
         lists = (self.mcb_channels, self.mcb_kernel, self.mcb_dilations)
         if any(len(l) != self.n_mcb for l in lists):
             raise ConfigError("per-block lists must have length n_mcb")
-        if self.n_scales < 1:
-            raise ConfigError("n_scales must be >= 1")
+        for f in dataclasses.fields(self):  # every size, count and kernel
+            value = getattr(self, f.name)
+            if type(f.default) in (int, tuple) and min(np.atleast_1d(value), default=1) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
         for c in self.mcb_channels:
             if c % self.n_scales:
                 raise ConfigError(f"channels {c} not divisible by n_scales {self.n_scales}")
         if self.initial_channels != self.mcb_channels[0]:
             raise ConfigError("initial_channels must match the first block's channels")
-        if self.n_classes < 1:
-            raise ConfigError("n_classes must be positive")
 
     def dilation(self, i):
         return 1 if self.standard_conv else self.mcb_dilations[i]
@@ -345,12 +351,6 @@ class McbBlock:
             out += self.attention.params()
         return out
 
-    def buffers(self):
-        return self.bn_pre.buffers() + self.bn_post.buffers()
-
-    def bn_layers(self):
-        return [self.bn_pre, self.bn_post]
-
 
 class LstmDirection:
     """One direction of an LSTM layer (gate order: input, forget, cell, output)."""
@@ -564,17 +564,11 @@ class AmcrnModel:
             out.append(self.head)
         return out
 
-    def _buffer_owners(self):
-        owners = [self.initial_bn] + [bn for b in self.blocks for bn in b.bn_layers()]
-        owners.append(self.emb_norm)
-        return owners
-
     def buffers(self):
-        out = []
-        for owner in self._buffer_owners():
-            for name, attr in owner.buffers():
-                out.append((name, owner, attr))
-        return out
+        """(name, owner, attribute) of each normalization running statistic."""
+        owners = [self.initial_bn, *(bn for b in self.blocks for bn in (b.bn_pre, b.bn_post)),
+                  self.emb_norm]
+        return [(name, owner, attr) for owner in owners for name, attr in owner.buffers()]
 
     def zero_grad(self):
         for p in self.parameters():
@@ -588,44 +582,46 @@ class AmcrnModel:
 # Checkpoint I/O
 # ----------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"AMCRN1"
+CHECKPOINT_MAGIC = b"AMCRN2"
 
 
 def _checkpoint_chunks(model):
-    """The checkpoint layout as bytes-like chunks: the magic, then per
-    entry a header and the float32 values, then the entry count; at most
-    one entry's float32 copy is held at a time."""
+    """The `checkpoint_bytes` layout as bytes-like chunks, a header and the
+    float32 values per entry; at most one entry's float32 copy is held."""
     entries = [(p.name, p.data) for p in model.parameters()]
     entries += [(name, getattr(owner, attr)) for name, owner, attr in model.buffers()]
-    yield CHECKPOINT_MAGIC
-    for name, data in entries:
-        encoded = name.encode("utf-8")
-        yield (struct.pack("<H", len(encoded)) + encoded
-               + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape))
-        yield np.ascontiguousarray(data, dtype="<f4")
-    yield struct.pack("<I", len(entries))
+    config = config_text(model.config).encode("utf-8")
+
+    def body():
+        yield CHECKPOINT_MAGIC + struct.pack("<I", len(config)) + config
+        for name, data in entries:
+            encoded = name.encode("utf-8")
+            yield (struct.pack("<H", len(encoded)) + encoded
+                   + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape))
+            yield np.ascontiguousarray(data, dtype="<f4")
+        yield struct.pack("<I", len(entries))
+
+    crc = 0
+    for chunk in body():
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    yield struct.pack("<I", crc)
 
 
 def checkpoint_bytes(model) -> bytes:
-    """Serialize parameters and normalization statistics.
+    """Serialize the config, parameters and normalization statistics.
 
-    Layout: magic, then per entry: u16 LE name length, UTF-8 name, u8
-    rank, u32 LE dims, raw little-endian float32 values; trailing u32
-    entry count.
+    Layout: magic, u32 LE config length, UTF-8 `config_text`; then per
+    entry: u16 LE name length, UTF-8 name, u8 rank, u32 LE dims, raw
+    little-endian float32 values; then u32 LE entry count and u32 LE
+    `zlib.crc32` of all bytes before it.
     """
     return b"".join(_checkpoint_chunks(model))
 
 
-def write_checkpoint(path, blob, config: AmcrnConfig) -> None:
-    """Write a checkpoint, as `checkpoint_bytes` output or as its chunks,
-    and the `<path>.cfg` sidecar holding its config, each atomically."""
-    _atomic_write(path, blob)
-    _atomic_write(str(path) + ".cfg", config.to_text().encode())
-
-
 def save_checkpoint(path, model) -> None:
-    """Write `model`'s checkpoint and sidecar, one entry at a time."""
-    write_checkpoint(path, _checkpoint_chunks(model), model.config)
+    """Write `model`'s checkpoint atomically, one entry at a time."""
+    _atomic_write(path, _checkpoint_chunks(model))
 
 
 def build_config(path, make, *args, **kwargs):
@@ -641,34 +637,35 @@ def build_config(path, make, *args, **kwargs):
 
 
 def load_checkpoint(path) -> AmcrnModel:
-    """Read a checkpoint and its `.cfg` sidecar. The file is read one entry
-    at a time into the model's arrays, so loading holds the model and one
-    entry's float32 values."""
-    sidecar = str(path) + ".cfg"
-    (kwargs,) = parse_config(sidecar, (AmcrnConfig,))
-    config = build_config(sidecar, AmcrnConfig, **kwargs)
+    """`restore_model` over the checkpoint file at `path`."""
     with open(path, "rb") as fh:
-        return restore_model(fh, config)
+        return restore_model(fh)
 
 
-def restore_model(source, config: AmcrnConfig) -> AmcrnModel:
+def restore_model(source) -> AmcrnModel:
     """Rebuild a model from `checkpoint_bytes` output, given as bytes or as
-    a binary file open at its start; any malformed, truncated or
-    mismatched checkpoint raises ConfigError.
+    a binary file open at its start; any malformed, truncated or corrupt
+    checkpoint raises ConfigError, prefixed with the file's name if its
+    embedded config is at fault.
 
-    Each entry's values are read into the model's array of that name and
-    shape, so only one entry's float32 values are held besides the model;
-    the values of an entry the model has no array for are skipped.
+    Each entry's values are read and copied into the model's array of that
+    name and shape, so only one entry's float32 values are held besides
+    the model; every byte, also of an entry the model has no array for,
+    goes through the CRC that is checked at the end.
     """
     fh = io.BytesIO(source) if isinstance(source, (bytes, bytearray, memoryview)) else source
-    end = fh.seek(0, io.SEEK_END) - 4  # the trailing entry count
+    end = fh.seek(0, io.SEEK_END) - 8  # the trailing entry count and CRC
     fh.seek(0)
-    if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+    magic = fh.read(len(CHECKPOINT_MAGIC))
+    if magic == b"AMCRN1":
+        raise ConfigError("an AMCRN1 checkpoint, an old format that is no longer read; "
+                          "retrain the model to write an AMCRN2 checkpoint")
+    if magic != CHECKPOINT_MAGIC:
         raise ConfigError("not a recognized checkpoint file")
-    pos = len(CHECKPOINT_MAGIC)
+    pos, crc = len(magic), zlib.crc32(magic)
 
     def claim(n):
-        """Check that n more bytes lie before the entry count; advance."""
+        """Check that n more bytes lie before the trailer; advance."""
         nonlocal pos
         if n > end - pos:
             raise ConfigError(f"checkpoint truncated: {n} bytes wanted at offset {pos}, "
@@ -676,37 +673,41 @@ def restore_model(source, config: AmcrnConfig) -> AmcrnModel:
         pos += n
 
     def take(n):
+        nonlocal crc
         claim(n)
-        return fh.read(n)
+        data = fh.read(n)
+        crc = zlib.crc32(data, crc)
+        return data
 
-    model = AmcrnModel.skeleton(config)
+    def text(n, what):
+        try:
+            return str(take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"checkpoint {what} at offset {pos - n} is not UTF-8") from exc
+
+    origin = getattr(fh, "name", "checkpoint")
+    (config_len,) = struct.unpack("<I", take(4))
+    (kwargs,) = parse_config_text(text(config_len, "config"), (AmcrnConfig,), origin)
+    model = AmcrnModel.skeleton(build_config(origin, AmcrnConfig, **kwargs))
     arrays = {p.name: ("parameter", p.data) for p in model.parameters()}
     arrays.update((name, ("buffer", getattr(owner, attr)))
                   for name, owner, attr in model.buffers())
-    values = np.empty(max(a.size for _, a in arrays.values()), dtype="<f4")
     shapes = {}  # entry name -> shape as read; a repeated name keeps its last
     while pos < end:
         (name_len,) = struct.unpack("<H", take(2))
-        try:
-            name = str(take(name_len), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"checkpoint entry name at offset {pos - name_len} "
-                              "is not UTF-8") from exc
+        name = text(name_len, "entry name")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        n_bytes = 4 * math.prod(shape)
-        claim(n_bytes)
+        values = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
         shapes[name] = shape
         target = arrays.get(name, (None, None))[1]
-        if target is None or target.shape != shape:
-            fh.seek(n_bytes, io.SEEK_CUR)
-            continue
-        chunk = values[: target.size]
-        fh.readinto(chunk)
-        np.copyto(target, chunk.reshape(shape))
-    if end < pos:
-        raise ConfigError("checkpoint truncated: no entry count")
-    (n_entries,) = struct.unpack("<I", fh.read(4))
+        if target is not None and target.shape == shape:
+            with np.errstate(invalid="ignore"):  # signalling NaNs of a corrupt file
+                np.copyto(target, values.reshape(shape))
+    count = fh.read(4)
+    if zlib.crc32(count, crc).to_bytes(4, "little") != fh.read(4):
+        raise ConfigError("checkpoint checksum mismatch")
+    (n_entries,) = struct.unpack("<I", count)
     if n_entries != len(shapes):
         raise ConfigError(f"checkpoint entry count mismatch: {n_entries} != {len(shapes)}")
     for name, (kind, array) in arrays.items():

@@ -117,29 +117,21 @@ def emit_cost_report(config: AmcrnConfig, durations=(2.0, 3.0, 5.0),
     return reports
 
 
+def _report_rows(reports, macs_heading):
+    """The header, one row per layer and the TOTAL row, as strings."""
+    rows = [["layer", "params"] + [macs_heading.format(r.duration_s) for r in reports]]
+    for i, row in enumerate(reports[0].breakdown):
+        rows.append([row.name, str(row.params)] + [str(r.breakdown[i].macs) for r in reports])
+    rows.append(["TOTAL", str(reports[0].total_params)] + [str(r.total_macs) for r in reports])
+    return rows
+
+
 def format_report_table(reports) -> str:
     """Aligned text table: MS column plus one MACs column per duration."""
-    header = ["layer", "params"] + [f"macs@{r.duration_s:g}s" for r in reports]
-    lines = []
-    names = [row.name for row in reports[0].breakdown]
-    for i, name in enumerate(names):
-        row = [name, str(reports[0].breakdown[i].params)]
-        row += [str(r.breakdown[i].macs) for r in reports]
-        lines.append(row)
-    lines.append(["TOTAL", str(reports[0].total_params)] +
-                 [str(r.total_macs) for r in reports])
-    widths = [max(len(h), *(len(l[i]) for l in lines)) for i, h in enumerate(header)]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for l in lines:
-        out.append("  ".join(c.ljust(w) for c, w in zip(l, widths)))
-    return "\n".join(out) + "\n"
+    rows = _report_rows(reports, "macs@{:g}s")
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n" for row in rows)
 
 
 def format_report_csv(reports) -> str:
-    lines = ["layer,params," + ",".join(f"macs_{r.duration_s:g}s" for r in reports)]
-    for i, row in enumerate(reports[0].breakdown):
-        lines.append(",".join([row.name, str(row.params)] +
-                              [str(r.breakdown[i].macs) for r in reports]))
-    lines.append(",".join(["TOTAL", str(reports[0].total_params)] +
-                          [str(r.total_macs) for r in reports]))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in _report_rows(reports, "macs_{:g}s"))

@@ -191,7 +191,7 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
         # Validate the checkpoint as stored (float32), so that loading it
         # reproduces the reported loss bit for bit.
         blob = checkpoint_bytes(model)
-        val_loss = validation_loss(restore_model(blob, model.config), val_set, label_of, cfg)
+        val_loss = validation_loss(restore_model(blob), val_set, label_of, cfg)
         record = EpochRecord(epoch, loss_sum / len(views), val_loss, lr, len(views))
         history.append(record)
         if best is None or val_loss < best[1]:

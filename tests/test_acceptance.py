@@ -53,7 +53,7 @@ def toy_benchmark():
                        seed=0)
     model = AmcrnModel(cfg, seed=0)
     result = train(model, dataset, tcfg)
-    model = restore_model(result.best_checkpoint, cfg)
+    model = restore_model(result.best_checkpoint)
 
     # Enrollment: mean embedding of 3 training utterances per speaker,
     # plus additional training embeddings for fitting the PLDA backend.
@@ -378,12 +378,11 @@ def test_criterion_09_round_trips(tmp_path):
     x = np.random.default_rng(10).standard_normal((14, cfg.n_mels))
     ref = model.embed(x).values
     blob = checkpoint_bytes(model)
-    again = restore_model(blob, cfg)
+    again = restore_model(blob)
     # Storage is float32, so compare through a second round trip.
     ref32 = again.embed(x).values
-    assert checkpoint_bytes(again) == checkpoint_bytes(restore_model(
-        checkpoint_bytes(again), cfg))
-    assert np.array_equal(restore_model(checkpoint_bytes(again), cfg).embed(x).values,
+    assert checkpoint_bytes(again) == checkpoint_bytes(restore_model(checkpoint_bytes(again)))
+    assert np.array_equal(restore_model(checkpoint_bytes(again)).embed(x).values,
                           ref32)
     assert ref.shape == ref32.shape
 

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from amcrn.audio import AudioBuffer, read_wav, write_wav
 from amcrn.cli import main
 from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms, featurize
+from amcrn.errors import ConfigError
 from amcrn.model import load_checkpoint
 from amcrn.store import EmbeddingStore
 
@@ -64,7 +66,7 @@ class TestTrain:
     def test_outputs_exist(self, workspace):
         root, _, ckpt = workspace
         assert ckpt.exists()
-        assert (root / "model.ckpt.cfg").exists()
+        assert not (root / "model.ckpt.cfg").exists()
         assert (root / "model.ckpt.loss.csv").exists()
 
     def test_checkpoint_loads_and_embeds(self, workspace):
@@ -96,36 +98,50 @@ BAD_CONFIG_LINES = {
 }
 
 
-def _config_run(command, workspace, tmp_path):
-    """(config file, argv, text the file must keep) for a config read by
-    `train --config`, `profile --config` or an `embed` checkpoint's
-    `.cfg` sidecar."""
+def _first_entry(blob):
+    """Offset of a checkpoint's first entry: after the magic, the u32
+    config length and the config text."""
+    return 10 + int.from_bytes(blob[6:10], "little")
+
+
+def _with_config(blob, edit):
+    """The checkpoint `blob` with its embedded config replaced by
+    `edit(config)` and a valid CRC32, as if a writer had put it there."""
+    text = edit(blob[10:_first_entry(blob)].decode()).encode()
+    body = blob[:6] + len(text).to_bytes(4, "little") + text + blob[_first_entry(blob):-4]
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _config_run(command, workspace, tmp_path, edit):
+    """(the file errors must name, argv) for a config read by `train
+    --config`, `profile --config` or from inside an `embed` checkpoint.
+    `edit(text)` gives the config from the text its file holds now: the
+    trained checkpoint's config for `embed`, "" for a new config file."""
     _, data_dir, ckpt = workspace
+    if command == "embed":
+        copy = tmp_path / "m.ckpt"
+        copy.write_bytes(_with_config(ckpt.read_bytes(), edit))
+        return copy, ["embed", "--checkpoint", str(copy),
+                      str(data_dir / "spk000" / "utt000.wav")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(edit(""))
     if command == "train":
-        cfg = tmp_path / "run.cfg"
         return cfg, ["train", "--toy", "speakers=2 utts=2 seconds=0.5", "--config", str(cfg),
-                     "--out", str(tmp_path / "m.ckpt")], ""
-    if command == "profile":
-        cfg = tmp_path / "run.cfg"
-        return cfg, ["profile", "--config", str(cfg)], ""
-    copy = tmp_path / "m.ckpt"
-    copy.write_bytes(ckpt.read_bytes())
-    return (tmp_path / "m.ckpt.cfg",
-            ["embed", "--checkpoint", str(copy), str(data_dir / "spk000" / "utt000.wav")],
-            ckpt.with_name(ckpt.name + ".cfg").read_text())
+                     "--out", str(tmp_path / "m.ckpt")]
+    return cfg, ["profile", "--config", str(cfg)]
 
 
 @pytest.mark.parametrize("command", ["train", "profile", "embed"])
 @pytest.mark.parametrize("case", sorted(BAD_CONFIG_LINES))
 def test_bad_config_line_is_located(workspace, tmp_path, capsys, command, case):
     """Every bad line exits 2 naming its file and line, whether it comes
-    through `--config` or through a checkpoint's `.cfg` sidecar."""
+    through `--config` or inside a checkpoint (with a valid checksum)."""
     line, message = BAD_CONFIG_LINES[case]
-    cfg, argv, kept = _config_run(command, workspace, tmp_path)
-    cfg.write_text(f"# edited by hand\n{line}\n" + kept)
+    path, argv = _config_run(command, workspace, tmp_path,
+                             lambda kept: f"# edited by hand\n{line}\n" + kept)
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"{cfg}:2: {message}" in captured.err
+    assert f"{path}:2: {message}" in captured.err
     assert captured.out == ""
 
 
@@ -137,8 +153,10 @@ INVALID_CONFIGS = {
     "no_scales": ("n_scales = 0", ("train", "profile", "embed"), "n_scales must be >= 1"),
     "initial_channels": ("initial_channels = 7", ("train", "profile", "embed"),
                          "initial_channels must match the first block's channels"),
-    "epochs": ("epochs = 0", ("train",), "epochs must be at least 1, got 0"),
-    "batch_size": ("batch_size = 0", ("train",), "batch_size must be at least 1, got 0"),
+    "epochs": ("epochs = 0", ("train", "profile"), "epochs must be at least 1, got 0"),
+    "batch_size": ("batch_size = 0", ("train", "profile"),
+                   "batch_size must be at least 1, got 0"),
+    "lr_end": ("lr_end = 5", ("train", "profile"), "need 0 < lr_end <= lr_start"),
 }
 
 
@@ -149,11 +167,10 @@ def test_invalid_config_names_its_file(workspace, tmp_path, capsys, command, cas
     """Values that each parse but fail validation exit 2 with the file's
     path in front of the config's own message."""
     line, _, message = INVALID_CONFIGS[case]
-    cfg, argv, kept = _config_run(command, workspace, tmp_path)
-    cfg.write_text(kept + f"{line}\n")
+    path, argv = _config_run(command, workspace, tmp_path, lambda kept: kept + f"{line}\n")
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"error: {cfg}: {message}\n" == captured.err
+    assert f"error: {path}: {message}\n" == captured.err
     assert captured.out == ""
 
 
@@ -168,6 +185,31 @@ def test_training_counts_below_one_are_usage_errors(tmp_path, capsys, flag, fiel
     assert main(argv) == 2
     assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+# A toy spec with a bad item -> the item the error names.
+BAD_TOY_SPECS = {
+    "unknown_key": ("speaker=2 utts=2 seconds=0.5", "speaker=2"),
+    "no_equals": ("speakers=2 utts", "utts"),
+    "bad_int": ("speakers=two", "speakers=two"),
+    "bad_float": ("speakers=2,seconds=half", "seconds=half"),
+}
+
+
+@pytest.mark.parametrize("command", ["toygen", "train"])
+@pytest.mark.parametrize("case", sorted(BAD_TOY_SPECS))
+def test_bad_toy_spec_names_the_item(tmp_path, capsys, command, case):
+    """`--spec` and `--toy` accept only speakers=N, utts=N and seconds=S;
+    anything else exits 2 naming the item, before anything is written."""
+    spec, item = BAD_TOY_SPECS[case]
+    out = tmp_path / "out"
+    argv = (["toygen", "--spec", spec, "--out", str(out)] if command == "toygen"
+            else ["train", "--toy", spec, "--epochs", "1", "--out", str(out)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: toy spec item {item!r}: expected speakers=N, ")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():
@@ -208,10 +250,46 @@ class TestEmbed:
         _, data_dir, ckpt = workspace
         cut = tmp_path / "cut.ckpt"
         cut.write_bytes(ckpt.read_bytes()[:20])
-        (tmp_path / "cut.ckpt.cfg").write_bytes(ckpt.with_name(ckpt.name + ".cfg").read_bytes())
         wav = str(data_dir / "spk000" / "utt000.wav")
         assert main(["embed", "--checkpoint", str(cut), wav]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+# A corrupt copy of a good checkpoint -> how the error it raises begins.
+CORRUPT_CHECKPOINTS = {
+    "cut": (lambda blob: blob[: len(blob) // 2], "checkpoint truncated"),
+    "flipped": (lambda blob: blob[:-40] + bytes([blob[-40] ^ 0x10]) + blob[-39:],
+                "checkpoint checksum mismatch"),
+    "amcrn1": (lambda blob: b"AMCRN1" + blob[_first_entry(blob):-4], "an AMCRN1 checkpoint"),
+}
+
+
+@pytest.mark.parametrize("command", ["embed", "enroll", "verify", "eval"])
+@pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+def test_corrupt_checkpoint_is_data_error(workspace, tmp_path, capsys, command, case):
+    """Each command that loads a checkpoint exits 2 on a cut, changed or
+    AMCRN1 file, with the reader's message and no output file."""
+    _, data_dir, ckpt = workspace
+    corrupt, begins = CORRUPT_CHECKPOINTS[case]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(ckpt.read_bytes()))
+    with pytest.raises(ConfigError, match=f"^{begins}") as expected:
+        load_checkpoint(bad)
+    wav = str(data_dir / "spk000" / "utt000.wav")
+    store = str(tmp_path / "speakers.tsv")
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 spk000/utt000.wav spk000/utt001.wav\n"
+                      "0 spk000/utt000.wav spk001/utt000.wav\n")
+    argv = {"embed": ["embed", "--out", str(tmp_path / "emb.txt"), wav],
+            "enroll": ["enroll", "--store", store, "--id", "alice", wav],
+            "verify": ["verify", "--store", store, "--id", "alice", wav],
+            "eval": ["eval", "--trials", str(trials), "--audio-root", str(data_dir),
+                     "--out-prefix", str(tmp_path / "run")]}[command]
+    assert main([*argv, "--checkpoint", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {expected.value}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["bad.ckpt", "trials.txt"]
 
 
 class TestEnrollVerify:

@@ -4,14 +4,18 @@ round-trip exactly, and every output file is written atomically."""
 import hashlib
 import os
 import tracemalloc
+import zlib
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amcrn.audio import AudioBuffer, write_wav
 from amcrn.errors import ConfigError, DuplicateId
-from amcrn.model import (AmcrnModel, _atomic_write, checkpoint_bytes, load_checkpoint,
-                         restore_model, save_checkpoint, tiny_config)
+from amcrn.model import (AmcrnModel, _atomic_write, checkpoint_bytes, config_text,
+                         load_checkpoint, restore_model, save_checkpoint, tiny_config)
 from amcrn.scoring import Trial, write_scored_trials
 from amcrn.store import EmbeddingStore
 from amcrn.training import EpochRecord, write_history_csv
@@ -187,11 +191,22 @@ class TestEmbeddingStore:
         assert "a" in store and "b" not in store
 
 
+def _first_entry(blob):
+    """Offset of a checkpoint's first entry: after the magic, the u32
+    config length and the config text."""
+    return 10 + int.from_bytes(blob[6:10], "little")
+
+
+def _sealed(body):
+    """A checkpoint body (everything before the CRC) with a valid CRC32."""
+    return bytes(body) + zlib.crc32(body).to_bytes(4, "little")
+
+
 class TestCheckpoint:
     def test_save_load_save_is_stable(self, tmp_path):
         model = AmcrnModel(tiny_config(), seed=4)
         blob1 = checkpoint_bytes(model)
-        model2 = restore_model(blob1, model.config)
+        model2 = restore_model(blob1)
         blob2 = checkpoint_bytes(model2)
         assert blob1 == blob2
 
@@ -205,41 +220,76 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         loaded = load_checkpoint(path)
         x = np.random.default_rng(6).standard_normal((9, cfg.n_mels))
-        ref = restore_model(checkpoint_bytes(model), cfg).embed(x).values
+        ref = restore_model(checkpoint_bytes(model)).embed(x).values
         assert np.array_equal(loaded.embed(x).values, ref)
 
-    def test_config_sidecar_round_trips(self, tmp_path):
+    def test_embedded_config_round_trips(self, tmp_path):
+        """The config travels inside the one file, as `config_text`; no
+        second file is written or read."""
         cfg = tiny_config(n_scales=4, channels=32, standard_conv=True)
+        model = AmcrnModel(cfg, seed=0)
+        blob = checkpoint_bytes(model)
+        assert blob[10:_first_entry(blob)].decode() == config_text(cfg)
+        assert restore_model(blob).config == cfg
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, AmcrnModel(cfg, seed=0))
+        save_checkpoint(path, model)
+        assert os.listdir(tmp_path) == ["m.ckpt"]
         assert load_checkpoint(path).config == cfg
 
     def test_buffers_restored_exactly_as_float32(self, tmp_path):
         model = AmcrnModel(tiny_config(), seed=7)
         model.initial_bn.running_var[:] = np.pi
         blob = checkpoint_bytes(model)
-        restored = restore_model(blob, model.config)
+        restored = restore_model(blob)
         expect = np.float64(np.float32(np.pi))
         np.testing.assert_array_equal(restored.initial_bn.running_var, expect)
 
     def test_bad_magic_rejected(self):
         model = AmcrnModel(tiny_config(), seed=0)
         blob = b"XX" + checkpoint_bytes(model)[2:]
-        with pytest.raises(ConfigError):
-            restore_model(blob, model.config)
+        with pytest.raises(ConfigError, match="not a recognized checkpoint file"):
+            restore_model(blob)
 
     def test_truncated_entry_count_mismatch_rejected(self):
         model = AmcrnModel(tiny_config(), seed=0)
-        blob = bytearray(checkpoint_bytes(model))
-        blob[-4:] = (99).to_bytes(4, "little")
+        body = bytearray(checkpoint_bytes(model)[:-4])
+        body[-4:] = (99).to_bytes(4, "little")
         with pytest.raises(ConfigError, match="entry count"):
-            restore_model(bytes(blob), model.config)
+            restore_model(_sealed(body))
 
-    def test_wrong_config_rejected(self):
-        model = AmcrnModel(tiny_config(), seed=0)
-        blob = checkpoint_bytes(model)
-        with pytest.raises(ConfigError):
-            restore_model(blob, tiny_config(channels=32))
+    def test_amcrn1_file_rejected_naming_the_format(self):
+        """The old layout (magic, entries, count; config in a second file)
+        is refused with a message that says to retrain."""
+        blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
+        old = b"AMCRN1" + blob[_first_entry(blob):-4]
+        with pytest.raises(ConfigError, match=r"^an AMCRN1 checkpoint, .*retrain"):
+            restore_model(old)
+
+    def test_skipped_entry_goes_through_the_checksum(self):
+        """An entry the model has no array for is read past, not loaded;
+        its bytes still count toward the CRC."""
+        blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
+        extra = (b"\x05\x00extra\x01\x03\x00\x00\x00"
+                 + np.arange(3, dtype="<f4").tobytes())
+        count = int.from_bytes(blob[-8:-4], "little") + 1
+        sealed = _sealed(blob[:-8] + extra + count.to_bytes(4, "little"))
+        assert checkpoint_bytes(restore_model(sealed)) == blob
+        corrupt = bytearray(sealed)
+        corrupt[-10] ^= 0x40  # a byte of the extra entry's values
+        with pytest.raises(ConfigError, match="^checkpoint checksum mismatch$"):
+            restore_model(bytes(corrupt))
+
+    def test_bad_embedded_config_names_the_checkpoint(self, tmp_path):
+        blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
+        text = "use_blstm = flase\n".encode()
+        body = (blob[:6] + len(text).to_bytes(4, "little") + text
+                + blob[_first_entry(blob):-4])
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_sealed(body))
+        with pytest.raises(ConfigError, match=f"^{path}:1: use_blstm: expected a boolean"):
+            load_checkpoint(path)
+        with pytest.raises(ConfigError, match="^checkpoint:1: use_blstm"):
+            restore_model(_sealed(body))
 
 
 def truncation_lengths(blob):
@@ -253,32 +303,40 @@ class TestCheckpointBounds:
         return checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
 
     def test_every_truncation_raises_config_error(self, blob):
-        cfg = tiny_config()
         for n in truncation_lengths(blob):
             with pytest.raises(ConfigError):
-                restore_model(blob[:n], cfg)
+                restore_model(blob[:n])
 
     def test_overlong_dims_raise_config_error(self, blob):
-        # The first entry's first dimension sits after the magic, the u16
-        # name length, the name and the u8 rank.
-        name_len = int.from_bytes(blob[6:8], "little")
-        dim_at = 6 + 2 + name_len + 1
-        bad = bytearray(blob)
+        # The first entry's first dimension sits after the config block,
+        # the u16 name length, the name and the u8 rank.
+        first = _first_entry(blob)
+        name_len = int.from_bytes(blob[first : first + 2], "little")
+        dim_at = first + 2 + name_len + 1
+        bad = bytearray(blob[:-4])
         bad[dim_at : dim_at + 4] = (2**31).to_bytes(4, "little")
-        with pytest.raises(ConfigError):
-            restore_model(bytes(bad), tiny_config())
+        with pytest.raises(ConfigError, match="^checkpoint truncated"):
+            restore_model(_sealed(bad))
 
     def test_undecodable_name_raises_config_error(self, blob):
-        bad = bytearray(blob)
-        bad[8] = 0xFF  # first byte of the first entry name
-        with pytest.raises(ConfigError):
-            restore_model(bytes(bad), tiny_config())
+        bad = bytearray(blob[:-4])
+        bad[_first_entry(blob) + 2] = 0xFF  # first byte of the first entry name
+        with pytest.raises(ConfigError, match="entry name .* is not UTF-8"):
+            restore_model(_sealed(bad))
+
+    def test_undecodable_config_raises_config_error(self, blob):
+        bad = bytearray(blob[:-4])
+        bad[10] = 0xFF  # first byte of the config text
+        with pytest.raises(ConfigError, match="^checkpoint config at offset 10 is not UTF-8"):
+            restore_model(_sealed(bad))
 
 
-# SHA-256 and size of the checkpoint of AmcrnModel(tiny_config(), seed=0)
-# with 0.25 added to initial_bn.running_mean, frozen from the writer that
-# built the whole blob in memory before the entry-by-entry writer.
-SEEDED_CHECKPOINT = ("a0e9327935f0893f9b96b62f135596960eb6fad641f3ce4b6cea0bba36b072e5", 45074)
+# SHA-256 and size of the AMCRN2 checkpoint of AmcrnModel(tiny_config(),
+# seed=0) with 0.25 added to initial_bn.running_mean. Frozen when the
+# config moved into the file and the CRC32 trailer was added; the bytes
+# are the AMCRN1 file's entries and count, with the magic, the config
+# block and the CRC around them.
+SEEDED_CHECKPOINT = ("326bccfc159e20c6c43545f539a4541d9e5635fcb59126930183c02beb545f2d", 45464)
 
 
 def _seeded_model(**overrides):
@@ -310,14 +368,15 @@ class TestStreamedCheckpoint:
         blob = path.read_bytes()
         for n in truncation_lengths(blob):
             with pytest.raises(ConfigError) as from_bytes:
-                restore_model(blob[:n], model.config)
+                restore_model(blob[:n])
             path.write_bytes(blob[:n])
             with pytest.raises(ConfigError) as from_file:
                 load_checkpoint(path)
             assert str(from_file.value) == str(from_bytes.value)
             assert str(from_file.value).startswith(("checkpoint truncated",
                                                     "checkpoint entry count mismatch",
-                                                    "not a recognized checkpoint file"))
+                                                    "not a recognized checkpoint file",
+                                                    "checkpoint checksum mismatch"))
 
     @pytest.mark.parametrize("keep", [0, 5, 9, 200, -1])
     def test_truncated_file_exits_2_via_embed(self, tmp_path, capsys, keep):
@@ -328,7 +387,7 @@ class TestStreamedCheckpoint:
         save_checkpoint(path, model)
         blob = path.read_bytes()
         with pytest.raises(ConfigError) as expected:
-            restore_model(blob[:keep], model.config)
+            restore_model(blob[:keep])
         path.write_bytes(blob[:keep])
         wav = tmp_path / "a.wav"
         write_wav(wav, AudioBuffer(0.1 * np.sin(np.arange(8000) / 3.0)))
@@ -368,3 +427,48 @@ class TestStreamedCheckpoint:
         assert path.read_bytes() == checkpoint_bytes(model)
         bound = max(a.nbytes for a in _model_arrays(model)) + self.SLACK
         assert peak < bound, (peak, bound, path.stat().st_size)
+
+
+@cache
+def _property_blobs():
+    """Two checkpoints of different configs, for truncation, byte-change
+    and splice properties."""
+    return (checkpoint_bytes(_seeded_model()),
+            checkpoint_bytes(AmcrnModel(tiny_config(channels=8, n_scales=4), seed=1)))
+
+
+class TestCorruptCheckpointProperties:
+    """Whatever happened to the file, a checkpoint that is not one of the
+    files written raises ConfigError and nothing else. CRC32 detects every
+    single-byte change, so each one is rejected."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_raises_config_error(self, data):
+        blob = data.draw(st.sampled_from(_property_blobs()))
+        n = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(ConfigError):
+            restore_model(blob[:n])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_single_byte_change_raises_config_error(self, data):
+        blob = data.draw(st.sampled_from(_property_blobs()))
+        at = data.draw(st.integers(0, len(blob) - 1))
+        bad = bytearray(blob)
+        bad[at] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(ConfigError):
+            restore_model(bytes(bad))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_splice_raises_config_error(self, data):
+        """A prefix of one checkpoint followed by a suffix of the same or
+        the other one."""
+        a = data.draw(st.sampled_from(_property_blobs()))
+        b = data.draw(st.sampled_from(_property_blobs()))
+        spliced = (a[: data.draw(st.integers(0, len(a)))]
+                   + b[data.draw(st.integers(0, len(b))):])
+        assume(spliced not in _property_blobs())
+        with pytest.raises(ConfigError):
+            restore_model(spliced)

@@ -194,7 +194,8 @@ class TestTrainLoop:
 
     def test_checkpoint_reproduces_reported_loss(self, tiny_run):
         data, cfg, tcfg, result = tiny_run
-        restored = restore_model(result.best_checkpoint, cfg)
+        restored = restore_model(result.best_checkpoint)
+        assert restored.config == cfg
         rng = np.random.default_rng(tcfg.seed)
         order = rng.permutation(len(data))
         n_val = max(1, round(0.2 * len(data)))
