@@ -236,6 +236,25 @@ class TestCheckpoint:
         assert os.listdir(tmp_path) == ["m.ckpt"]
         assert load_checkpoint(path).config == cfg
 
+    def test_config_sidecar_round_trips(self, tmp_path):
+        """A stale <path>.cfg beside a checkpoint, left by the two-file
+        layout, is not read: the config comes back from the file itself."""
+        cfg = tiny_config(n_scales=4, channels=32, standard_conv=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, AmcrnModel(cfg, seed=0))
+        (tmp_path / "m.ckpt.cfg").write_text(config_text(tiny_config()))
+        assert load_checkpoint(path).config == cfg
+
+    def test_wrong_config_rejected(self):
+        """Entries saved under one config, sealed with another config's
+        text and a valid CRC, are refused by shape."""
+        blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
+        text = config_text(tiny_config(channels=32)).encode()
+        body = (blob[:6] + len(text).to_bytes(4, "little") + text
+                + blob[_first_entry(blob):-4])
+        with pytest.raises(ConfigError, match="^shape mismatch for "):
+            restore_model(_sealed(body))
+
     def test_buffers_restored_exactly_as_float32(self, tmp_path):
         model = AmcrnModel(tiny_config(), seed=7)
         model.initial_bn.running_var[:] = np.pi
