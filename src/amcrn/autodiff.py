@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray and records the operations that produced
-it; `backward` on a scalar loss accumulates gradients into every reachable
+A Tensor wraps an ndarray and records the operations that produced it;
+`backward` on a scalar loss accumulates gradients into every reachable
 tensor with `requires_grad`. Only the operations the network needs are
 provided: elementwise arithmetic and activations, matmul by a matrix,
 reductions, concatenation/slicing, dilated 1-D convolution, a fused LSTM
@@ -15,6 +15,11 @@ of equal length in one call.
 Inside `no_grad()` the same operations record nothing, which is how the
 eval-mode forward passes run: the output is bit-identical, and no tape
 outlives the pass.
+
+Tensors hold float64, except that a graph-free pass keeps float32 data
+float32: every op then computes in the dtype of its inputs, so a float32
+model fed float32 features runs in float32 throughout. With recording
+on, every Tensor is float64, whatever it was built from.
 """
 
 import contextlib
@@ -39,6 +44,7 @@ def _unbroadcast(grad, shape):
 
 
 _grad_enabled = True
+_FLOAT32 = np.dtype(np.float32)
 
 
 @contextlib.contextmanager
@@ -65,13 +71,15 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         if _grad_enabled:
+            self.data = np.asarray(data, dtype=np.float64)
             self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
             self._parents = _parents
             self._backward = _backward
         else:
+            data = np.asarray(data)
+            self.data = data if data.dtype == _FLOAT32 else data.astype(np.float64, copy=False)
             # Neither link is kept: the closure holds the inputs as well.
             self.requires_grad = bool(requires_grad)
             self._parents = ()
@@ -244,7 +252,10 @@ def relu(x):
 
 def sigmoid(x):
     x = as_tensor(x)
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    # exp(-x) overflows to inf for x below about -709 (-88 in float32),
+    # where 1 / (1 + inf) = 0 is the right value.
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.data))
 
     def bwd(g):
         if x.requires_grad:
@@ -328,14 +339,14 @@ def tsum(x, axis=None, keepdims=False):
 def tmean(x, axis=None, keepdims=False):
     x = as_tensor(x)
     n = x.data.size if axis is None else x.data.shape[axis]
-    return tsum(x, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return tsum(x, axis=axis, keepdims=keepdims) * np.asarray(1.0 / n, dtype=x.data.dtype)
 
 
 def tmax(x, axis, keepdims=False):
     """Max over one axis; ties split the gradient equally."""
     x = as_tensor(x)
     y = x.data.max(axis=axis, keepdims=True)
-    mask = (x.data == y).astype(np.float64)
+    mask = (x.data == y).astype(x.data.dtype)
     mask /= mask.sum(axis=axis, keepdims=True)
 
     def bwd(g):
@@ -462,7 +473,7 @@ def batch_norm(x, gamma, beta, eps):
 def _pad_time(data, pad):
     """`data` with `pad` zero frames added at both ends of axis -2."""
     t_len = data.shape[-2]
-    out = np.zeros(data.shape[:-2] + (t_len + 2 * pad, data.shape[-1]))
+    out = np.zeros(data.shape[:-2] + (t_len + 2 * pad, data.shape[-1]), dtype=data.dtype)
     out[..., pad : pad + t_len, :] = data
     return out
 
@@ -489,7 +500,7 @@ def conv1d_dilated(x, kernel, bias=None, dilation=1):
     t_len, c_in = x.data.shape[-2:]
     c_out = kernel.data.shape[2]
     xp = _pad_time(x.data, pad)
-    acc = np.zeros(x.data.shape[:-1] + (c_out,))
+    acc = np.zeros(x.data.shape[:-1] + (c_out,), dtype=np.result_type(x.data, kernel.data))
     starts = [dilation * (2 * n_taps - i) for i in range(k)]
     for i, s in enumerate(starts):
         acc += xp[..., s : s + t_len, :] @ kernel.data[i]
@@ -565,11 +576,12 @@ def lstm(x, w_x, w_h, bias, reverse=False):
         np.negative(w_neg[:, sl], out=w_neg[:, sl])
     keep = _grad_enabled and any(v.requires_grad for v in (x, w_x, w_h, bias))
     slots = t_len if keep else 1
-    gates = np.empty((slots, n, 4 * h_dim))
-    cells = np.empty((slots, n, h_dim))
-    tanh_c = np.empty((slots, n, h_dim))
-    hs = np.empty((t_len, n, h_dim))
-    h = c = np.zeros((n, h_dim))
+    dtype = pre_x.dtype
+    gates = np.empty((slots, n, 4 * h_dim), dtype)
+    cells = np.empty((slots, n, h_dim), dtype)
+    tanh_c = np.empty((slots, n, h_dim), dtype)
+    hs = np.empty((t_len, n, h_dim), dtype)
+    h = c = np.zeros((n, h_dim), dtype)
     # exp of a large cell pre-activation overflows to inf harmlessly: its
     # columns are overwritten by tanh, and a sigmoid gate reads 1 / inf = 0.
     with np.errstate(over="ignore"):

@@ -90,6 +90,13 @@ def cmd_train(args):
     return 0
 
 
+# The dtype each back end embeds in. Cosine scores move by about 1e-9 when
+# the embeddings are computed in float32. A PLDA fit on a few utterances
+# amplifies embedding error by about 5e5, so every embedding that can
+# reach PLDA (`enroll`, `embed` and the plda back end) stays float64.
+_BACKEND_DTYPE = {"csm": np.float32, "plda": np.float64}
+
+
 def _embed_wavs(model, paths):
     """One embedding row per WAV file, equal-length files batched; each
     file is read only when its turn to be featurized comes."""
@@ -119,7 +126,7 @@ def cmd_enroll(args):
 
 
 def cmd_verify(args):
-    model = load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint, _BACKEND_DTYPE[args.backend])
     store = EmbeddingStore(args.store)
     if args.id not in store:
         print(f"error: unknown speaker {args.id!r}", file=sys.stderr)
@@ -173,7 +180,7 @@ def _save_plda(path, plda):
 
 
 def cmd_eval(args):
-    model = load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint, _BACKEND_DTYPE[args.backend])
     trials = scoring.read_trial_list(args.trials)
     root = args.audio_root or "."
 

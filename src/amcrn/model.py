@@ -170,10 +170,11 @@ class SpeakerEmbedding:
 
 
 def _uniform(rng, shape, fan_in):
-    """U(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws; zeros, drawing nothing,
-    when `rng` is None (a skeleton whose values are assigned later)."""
+    """U(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws; when `rng` is None (a
+    skeleton, which allocates its arrays in its own dtype), a read-only
+    view of one zero that draws nothing and takes no memory."""
     if rng is None:
-        return np.zeros(shape)
+        return np.broadcast_to(0.0, shape)
     bound = 1.0 / math.sqrt(max(1, fan_in))
     return rng.uniform(-bound, bound, size=shape)
 
@@ -478,12 +479,16 @@ class AmcrnModel:
         self._build(config, np.random.default_rng(seed))
 
     @classmethod
-    def skeleton(cls, config: AmcrnConfig) -> "AmcrnModel":
-        """The network's layers with every array allocated but none drawn:
-        randomly initialized parameters are zero. `restore_model` assigns
-        every array."""
+    def skeleton(cls, config: AmcrnConfig, dtype=np.float64) -> "AmcrnModel":
+        """The network's layers with every parameter and buffer a zero
+        array of `dtype` and nothing drawn. `restore_model` assigns every
+        array."""
         model = cls.__new__(cls)
         model._build(config, None)
+        for p in model.parameters():
+            p.data = np.zeros(p.data.shape, dtype)
+        for _, owner, attr in model.buffers():
+            setattr(owner, attr, np.zeros(getattr(owner, attr).shape, dtype))
         return model
 
     def _build(self, config, rng):
@@ -501,6 +506,12 @@ class AmcrnModel:
         self.emb_norm = VectorNorm("embed.norm", config.embedding_dim, rng)
         self.head = Parameter(_uniform(rng, (config.n_classes, config.embedding_dim),
                                        config.embedding_dim), "head.weight")
+
+    @property
+    def dtype(self):
+        """The dtype of the weights: float64, or float32 for a model that
+        `restore_model` loaded for float32 inference."""
+        return self.initial_conv.kernel.data.dtype
 
     # -- forward --------------------------------------------------------
 
@@ -527,7 +538,9 @@ class AmcrnModel:
         """Deterministic eval-mode embedding as plain numpy: D values for a
         T x n_mels matrix, B x D for a B x T x n_mels stack of equal-length
         utterances. The pass runs under `autodiff.no_grad`, so it keeps no
-        tape and gives the same bits as `embed_tensor(..., mode="eval")`."""
+        tape and gives the same bits as `embed_tensor(..., mode="eval")`
+        on float64 weights and input; float32 weights and input compute in
+        float32. The values are returned as float64."""
         with ad.no_grad():
             emb = self.embed_tensor(lms_values, mode="eval")
         return SpeakerEmbedding(emb.data, speaker_id)
@@ -636,22 +649,37 @@ def build_config(path, make, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def load_checkpoint(path) -> AmcrnModel:
+def load_checkpoint(path, dtype=np.float64) -> AmcrnModel:
     """`restore_model` over the checkpoint file at `path`."""
     with open(path, "rb") as fh:
-        return restore_model(fh)
+        return restore_model(fh, dtype)
 
 
-def restore_model(source) -> AmcrnModel:
+def _stored_values(config: AmcrnConfig) -> int:
+    """How many float32 values a checkpoint of `config` holds: every
+    parameter, the head included, and the running mean and variance of
+    each normalization layer (as many as its gamma and beta)."""
+    from .profiling import count_params  # profiling imports this module
+
+    norm_channels = config.initial_channels + 2 * sum(config.mcb_channels) + config.embedding_dim
+    return count_params(config, include_head=True) + 2 * norm_channels
+
+
+def restore_model(source, dtype=np.float64) -> AmcrnModel:
     """Rebuild a model from `checkpoint_bytes` output, given as bytes or as
     a binary file open at its start; any malformed, truncated or corrupt
     checkpoint raises ConfigError, prefixed with the file's name if its
-    embedded config is at fault.
+    embedded config is at fault. The model's arrays have `dtype`: float64
+    for training and for embeddings that are stored or scored by PLDA,
+    float32 for cosine-scored inference.
 
-    Each entry's values are read and copied into the model's array of that
-    name and shape, so only one entry's float32 values are held besides
-    the model; every byte, also of an entry the model has no array for,
-    goes through the CRC that is checked at the end.
+    A file too small to hold the values its config needs is refused
+    before any layer is built. A float32 model's arrays are read straight
+    from the file; for a float64 model each entry's float32 values are
+    read and copied into the model's array, so only one entry's float32
+    values are held besides the model. Every byte, also of an entry the
+    model has no array for, goes through the CRC that is checked at the
+    end.
     """
     fh = io.BytesIO(source) if isinstance(source, (bytes, bytearray, memoryview)) else source
     end = fh.seek(0, io.SEEK_END) - 8  # the trailing entry count and CRC
@@ -672,12 +700,16 @@ def restore_model(source) -> AmcrnModel:
                               f"{max(end - pos, 0)} left")
         pos += n
 
-    def take(n):
+    def take(n, into=None):
+        """The next n bytes, returned, or read into the buffer `into`."""
         nonlocal crc
         claim(n)
-        data = fh.read(n)
-        crc = zlib.crc32(data, crc)
-        return data
+        if into is None:
+            into = fh.read(n)
+        else:
+            fh.readinto(into)
+        crc = zlib.crc32(into, crc)
+        return into
 
     def text(n, what):
         try:
@@ -688,7 +720,12 @@ def restore_model(source) -> AmcrnModel:
     origin = getattr(fh, "name", "checkpoint")
     (config_len,) = struct.unpack("<I", take(4))
     (kwargs,) = parse_config_text(text(config_len, "config"), (AmcrnConfig,), origin)
-    model = AmcrnModel.skeleton(build_config(origin, AmcrnConfig, **kwargs))
+    config = build_config(origin, AmcrnConfig, **kwargs)
+    need = 4 * _stored_values(config)
+    if need > end - pos:
+        raise ConfigError(f"checkpoint truncated: its config needs {need} bytes of values, "
+                          f"{end - pos} left")
+    model = AmcrnModel.skeleton(config, dtype)
     arrays = {p.name: ("parameter", p.data) for p in model.parameters()}
     arrays.update((name, ("buffer", getattr(owner, attr)))
                   for name, owner, attr in model.buffers())
@@ -698,12 +735,16 @@ def restore_model(source) -> AmcrnModel:
         name = text(name_len, "entry name")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        values = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
+        n = 4 * math.prod(shape)
         shapes[name] = shape
         target = arrays.get(name, (None, None))[1]
-        if target is not None and target.shape == shape:
+        if target is None or target.shape != shape:
+            take(n)
+        elif target.dtype == np.dtype("<f4"):
+            take(n, memoryview(target).cast("B"))  # straight into the model's array
+        else:
             with np.errstate(invalid="ignore"):  # signalling NaNs of a corrupt file
-                np.copyto(target, values.reshape(shape))
+                np.copyto(target, np.frombuffer(take(n), dtype="<f4").reshape(shape))
     count = fh.read(4)
     if zlib.crc32(count, crc).to_bytes(4, "little") != fh.read(4):
         raise ConfigError("checkpoint checksum mismatch")

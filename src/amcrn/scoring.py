@@ -336,7 +336,8 @@ def embed_audio(model, named_audio):
     all waiting groups are embedded as they stand before the waiting
     features would pass EMBED_PENDING_PASSES passes' worth of frames.
     Audio too short to featurize or to pool raises InputTooShort naming
-    it.
+    it. The features are cast to the model's dtype, so a float32 model
+    embeds in float32; the rows are float64 either way.
     """
     pending_limit = EMBED_PENDING_PASSES * EMBED_FRAME_LIMIT
     vectors = []
@@ -357,7 +358,7 @@ def embed_audio(model, named_audio):
 
     for row, (name, audio) in enumerate(named_audio):
         try:
-            feats = featurize(audio, model.config.n_mels)
+            feats = featurize(audio, model.config.n_mels).astype(model.dtype, copy=False)
         except InputTooShort as exc:
             raise InputTooShort(f"utterance {name!r}: {exc}") from exc
         frames = len(feats)

@@ -7,6 +7,7 @@ by their excitation seed. scipy.signal is imported on first use, as in
 `augment`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ class ToySpeakerSpec:
     def __post_init__(self):
         if self.n_speakers < 2:
             raise ConfigError("need at least 2 speakers")
+        if self.utterances_per_speaker < 1:
+            raise ConfigError(f"utterances_per_speaker must be >= 1, "
+                              f"got {self.utterances_per_speaker}")
+        if not 0.0 < self.utterance_seconds < math.inf:
+            raise ConfigError(f"utterance_seconds must be a finite number > 0, "
+                              f"got {self.utterance_seconds!r}")
 
 
 @dataclass

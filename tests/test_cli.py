@@ -187,27 +187,36 @@ def test_training_counts_below_one_are_usage_errors(tmp_path, capsys, flag, fiel
     assert not (tmp_path / "m.ckpt").exists()
 
 
-# A toy spec with a bad item -> the item the error names.
+# A bad toy spec -> the start of its error: the item that does not parse,
+# or the field whose value is out of range.
+_EXPECTED_ITEM = "expected speakers=N, "
 BAD_TOY_SPECS = {
-    "unknown_key": ("speaker=2 utts=2 seconds=0.5", "speaker=2"),
-    "no_equals": ("speakers=2 utts", "utts"),
-    "bad_int": ("speakers=two", "speakers=two"),
-    "bad_float": ("speakers=2,seconds=half", "seconds=half"),
+    "unknown_key": ("speaker=2 utts=2 seconds=0.5", f"toy spec item 'speaker=2': {_EXPECTED_ITEM}"),
+    "no_equals": ("speakers=2 utts", f"toy spec item 'utts': {_EXPECTED_ITEM}"),
+    "bad_int": ("speakers=two", f"toy spec item 'speakers=two': {_EXPECTED_ITEM}"),
+    "bad_float": ("speakers=2,seconds=half", f"toy spec item 'seconds=half': {_EXPECTED_ITEM}"),
+    "no_utterances": ("speakers=2 utts=0", "utterances_per_speaker must be >= 1, got 0"),
+    "zero_seconds": ("speakers=2 seconds=0", "utterance_seconds must be a finite number > 0"),
+    "negative_seconds": ("speakers=2 seconds=-1",
+                         "utterance_seconds must be a finite number > 0, got -1.0"),
+    "infinite_seconds": ("speakers=2 seconds=inf", "utterance_seconds must be a finite number"),
+    "nan_seconds": ("speakers=2 seconds=nan", "utterance_seconds must be a finite number"),
 }
 
 
 @pytest.mark.parametrize("command", ["toygen", "train"])
 @pytest.mark.parametrize("case", sorted(BAD_TOY_SPECS))
 def test_bad_toy_spec_names_the_item(tmp_path, capsys, command, case):
-    """`--spec` and `--toy` accept only speakers=N, utts=N and seconds=S;
-    anything else exits 2 naming the item, before anything is written."""
-    spec, item = BAD_TOY_SPECS[case]
+    """`--spec` and `--toy` accept only speakers=N, utts=N and seconds=S
+    with at least one utterance of a finite positive length; anything else
+    exits 2 naming the item or the field, before anything is written."""
+    spec, message = BAD_TOY_SPECS[case]
     out = tmp_path / "out"
     argv = (["toygen", "--spec", spec, "--out", str(out)] if command == "toygen"
             else ["train", "--toy", spec, "--epochs", "1", "--out", str(out)])
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: toy spec item {item!r}: expected speakers=N, ")
+    assert captured.err.startswith(f"error: {message}")
     assert captured.out == ""
     assert not out.exists()
 

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from amcrn.audio import AudioBuffer, write_wav
 from amcrn.errors import ConfigError, DuplicateId
-from amcrn.model import (AmcrnModel, _atomic_write, checkpoint_bytes, config_text,
-                         load_checkpoint, restore_model, save_checkpoint, tiny_config)
+from amcrn.model import (AmcrnConfig, AmcrnModel, _atomic_write, _stored_values,
+                         checkpoint_bytes, config_text, load_checkpoint, restore_model,
+                         save_checkpoint, tiny_config)
 from amcrn.scoring import Trial, write_scored_trials
 from amcrn.store import EmbeddingStore
 from amcrn.training import EpochRecord, write_history_csv
@@ -247,13 +248,17 @@ class TestCheckpoint:
 
     def test_wrong_config_rejected(self):
         """Entries saved under one config, sealed with another config's
-        text and a valid CRC, are refused by shape."""
+        text and a valid CRC, are refused by shape; a config that needs
+        more values than the file holds is refused before any layer is
+        built."""
         blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
-        text = config_text(tiny_config(channels=32)).encode()
-        body = (blob[:6] + len(text).to_bytes(4, "little") + text
-                + blob[_first_entry(blob):-4])
-        with pytest.raises(ConfigError, match="^shape mismatch for "):
-            restore_model(_sealed(body))
+        for channels, message in ((8, "^shape mismatch for "),
+                                  (32, "^checkpoint truncated: its config needs ")):
+            text = config_text(tiny_config(channels=channels)).encode()
+            body = (blob[:6] + len(text).to_bytes(4, "little") + text
+                    + blob[_first_entry(blob):-4])
+            with pytest.raises(ConfigError, match=message):
+                restore_model(_sealed(body))
 
     def test_buffers_restored_exactly_as_float32(self, tmp_path):
         model = AmcrnModel(tiny_config(), seed=7)
@@ -342,6 +347,42 @@ class TestCheckpointBounds:
         bad[_first_entry(blob) + 2] = 0xFF  # first byte of the first entry name
         with pytest.raises(ConfigError, match="entry name .* is not UTF-8"):
             restore_model(_sealed(bad))
+
+    @pytest.mark.parametrize("config", [
+        AmcrnConfig(), tiny_config(), tiny_config(use_blstm=False),
+        tiny_config(use_temporal_attention=False, n_scales=4),
+        tiny_config(standard_conv=True, n_scales=1)],
+        ids=["full", "tiny", "no_blstm", "no_attention", "standard_conv_one_scale"])
+    def test_size_check_counts_every_stored_value(self, config):
+        """The count the reader checks the file size against is exactly
+        the number of values a checkpoint of the config holds, so no
+        valid file is refused."""
+        model = AmcrnModel.skeleton(config)
+        stored = sum(a.size for a in _model_arrays(model))
+        assert _stored_values(config) == stored
+
+    @pytest.mark.parametrize("edit", ["hidden_commented_out", "wide_channels"])
+    def test_config_larger_than_the_file_builds_nothing(self, blob, edit):
+        """A config block that names a larger network than the file has
+        values for is refused before any layer is built: one `#` in front
+        of `blstm_hidden = 8` (the default H = 450 BLSTM, 52.5 MB of
+        float64 parameters), or 2**20 channels (16 MB per bias and
+        normalization array), each under a valid CRC."""
+        first = _first_entry(blob)
+        if edit == "hidden_commented_out":
+            text = blob[10:first].replace(b"blstm_hidden = 8", b"#blstm_hidden = 8")
+            assert b"#blstm" in text
+        else:
+            text = config_text(tiny_config(channels=2**20)).encode()
+        bad = _sealed(blob[:6] + len(text).to_bytes(4, "little") + text + blob[first:-4])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^checkpoint truncated: its config needs "):
+                restore_model(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
 
     def test_undecodable_config_raises_config_error(self, blob):
         bad = bytearray(blob[:-4])
