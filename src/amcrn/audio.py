@@ -52,17 +52,25 @@ def random_crop(audio: AudioBuffer, seconds: float, rng) -> AudioBuffer:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a mono 16-bit PCM WAV file at 16 kHz."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise ConfigError(f"{path}: expected mono audio, got {wf.getnchannels()} channels")
-        if wf.getsampwidth() != 2:
-            raise ConfigError(f"{path}: expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
-        if wf.getframerate() != SAMPLE_RATE:
-            raise ConfigError(
-                f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()} Hz (resampling unsupported)"
-            )
-        raw = wf.readframes(wf.getnframes())
+    """Read a mono 16-bit PCM WAV file at 16 kHz. A file that is not one,
+    or whose chunks are cut or inconsistent, is a ConfigError naming it."""
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getnchannels() != 1:
+                raise ConfigError(f"{path}: expected mono audio, got {wf.getnchannels()} channels")
+            if wf.getsampwidth() != 2:
+                raise ConfigError(f"{path}: expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
+            if wf.getframerate() != SAMPLE_RATE:
+                raise ConfigError(f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()} Hz"
+                                  " (resampling unsupported)")
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # `wave` raises EOFError and RuntimeError without a message when a
+        # chunk header is cut short or a chunk claims more than it holds.
+        raise ConfigError(f"{path}: not a readable WAV file: "
+                          f"{str(exc) or 'a chunk is cut short or overruns its size'}") from exc
+    if len(raw) % 2:
+        raise ConfigError(f"{path}: the data chunk holds an odd number of bytes ({len(raw)})")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     return AudioBuffer(pcm / _PCM_SCALE, SAMPLE_RATE)
 

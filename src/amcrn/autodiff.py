@@ -540,11 +540,14 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     order so that each step reads a contiguous B x 4H block, and each
     step multiplies the B x H states by w_h in one product.
 
-    Each step does only the recurrent work. The sigmoid-gate columns
-    (i, f, o) of the input projection and of a copy of w_h are negated
-    once per call, which is exact (-(a + b) = -a + -b, h (-W) = -(h W)),
-    so a step evaluates 1 / (1 + exp(pre)) over the whole B x 4H block
-    in place and then overwrites the cell columns with tanh. The
+    Each step does only the recurrent work, and w_h is read as it is,
+    never copied. The input projection is negated once per call, and a
+    step writes the negated pre-activation pre_x[t] - h w_h into the
+    buffer of the product, which is exact (-a - b = -(a + b)). It then
+    evaluates 1 / (1 + exp(pre)) over the whole B x 4H block in place,
+    the sigmoid of every gate, and overwrites the cell columns with tanh,
+    which is the cell candidate negated (tanh(-x) = -tanh(x)): the cell
+    update subtracts its product, and backward flips its sign. The
     per-step gate activations, cell states and their tanh are kept only
     when a backward pass can follow, that is when graph recording is on
     and an input requires grad; otherwise every step writes them into
@@ -570,10 +573,7 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     pre_x = (xs.reshape(n, t_len, d_in).swapaxes(0, 1).reshape(t_len * n, d_in)
              @ w_x.data).reshape(t_len, n, 4 * h_dim)
     pre_x += bias.data
-    w_neg = w_h.data.copy()
-    for sl in (slice(0, 2 * h_dim), o_sl):
-        np.negative(pre_x[..., sl], out=pre_x[..., sl])
-        np.negative(w_neg[:, sl], out=w_neg[:, sl])
+    np.negative(pre_x, out=pre_x)
     keep = _grad_enabled and any(v.requires_grad for v in (x, w_x, w_h, bias))
     slots = t_len if keep else 1
     dtype = pre_x.dtype
@@ -582,20 +582,21 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     tanh_c = np.empty((slots, n, h_dim), dtype)
     hs = np.empty((t_len, n, h_dim), dtype)
     h = c = np.zeros((n, h_dim), dtype)
+    w_rec = w_h.data
     # exp of a large cell pre-activation overflows to inf harmlessly: its
     # columns are overwritten by tanh, and a sigmoid gate reads 1 / inf = 0.
     with np.errstate(over="ignore"):
         for t in range(t_len):
             s = t if keep else 0
-            pre = h @ w_neg
-            pre += pre_x[t]
+            pre = h @ w_rec
+            np.subtract(pre_x[t], pre, out=pre)
             g = gates[s]
             np.exp(pre, out=g)
             g += 1.0
             np.divide(1.0, g, out=g)
             np.tanh(pre[:, c_sl], out=g[:, c_sl])
             c = np.multiply(g[:, f_sl], c, out=cells[s])
-            c += g[:, i_sl] * g[:, c_sl]
+            c -= g[:, i_sl] * g[:, c_sl]
             h = np.multiply(g[:, o_sl], np.tanh(c, out=tanh_c[s]), out=hs[t])
     out_data = (hs[::-1] if reverse else hs).swapaxes(0, 1)
 
@@ -603,13 +604,14 @@ def lstm(x, w_x, w_h, bias, reverse=False):
         gs = grad.reshape(n, t_len, h_dim).swapaxes(0, 1)
         if reverse:
             gs = gs[::-1]
+        # gc holds the cell candidate negated.
         gi, gf, gc, go = (gates[..., sl] for sl in (i_sl, f_sl, c_sl, o_sl))
         # The factors that do not depend on the recurrence, for all t:
         # dc gains dh * dc_dh, the i/f/c columns of dpre are dc * from_dc
         # and the o columns are dh * from_dh.
         dc_dh = go * (1.0 - tanh_c * tanh_c)
         from_dc = np.empty((t_len, n, 3, h_dim))
-        from_dc[:, :, 0] = gc * gi * (1.0 - gi)
+        from_dc[:, :, 0] = gc * gi * (gi - 1.0)
         from_dc[0, :, 1] = 0.0  # the initial cell state is zero
         from_dc[1:, :, 1] = cells[:-1] * gf[1:] * (1.0 - gf[1:])
         from_dc[:, :, 2] = gi * (1.0 - gc * gc)

@@ -17,6 +17,7 @@ import os
 import struct
 import tempfile
 import zlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,42 +371,88 @@ class LstmDirection:
         return [self.w_x, self.w_h, self.bias]
 
 
+# The two directions of a BLSTM layer run concurrently when the
+# recurrent weights of one direction fill at least this many bytes and
+# more than one CPU is usable. A step is then one product with a w_h that
+# does not fit a 2 MB per-core L2 cache, and numpy releases the GIL
+# inside it. Smaller layers are bound by per-step overhead, which a
+# second thread only adds to, so they run inline.
+CONCURRENT_W_H_BYTES = 2 * 1024 * 1024
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _new_pool():
+    global _pool
+    _pool = ThreadPoolExecutor(1, thread_name_prefix="amcrn-blstm")
+
+
+# The one worker that runs the forward direction of a BLSTM layer. Its
+# thread starts with the first submission. A forked child has none of its
+# parent's threads, so it makes a pool of its own.
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
 class BlstmLayer:
-    """Bidirectional LSTM: per-frame concatenation of both directions."""
+    """Bidirectional LSTM: per-frame concatenation of both directions.
+
+    The directions do not depend on each other. When w_h fills at least
+    `CONCURRENT_W_H_BYTES` and more than one CPU is usable, the forward
+    one runs on the module's one-worker pool while the calling thread
+    runs the reverse one; otherwise both run inline, forward first. Each
+    direction computes the same bits on either schedule.
+    """
 
     def __init__(self, name, d_in, hidden, rng):
         self.fwd = LstmDirection(f"{name}.fwd", d_in, hidden, rng)
         self.bwd = LstmDirection(f"{name}.bwd", d_in, hidden, rng)
 
     def __call__(self, x):
-        return ad.concat([self.fwd(x, reverse=False), self.bwd(x, reverse=True)], axis=-1)
+        if self.fwd.w_h.data.nbytes < CONCURRENT_W_H_BYTES or _usable_cpus() < 2:
+            return ad.concat([self.fwd(x, reverse=False), self.bwd(x, reverse=True)], axis=-1)
+        ahead = _pool.submit(self.fwd, x, reverse=False)
+        try:
+            back = self.bwd(x, reverse=True)
+        finally:
+            wait([ahead])  # the worker is done with x, also if this thread raised
+        return ad.concat([ahead.result(), back], axis=-1)
 
     def params(self):
         return self.fwd.params() + self.bwd.params()
 
 
 class ResidualBlstm:
-    """Two BLSTM layers with dropout between them, a linear projection
-    back to the input width, and a residual connection.
+    """`n_layers` BLSTM layers with dropout between consecutive ones, a
+    linear projection back to the input width, and a residual connection.
 
     `rng` feeds the dropout (see `autodiff.dropout`): a Generator, or the
     draws `AmcrnModel.draw_dropout` took for each utterance, stacked like x.
     """
 
-    def __init__(self, name, channels, hidden, dropout_p, rng):
+    def __init__(self, name, channels, hidden, dropout_p, rng, n_layers=2):
         self.dropout_p = dropout_p
-        self.blstm1 = BlstmLayer(f"{name}.blstm1", channels, hidden, rng)
-        self.blstm2 = BlstmLayer(f"{name}.blstm2", 2 * hidden, hidden, rng)
+        self.layers = [BlstmLayer(f"{name}.blstm{k + 1}", 2 * hidden if k else channels,
+                                  hidden, rng) for k in range(n_layers)]
         self.proj = Linear(f"{name}.proj", 2 * hidden, channels, rng)
 
     def __call__(self, x, mode, rng=None):
-        h1 = self.blstm1(x)
-        d = ad.dropout(h1, self.dropout_p, mode, rng) if rng is not None else h1
-        h2 = self.blstm2(d)
-        return x + self.proj(h2)
+        h = self.layers[0](x)
+        for k, layer in enumerate(self.layers[1:]):
+            if rng is not None:
+                draws = rng[..., k, :, :] if isinstance(rng, np.ndarray) else rng
+                h = ad.dropout(h, self.dropout_p, mode, draws)
+            h = layer(h)
+        return x + self.proj(h)
 
     def params(self):
-        return self.blstm1.params() + self.blstm2.params() + self.proj.params()
+        return [p for layer in self.layers for p in layer.params()] + self.proj.params()
 
 
 class AttentiveStatPool:
@@ -499,8 +546,8 @@ class AmcrnModel:
         self.initial_bn = BatchNorm("initial.bn", c0, rng)
         self.blocks = [McbBlock(f"mcb{i}", config, i, rng) for i in range(config.n_mcb)]
         last_c = config.mcb_channels[-1]
-        self.rblstm = ResidualBlstm("rblstm", last_c, config.blstm_hidden,
-                                    config.blstm_dropout, rng) if config.use_blstm else None
+        self.rblstm = ResidualBlstm("rblstm", last_c, config.blstm_hidden, config.blstm_dropout,
+                                    rng, config.blstm_layers) if config.use_blstm else None
         self.pool = AttentiveStatPool("pool", last_c, config.pool_bottleneck, rng)
         self.emb_linear = Linear("embed.linear", 2 * last_c, config.embedding_dim, rng)
         self.emb_norm = VectorNorm("embed.norm", config.embedding_dim, rng)
@@ -559,10 +606,12 @@ class AmcrnModel:
         of `n_frames` frames takes from `rng` (None if it takes none).
         Stacked per utterance, they can stand in for `rng` in a batched
         pass, so that draws for several utterances can be taken in turn
-        with other draws between them."""
-        if self.rblstm is None or self.rblstm.dropout_p <= 0.0:
+        with other draws between them. The draws are one T x 2H block for
+        the dropout before each BLSTM layer after the first."""
+        n_drops = self.config.blstm_layers - 1
+        if self.rblstm is None or self.rblstm.dropout_p <= 0.0 or n_drops == 0:
             return None
-        return rng.random((n_frames, 2 * self.config.blstm_hidden))
+        return rng.random((n_drops, n_frames, 2 * self.config.blstm_hidden))
 
     # -- parameter access ----------------------------------------------
 

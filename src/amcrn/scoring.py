@@ -293,14 +293,18 @@ def read_trial_list(path):
     """Parse `<label> <enroll_path> <test_path>` lines (1=target, 0=nontarget)."""
     trials = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("0", "1"):
-                raise MissingUtterance(f"{path}:{lineno}: malformed trial line: {raw.rstrip()!r}")
-            trials.append(Trial(int(parts[0]), parts[1], parts[2]))
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise MissingUtterance(f"{path}: not a UTF-8 trial list: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[0] not in ("0", "1"):
+            raise MissingUtterance(f"{path}:{lineno}: malformed trial line: {raw.rstrip()!r}")
+        trials.append(Trial(int(parts[0]), parts[1], parts[2]))
     return trials
 
 

@@ -301,6 +301,37 @@ def test_corrupt_checkpoint_is_data_error(workspace, tmp_path, capsys, command, 
     assert sorted(os.listdir(tmp_path)) == ["bad.ckpt", "trials.txt"]
 
 
+# A damaged copy of a good WAV -> how the error after "error: <path>: " begins.
+CORRUPT_WAVS = {
+    "byte_1": (lambda blob: blob[:1] + bytes([blob[1] ^ 0x01]) + blob[2:],
+               "not a readable WAV file: file does not start with RIFF id"),
+    "header_cut": (lambda blob: blob[:30], "not a readable WAV file"),
+    "data_cut_odd": (lambda blob: blob[:101], "the data chunk holds an odd number of bytes"),
+}
+
+
+@pytest.mark.parametrize("command", ["embed", "verify"])
+@pytest.mark.parametrize("case", sorted(CORRUPT_WAVS))
+def test_corrupt_wav_is_data_error(workspace, tmp_path, capsys, command, case):
+    """A damaged WAV exits 2 and names the file; for `verify`, exit 1
+    would read as a reject."""
+    _, data_dir, ckpt = workspace
+    good = data_dir / "spk000" / "utt000.wav"
+    damage, begins = CORRUPT_WAVS[case]
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(damage(good.read_bytes()))
+    store = tmp_path / "speakers.tsv"
+    assert main(["enroll", "--checkpoint", str(ckpt), "--store", str(store),
+                 "--id", "alice", str(good)]) == 0
+    capsys.readouterr()
+    argv = {"embed": ["embed", str(bad)],
+            "verify": ["verify", "--store", str(store), "--id", "alice", str(bad)]}[command]
+    assert main([*argv, "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: {begins}"), captured.err
+    assert captured.out == ""
+
+
 class TestEnrollVerify:
     @pytest.fixture(scope="class")
     def store(self, workspace, tmp_path_factory):

@@ -388,6 +388,12 @@ class TestTrials:
         with pytest.raises(MissingUtterance, match="2"):
             read_trial_list(path)
 
+    def test_undecodable_trial_list_names_its_file(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_bytes(b"1 a b\n0 a \xff\n")
+        with pytest.raises(MissingUtterance, match=f"^{path}: not a UTF-8 trial list: "):
+            read_trial_list(path)
+
     def test_report_text_round_trips_floats(self):
         report = EvalReport(0.1 + 0.2, 0.3, 0.7, 10, 20)
         text = report.to_text()
