@@ -63,14 +63,15 @@ def read_wav(path) -> AudioBuffer:
             if wf.getframerate() != SAMPLE_RATE:
                 raise ConfigError(f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()} Hz"
                                   " (resampling unsupported)")
+            declared = 2 * wf.getnframes()
             raw = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError, RuntimeError) as exc:
         # `wave` raises EOFError and RuntimeError without a message when a
         # chunk header is cut short or a chunk claims more than it holds.
         raise ConfigError(f"{path}: not a readable WAV file: "
                           f"{str(exc) or 'a chunk is cut short or overruns its size'}") from exc
-    if len(raw) % 2:
-        raise ConfigError(f"{path}: the data chunk holds an odd number of bytes ({len(raw)})")
+    if len(raw) != declared:  # the file was cut inside the data chunk
+        raise ConfigError(f"{path}: the data chunk holds {len(raw)} of {declared} declared bytes")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     return AudioBuffer(pcm / _PCM_SCALE, SAMPLE_RATE)
 

@@ -17,7 +17,7 @@ import os
 import struct
 import tempfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +131,8 @@ class AmcrnConfig:
                 raise ConfigError(f"channels {c} not divisible by n_scales {self.n_scales}")
         if self.initial_channels != self.mcb_channels[0]:
             raise ConfigError("initial_channels must match the first block's channels")
+        if self.blstm_layers != 2:  # the paper's residual BLSTM has two layers
+            raise ConfigError(f"blstm_layers must be 2, got {self.blstm_layers}")
 
     def dilation(self, i):
         return 1 if self.standard_conv else self.mcb_dilations[i]
@@ -372,42 +374,73 @@ class LstmDirection:
 
 
 # The two directions of a BLSTM layer run concurrently when the
-# recurrent weights of one direction fill at least this many bytes and
-# more than one CPU is usable. A step is then one product with a w_h that
-# does not fit a 2 MB per-core L2 cache, and numpy releases the GIL
-# inside it. Below the threshold the gain shrinks to nothing (about 5% at
-# 1 MiB) and then turns into a loss, because per-step overhead dominates
-# and a second thread only adds to it (0.7x at H = 64, B = 12).
+# recurrent weights of one direction fill at least this many bytes and a
+# second thread has a CPU of its own (`_spare_cpu`). A step is then one
+# product with a w_h that does not fit a 2 MB per-core L2 cache, and
+# numpy releases the GIL inside it. Below the threshold the gain shrinks
+# to nothing (about 5% at 1 MiB) and then turns into a loss, because
+# per-step overhead dominates and a second thread only adds to it (0.7x
+# at H = 64, B = 12).
 CONCURRENT_W_H_BYTES = 2 * 1024 * 1024
 
 
+# Where a cgroup CPU quota is read: cgroup v2 keeps "<quota> <period>"
+# ("max <period>" for none) in one file, v1 keeps the quota (-1 for none)
+# and the period in two.
+CGROUP_CPU_QUOTA = (("/sys/fs/cgroup/cpu.max",),
+                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def _cgroup_cpus():
+    """The CPUs' worth of time a cgroup quota grants, rounded up, or None."""
+    for paths in CGROUP_CPU_QUOTA:
+        fields = []
+        try:
+            for path in paths:
+                with open(path, encoding="ascii") as fh:
+                    fields += fh.read().split()
+            quota, period = int(fields[0]), int(fields[1])
+        except (OSError, ValueError, IndexError):  # no such file, or "max"
+            continue
+        if quota > 0 and period > 0:
+            return math.ceil(quota / period)
+    return None
+
+
 def _usable_cpus():
+    """The CPUs this process may run on, capped by a cgroup quota: a
+    container limited to one CPU's worth of time gains nothing from a
+    second thread, whatever its affinity shows."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _cgroup_cpus() or cpus)
 
 
-def _new_pool():
-    global _pool
-    _pool = ThreadPoolExecutor(1, thread_name_prefix="amcrn-blstm")
+# The BLAS read its thread count from the environment when numpy, imported
+# above, loaded it (OpenBLAS reads OPENBLAS_NUM_THREADS, else
+# OMP_NUM_THREADS; unset means one thread per CPU).
+_BLAS_ONE_THREAD = os.environ.get("OPENBLAS_NUM_THREADS",
+                                  os.environ.get("OMP_NUM_THREADS", "")).strip() == "1"
 
 
-# The one worker that runs the forward direction of a BLSTM layer. Its
-# thread starts with the first submission. A forked child has none of its
-# parent's threads, so it makes a pool of its own.
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
+def _spare_cpu():
+    """Whether a second thread of products would have a CPU to itself: the
+    BLAS runs one thread per product and more than one CPU is usable. A
+    BLAS left to its default already spreads every large product over all
+    cores, and a second caller only oversubscribes them (a concurrent
+    `verify` took 1.4x as long as an inline one so)."""
+    return _BLAS_ONE_THREAD and _usable_cpus() > 1
 
 
 class BlstmLayer:
     """Bidirectional LSTM: per-frame concatenation of both directions.
 
     The directions do not depend on each other. When w_h fills at least
-    `CONCURRENT_W_H_BYTES` and more than one CPU is usable, the forward
-    one runs on the module's one-worker pool while the calling thread
-    runs the reverse one; otherwise both run inline, forward first. Each
+    `CONCURRENT_W_H_BYTES` and a second thread has a spare CPU, the forward
+    one runs on a worker thread of its own while the calling thread runs
+    the reverse one; otherwise both run inline, forward first. Each
     direction computes the same bits on either schedule.
     """
 
@@ -416,13 +449,12 @@ class BlstmLayer:
         self.bwd = LstmDirection(f"{name}.bwd", d_in, hidden, rng)
 
     def __call__(self, x):
-        if self.fwd.w_h.data.nbytes < CONCURRENT_W_H_BYTES or _usable_cpus() < 2:
+        if self.fwd.w_h.data.nbytes < CONCURRENT_W_H_BYTES or not _spare_cpu():
             return ad.concat([self.fwd(x, reverse=False), self.bwd(x, reverse=True)], axis=-1)
-        ahead = _pool.submit(self.fwd, x, reverse=False)
-        try:
+        # Leaving the block joins the worker, also if this thread raised.
+        with ThreadPoolExecutor(1, thread_name_prefix="amcrn-blstm") as worker:
+            ahead = worker.submit(self.fwd, x, reverse=False)
             back = self.bwd(x, reverse=True)
-        finally:
-            wait([ahead])  # the worker is done with x, also if this thread raised
         return ad.concat([ahead.result(), back], axis=-1)
 
     def params(self):
@@ -430,30 +462,27 @@ class BlstmLayer:
 
 
 class ResidualBlstm:
-    """`n_layers` BLSTM layers with dropout between consecutive ones, a
-    linear projection back to the input width, and a residual connection.
+    """Two BLSTM layers with dropout between them, a linear projection
+    back to the input width, and a residual connection.
 
     `rng` feeds the dropout (see `autodiff.dropout`): a Generator, or the
     draws `AmcrnModel.draw_dropout` took for each utterance, stacked like x.
     """
 
-    def __init__(self, name, channels, hidden, dropout_p, rng, n_layers=2):
+    def __init__(self, name, channels, hidden, dropout_p, rng):
         self.dropout_p = dropout_p
-        self.layers = [BlstmLayer(f"{name}.blstm{k + 1}", 2 * hidden if k else channels,
-                                  hidden, rng) for k in range(n_layers)]
+        self.blstm1 = BlstmLayer(f"{name}.blstm1", channels, hidden, rng)
+        self.blstm2 = BlstmLayer(f"{name}.blstm2", 2 * hidden, hidden, rng)
         self.proj = Linear(f"{name}.proj", 2 * hidden, channels, rng)
 
     def __call__(self, x, mode, rng=None):
-        h = self.layers[0](x)
-        for k, layer in enumerate(self.layers[1:]):
-            if rng is not None:
-                draws = rng[..., k, :, :] if isinstance(rng, np.ndarray) else rng
-                h = ad.dropout(h, self.dropout_p, mode, draws)
-            h = layer(h)
-        return x + self.proj(h)
+        h1 = self.blstm1(x)
+        d = ad.dropout(h1, self.dropout_p, mode, rng) if rng is not None else h1
+        h2 = self.blstm2(d)
+        return x + self.proj(h2)
 
     def params(self):
-        return [p for layer in self.layers for p in layer.params()] + self.proj.params()
+        return self.blstm1.params() + self.blstm2.params() + self.proj.params()
 
 
 class AttentiveStatPool:
@@ -547,8 +576,8 @@ class AmcrnModel:
         self.initial_bn = BatchNorm("initial.bn", c0, rng)
         self.blocks = [McbBlock(f"mcb{i}", config, i, rng) for i in range(config.n_mcb)]
         last_c = config.mcb_channels[-1]
-        self.rblstm = ResidualBlstm("rblstm", last_c, config.blstm_hidden, config.blstm_dropout,
-                                    rng, config.blstm_layers) if config.use_blstm else None
+        self.rblstm = ResidualBlstm("rblstm", last_c, config.blstm_hidden,
+                                    config.blstm_dropout, rng) if config.use_blstm else None
         self.pool = AttentiveStatPool("pool", last_c, config.pool_bottleneck, rng)
         self.emb_linear = Linear("embed.linear", 2 * last_c, config.embedding_dim, rng)
         self.emb_norm = VectorNorm("embed.norm", config.embedding_dim, rng)
@@ -607,12 +636,10 @@ class AmcrnModel:
         of `n_frames` frames takes from `rng` (None if it takes none).
         Stacked per utterance, they can stand in for `rng` in a batched
         pass, so that draws for several utterances can be taken in turn
-        with other draws between them. The draws are one T x 2H block for
-        the dropout before each BLSTM layer after the first."""
-        n_drops = self.config.blstm_layers - 1
-        if self.rblstm is None or self.rblstm.dropout_p <= 0.0 or n_drops == 0:
+        with other draws between them."""
+        if self.rblstm is None or self.rblstm.dropout_p <= 0.0:
             return None
-        return rng.random((n_drops, n_frames, 2 * self.config.blstm_hidden))
+        return rng.random((n_frames, 2 * self.config.blstm_hidden))
 
     # -- parameter access ----------------------------------------------
 

@@ -75,10 +75,10 @@ def layer_costs(config: AmcrnConfig, duration_s: float, include_head=False):
     last_c = config.mcb_channels[-1]
     if config.use_blstm:
         h = config.blstm_hidden
-        for k in range(config.blstm_layers):
-            d_in = 2 * h if k else last_c
-            add(f"rblstm.blstm{k + 1}", 2 * _lstm_direction_params(d_in, h),
-                2 * t * 4 * h * (d_in + h))
+        add("rblstm.blstm1", 2 * _lstm_direction_params(last_c, h),
+            2 * t * 4 * h * (last_c + h))
+        add("rblstm.blstm2", 2 * _lstm_direction_params(2 * h, h),
+            2 * t * 4 * h * (2 * h + h))
         add("rblstm.proj", _linear_params(2 * h, last_c), t * 2 * h * last_c)
 
     bott = config.pool_bottleneck

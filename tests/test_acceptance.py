@@ -360,8 +360,7 @@ def test_criterion_08_profiler():
     headless = count_params(cfg, include_head=False)
     assert 8_000_000 <= headless <= 15_000_000, headless
 
-    for kwargs in (dict(), dict(n_scales=4, channels=32), dict(use_blstm=False),
-                   dict(blstm_layers=1), dict(blstm_layers=3)):
+    for kwargs in (dict(), dict(n_scales=4, channels=32), dict(use_blstm=False)):
         tcfg = tiny_config(**kwargs)
         model = AmcrnModel(tcfg, seed=0)
         assert count_params(tcfg, include_head=True) == model.n_params()

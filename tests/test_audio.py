@@ -39,7 +39,8 @@ DAMAGED = {
     "empty": (lambda b: b"", "not a readable WAV file: a chunk is cut short"),
     "chunk_overrun": (lambda b: b[:16] + (200).to_bytes(4, "little") + b[20:],
                       "not a readable WAV file: a chunk is cut short or overruns its size"),
-    "odd_data": (lambda b: b[:45], "the data chunk holds an odd number of bytes (1)"),
+    "data_cut_odd": (lambda b: b[:45], "the data chunk holds 1 of 3200 declared bytes"),
+    "data_cut_even": (lambda b: b[:100], "the data chunk holds 56 of 3200 declared bytes"),
     "stereo": (lambda b: b[:22] + (2).to_bytes(2, "little") + b[24:],
                "expected mono audio, got 2 channels"),
 }

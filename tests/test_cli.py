@@ -306,7 +306,8 @@ CORRUPT_WAVS = {
     "byte_1": (lambda blob: blob[:1] + bytes([blob[1] ^ 0x01]) + blob[2:],
                "not a readable WAV file: file does not start with RIFF id"),
     "header_cut": (lambda blob: blob[:30], "not a readable WAV file"),
-    "data_cut_odd": (lambda blob: blob[:101], "the data chunk holds an odd number of bytes"),
+    "data_cut_odd": (lambda blob: blob[:101], "the data chunk holds 57 of "),
+    "data_cut_even": (lambda blob: blob[:100], "the data chunk holds 56 of "),
 }
 
 

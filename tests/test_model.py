@@ -17,7 +17,6 @@ from amcrn.model import (AmcrnConfig, AmcrnModel, AttentiveStatPool, BlstmLayer,
                          Conv1d, LstmDirection, McbBlock, ResidualBlstm,
                          aam_logits, config_text, parse_config, temporal_attention,
                          tiny_config)
-from amcrn.profiling import layer_costs
 from amcrn.training import TrainConfig
 
 
@@ -38,6 +37,11 @@ class TestConfig:
     def test_mismatched_block_lists_rejected(self):
         with pytest.raises(ConfigError):
             AmcrnConfig(mcb_channels=(512, 512))
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_blstm_depth_other_than_two_rejected(self, n_layers):
+        with pytest.raises(ConfigError, match=f"blstm_layers must be 2, got {n_layers}"):
+            tiny_config(blstm_layers=n_layers)
 
     def test_text_round_trip(self, tmp_path):
         cfg = tiny_config(n_scales=4, channels=32, standard_conv=True)
@@ -343,52 +347,6 @@ class TestLstm:
         rb.proj.bias.data[:] = 0.0
         x = rng.standard_normal((6, 4))
         np.testing.assert_allclose(rb(Tensor(x), "eval").data, x, atol=1e-12)
-
-    @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    def test_residual_blstm_depth_follows_config(self, n_layers):
-        cfg = tiny_config(blstm_layers=n_layers)
-        net = AmcrnModel(cfg, seed=0)
-        layers = sorted({p.name.split(".")[1] for p in net.rblstm.params()} - {"proj"})
-        assert layers == [f"blstm{k + 1}" for k in range(n_layers)]
-        rows = [r.name for r in layer_costs(cfg, 1.0) if r.name.startswith("rblstm.blstm")]
-        assert rows == [f"rblstm.{name}" for name in layers]
-
-    def test_depth_changes_the_embedding(self):
-        x = np.random.default_rng(19).standard_normal((12, 8))
-        embs = [AmcrnModel(tiny_config(blstm_layers=n), seed=0).embed(x).values
-                for n in (1, 2, 3)]
-        assert not np.array_equal(embs[0], embs[1])
-        assert not np.array_equal(embs[1], embs[2])
-
-    @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    def test_dropout_draws_one_block_per_gap(self, n_layers):
-        """One T x 2H block for each dropout between layers; for two
-        layers the block is the one draw a single dropout takes."""
-        cfg = tiny_config(blstm_layers=n_layers)
-        draws = AmcrnModel(cfg, seed=0).draw_dropout(7, np.random.default_rng(20))
-        if n_layers == 1:
-            assert draws is None
-            return
-        assert draws.shape == (n_layers - 1, 7, 2 * cfg.blstm_hidden)
-        want = np.random.default_rng(20).random((7, 2 * cfg.blstm_hidden))
-        assert np.array_equal(draws[0], want)
-
-    def test_draws_taken_ahead_with_three_layers(self):
-        """One utterance: the draws taken ahead give the loss the live
-        Generator gives. A stack: each row reads its own blocks (fresh
-        models each time, as train mode updates the running statistics)."""
-        cfg = tiny_config(blstm_layers=3, n_classes=2)
-        feats = np.random.default_rng(21).standard_normal((2, 9, cfg.n_mels))
-        live = AmcrnModel(cfg, seed=1).classify_loss(feats[0], 0,
-                                                     rng=np.random.default_rng(22)).data
-        ahead_rng = np.random.default_rng(22)
-        ahead = np.stack([AmcrnModel(cfg, seed=1).draw_dropout(9, ahead_rng) for _ in range(2)])
-        assert ahead.shape == (2, 2, 9, 2 * cfg.blstm_hidden)
-        assert AmcrnModel(cfg, seed=1).classify_loss(feats[0], 0, rng=ahead[0]).data == live
-        ref, got = AmcrnModel(cfg, seed=1), AmcrnModel(cfg, seed=1)
-        per_row = [ref.classify_loss(feats[b], b, rng=ahead[b]).data for b in range(2)]
-        stacked = got.classify_loss(feats, [0, 1], rng=ahead).data
-        np.testing.assert_allclose(stacked, sum(per_row), rtol=1e-12)
 
     def test_gradient_through_lstm(self):
         rng = np.random.default_rng(17)
