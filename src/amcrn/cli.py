@@ -136,9 +136,11 @@ def cmd_verify(args):
     if len(enrolled) != dim:
         raise ConfigError(f"{args.store}: id {args.id!r} holds a {len(enrolled)}-d vector, "
                           f"the checkpoint embeds {dim}-d")
+    # The back end is read and checked before the forward pass, so a bad
+    # --plda-file fails without embedding anything.
+    plda = _load_plda(args.plda_file, dim) if args.backend == "plda" else None
     (test,) = _embed_wavs(model, [args.wav])
-    if args.backend == "plda":
-        plda = _load_plda(args.plda_file, dim)
+    if plda is not None:
         score = scoring.plda_score(plda, enrolled, test)
     else:
         score = scoring.csm(enrolled, test)
@@ -148,15 +150,26 @@ def cmd_verify(args):
 
 
 def _load_plda(path, dim):
-    """Read a back end written by `_save_plda` for `dim`-d embeddings."""
+    """Read a back end written by `_save_plda` for `dim`-d embeddings.
+
+    The file holds the fitted scoring terms, so nothing is solved and
+    scipy is not imported. Every array must be present, finite and of
+    its shape for `dim`; Q must be negative definite (a Cholesky of -Q
+    succeeds), as it is for every fit with positive-definite covariances,
+    or NumericalError. A file of the older covariance-only layout is
+    refused with ConfigError.
+    """
     if not path:
         raise AmcrnError("PLDA backend needs --plda-file")
-    shapes = {"mu": (dim,), "between": (dim, dim), "within": (dim, dim), "center": (dim,)}
+    shapes = {"mu": (dim,), "q": (dim, dim), "p": (dim, dim), "c": (), "center": (dim,)}
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ConfigError(f"{path}: not a PLDA .npz archive")
         with data:
+            if "between" in data.files and "q" not in data.files:
+                raise ConfigError(f"{path}: PLDA file of the old covariance-only layout; "
+                                  "refit it with --plda-train-dir")
             arrays = {name: np.asarray(data[name], dtype=np.float64) for name in shapes}
             length_norm = bool(data["length_norm"])
     except KeyError as exc:
@@ -169,12 +182,19 @@ def _load_plda(path, dim):
                               f"{shape} for the checkpoint's {dim}-d embeddings")
         if not np.all(np.isfinite(arrays[name])):
             raise ConfigError(f"{path}: {name} has non-finite values")
-    return scoring.PldaModel(**arrays, length_norm=length_norm)
+    try:
+        np.linalg.cholesky(-arrays["q"])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{path}: PLDA q is not negative definite: {exc}") from exc
+    return scoring.PldaModel.from_terms(**arrays, length_norm=length_norm)
 
 
 def _save_plda(path, plda):
+    """Write what `plda_score` reads of a fitted model: `mu`, `q`, `p`,
+    `c` (0-d), `center` and `length_norm`, so `_load_plda` restores them
+    bit for bit and factorizes nothing."""
     buf = io.BytesIO()
-    np.savez(buf, mu=plda.mu, between=plda.between, within=plda.within,
+    np.savez(buf, mu=plda.mu, q=plda.q, p=plda.p, c=np.float64(plda.c),
              center=plda.center, length_norm=np.bool_(plda.length_norm))
     _atomic_write(path, buf.getvalue())
 

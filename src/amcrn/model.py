@@ -131,6 +131,8 @@ class AmcrnConfig:
                 raise ConfigError(f"channels {c} not divisible by n_scales {self.n_scales}")
         if self.initial_channels != self.mcb_channels[0]:
             raise ConfigError("initial_channels must match the first block's channels")
+        if len(set(self.mcb_channels)) > 1:  # each block adds its output to its input
+            raise ConfigError(f"mcb_channels must all be equal, got {self.mcb_channels}")
         if self.blstm_layers != 2:  # the paper's residual BLSTM has two layers
             raise ConfigError(f"blstm_layers must be 2, got {self.blstm_layers}")
 

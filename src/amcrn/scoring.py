@@ -63,12 +63,15 @@ class PldaModel:
     embeddings before scoring (set by plda_train; leave at defaults to
     score raw vectors against a hand-constructed model).
 
-    Construction derives the closed-form scoring terms (Ioffe 2006): with
-    T = B + W and S = T - B T^-1 B, the same/different log-likelihood
-    ratio of a pair is ½x'Qx + ½y'Qy + x'Py + c for Q = T^-1 - S^-1,
-    P = T^-1 B S^-1 and c = ½ logdet T - ½ logdet S. T and S are
-    factorized by Cholesky and every inverse is a `cho_solve`; a
-    covariance that is not positive definite raises NumericalError.
+    Construction from the covariances derives the closed-form scoring
+    terms (Ioffe 2006): with T = B + W and S = T - B T^-1 B, the
+    same/different log-likelihood ratio of a pair is
+    ½x'Qx + ½y'Qy + x'Py + c for Q = T^-1 - S^-1, P = T^-1 B S^-1 and
+    c = ½ logdet T - ½ logdet S. T and S are factorized by Cholesky and
+    every inverse is a `cho_solve`; a covariance that is not positive
+    definite raises NumericalError. This constructor is the only place
+    the closed form is computed: `from_terms` restores a model from Q,
+    P and c as `plda_score` reads them, with `between` and `within` None.
     """
 
     mu: np.ndarray
@@ -81,8 +84,9 @@ class PldaModel:
     c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Imported here: scipy.linalg adds about 0.3 s and 28 MB to every
-        # CLI start, and only a PLDA model needs it.
+        # Imported here: scipy.linalg adds about 0.3 s and 28 MB to a
+        # process, and only the fit (and a hand-built model) needs it;
+        # scoring a model restored by `from_terms` does not.
         from scipy.linalg import cho_factor, cho_solve
 
         between = np.asarray(self.between, dtype=np.float64)
@@ -100,6 +104,16 @@ class PldaModel:
         self.p = cho_solve(chol_s, t_inv_b.T).T
         self.c = float(np.sum(np.log(np.diag(chol_t[0])))
                        - np.sum(np.log(np.diag(chol_s[0]))))
+
+    @classmethod
+    def from_terms(cls, mu, q, p, c, center=None, length_norm=False):
+        """A model that scores with the given terms, as a fitted model's
+        `mu`, `q`, `p`, `c`, `center` and `length_norm`; nothing is
+        solved or checked, and `between` and `within` are None."""
+        model = cls.__new__(cls)
+        vars(model).update(mu=mu, between=None, within=None, center=center,
+                           length_norm=bool(length_norm), q=q, p=p, c=float(c))
+        return model
 
     def preprocess(self, x):
         """Center and length-normalize an embedding or the rows of a stack."""

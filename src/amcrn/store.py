@@ -30,31 +30,37 @@ class EmbeddingStore:
         dim = None
         first_line = {}
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ConfigError(f"{path}:{lineno}: malformed store line")
-                rec_id, n, values = parts
-                try:
-                    vec = np.array([float(v) for v in values.split(" ")])
-                    n = int(n)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: unparsable store line: {exc}") from exc
-                if not np.all(np.isfinite(vec)):
-                    raise ConfigError(f"{path}:{lineno}: non-finite embedding value")
-                if dim is None:
-                    dim = len(vec)
-                elif len(vec) != dim:
-                    raise ConfigError(f"{path}:{lineno}: {len(vec)} values, "
-                                      f"earlier lines have {dim}")
-                if rec_id in first_line:
-                    raise ConfigError(f"{path}:{lineno}: id {rec_id!r} repeats line "
-                                      f"{first_line[rec_id]}")
-                first_line[rec_id] = lineno
-                self.records[rec_id] = StoreRecord(vec, n)
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not a UTF-8 store: {exc}") from exc
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ConfigError(f"{path}:{lineno}: malformed store line")
+            rec_id, n, values = parts
+            try:
+                vec = np.array([float(v) for v in values.split(" ")])
+                n = int(n)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: unparsable store line: {exc}") from exc
+            if n < 1:
+                raise ConfigError(f"{path}:{lineno}: utterance count {n} is below 1")
+            if not np.all(np.isfinite(vec)):
+                raise ConfigError(f"{path}:{lineno}: non-finite embedding value")
+            if dim is None:
+                dim = len(vec)
+            elif len(vec) != dim:
+                raise ConfigError(f"{path}:{lineno}: {len(vec)} values, "
+                                  f"earlier lines have {dim}")
+            if rec_id in first_line:
+                raise ConfigError(f"{path}:{lineno}: id {rec_id!r} repeats line "
+                                  f"{first_line[rec_id]}")
+            first_line[rec_id] = lineno
+            self.records[rec_id] = StoreRecord(vec, n)
 
     def add(self, rec_id, vector, n_utterances=1, overwrite=False):
         if any(sep in rec_id for sep in "\t\n\r"):
@@ -62,6 +68,8 @@ class EmbeddingStore:
         vector = np.asarray(vector, dtype=np.float64)
         if not np.all(np.isfinite(vector)):
             raise ConfigError(f"embedding for {rec_id!r} has non-finite values")
+        if int(n_utterances) < 1:
+            raise ConfigError(f"utterance count {n_utterances} for {rec_id!r} is below 1")
         if rec_id in self.records and not overwrite:
             raise DuplicateId(f"id {rec_id!r} already stored (use overwrite)")
         stored = {len(rec.vector) for key, rec in self.records.items() if key != rec_id}

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from amcrn.audio import AudioBuffer, read_wav, write_wav
-from amcrn.cli import main
+from amcrn.cli import _load_plda, _save_plda, main
 from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms, featurize
 from amcrn.errors import ConfigError
-from amcrn.model import load_checkpoint
+from amcrn.model import AmcrnModel, load_checkpoint
+from amcrn.scoring import plda_score, plda_train
 from amcrn.store import EmbeddingStore
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -224,10 +227,9 @@ def test_bad_toy_spec_names_the_item(tmp_path, capsys, command, case):
 def test_cli_import_loads_no_scipy():
     """scipy is imported only where augmentation, toy data or a PLDA model
     needs it, so `embed`, `enroll` and `verify` start without it."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, amcrn.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
@@ -489,11 +491,17 @@ class TestEval:
 
 
 def _write_plda(path, dim, drop=None, **override):
-    arrays = {"mu": np.zeros(dim), "between": np.eye(dim), "within": np.eye(dim),
-              "center": np.zeros(dim), "length_norm": np.bool_(True)}
+    arrays = {"mu": np.zeros(dim), "q": -np.eye(dim), "p": 0.5 * np.eye(dim),
+              "c": np.float64(0.0), "center": np.zeros(dim), "length_norm": np.bool_(True)}
     arrays.update(override)
     arrays.pop(drop, None)
     np.savez(path, **arrays)
+
+
+def _write_old_plda(path, dim):
+    """A file in the covariance-only layout that preceded the stored terms."""
+    np.savez(path, mu=np.zeros(dim), between=np.eye(dim), within=np.eye(dim),
+             center=np.zeros(dim), length_norm=np.bool_(True))
 
 
 def _npy_bytes(array):
@@ -502,27 +510,28 @@ def _npy_bytes(array):
     return buf.getvalue()
 
 
-def _nan_within(dim):
-    within = np.eye(dim)
-    within[0, 1] = np.nan
-    return within
+def _nan_q(dim):
+    q = -np.eye(dim)
+    q[0, 1] = np.nan
+    return q
 
 
 # name -> writes a bad PLDA file for a checkpoint with `dim`-d embeddings
 BAD_PLDA_FILES = {
-    "missing_within": lambda p, d: _write_plda(p, d, drop="within"),
+    "missing_q": lambda p, d: _write_plda(p, d, drop="q"),
     "missing_center": lambda p, d: _write_plda(p, d, drop="center"),
     "not_a_zip": lambda p, d: p.write_bytes(b"not a numpy archive"),
     "empty": lambda p, d: p.write_bytes(b""),
     "truncated_zip": lambda p, d: (_write_plda(p, d), p.write_bytes(p.read_bytes()[:200])),
     "bare_npy": lambda p, d: p.write_bytes(_npy_bytes(np.zeros(d))),
     "mu_shape": lambda p, d: _write_plda(p, d, mu=np.zeros(d + 1)),
-    "between_shape": lambda p, d: _write_plda(p, d, between=np.eye(d)[:, :-1]),
-    "within_shape": lambda p, d: _write_plda(p, d, within=np.zeros(d)),
+    "q_shape": lambda p, d: _write_plda(p, d, q=-np.eye(d)[:, :-1]),
+    "p_shape": lambda p, d: _write_plda(p, d, p=np.zeros(d)),
     "center_shape": lambda p, d: _write_plda(p, d, center=np.zeros((d, 1))),
-    "non_finite_within": lambda p, d: _write_plda(p, d, within=_nan_within(d)),
+    "non_finite_q": lambda p, d: _write_plda(p, d, q=_nan_q(d)),
     "non_finite_mu": lambda p, d: _write_plda(p, d, mu=np.full(d, np.inf)),
     "other_dim": lambda p, d: _write_plda(p, d + 1),
+    "old_layout": _write_old_plda,
 }
 
 
@@ -595,6 +604,92 @@ class TestPldaBackend:
             assert self._eval(workspace, setup, good, tmp_path / "run") == 0
         else:
             assert self._verify(workspace, setup, good) == 0
+
+    def test_old_layout_names_the_refit(self, workspace, setup, tmp_path, capsys):
+        _, _, ckpt = workspace
+        old = tmp_path / "old.npz"
+        _write_old_plda(old, load_checkpoint(ckpt).config.embedding_dim)
+        assert self._verify(workspace, setup, old) == 2
+        assert "--plda-train-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_q_not_negative_definite_is_numerical_error(self, workspace, setup, tmp_path,
+                                                        capsys, command):
+        _, _, ckpt = workspace
+        dim = load_checkpoint(ckpt).config.embedding_dim
+        bad = tmp_path / "bad.npz"
+        q = -np.eye(dim)
+        q[dim - 1, dim - 1] = 0.5
+        _write_plda(bad, dim, q=q)
+        if command == "eval":
+            code = self._eval(workspace, setup, bad, tmp_path / "run")
+        else:
+            code = self._verify(workspace, setup, bad)
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing_flag", "bad_file"])
+    def test_verify_checks_the_backend_before_embedding(self, workspace, setup, tmp_path,
+                                                        monkeypatch, capsys, case):
+        _, data_dir, ckpt = workspace
+        store, _, _ = setup
+
+        def no_forward_pass(self, *args, **kwargs):
+            raise AssertionError("verify embedded before checking its PLDA file")
+
+        monkeypatch.setattr(AmcrnModel, "embed", no_forward_pass)
+        argv = ["verify", "--checkpoint", str(ckpt), "--store", str(store), "--id", "alice",
+                "--backend", "plda", str(data_dir / "spk000" / "utt003.wav")]
+        if case == "missing_flag":
+            assert main(argv) == 2
+            assert "PLDA backend needs --plda-file" in capsys.readouterr().err
+        else:
+            bad = tmp_path / "bad.npz"
+            bad.write_bytes(b"not a numpy archive")
+            assert main(argv + ["--plda-file", str(bad)]) == 2
+            assert f"{bad}: unreadable PLDA file" in capsys.readouterr().err
+
+    def test_plda_scoring_loads_no_scipy(self, workspace, setup, tmp_path):
+        """`verify` and `eval` with a stored back end run in a fresh
+        interpreter without importing scipy."""
+        _, data_dir, ckpt = workspace
+        store, trials, plda = setup
+        code = (
+            "import sys\n"
+            "from amcrn.cli import main\n"
+            f"verify = main(['verify', '--checkpoint', {str(ckpt)!r}, '--store', {str(store)!r},"
+            " '--id', 'alice', '--backend', 'plda', '--plda-file', "
+            f"{str(plda)!r}, '--threshold=-1e300', "
+            f"{str(data_dir / 'spk000' / 'utt003.wav')!r}])\n"
+            f"evaluate = main(['eval', '--checkpoint', {str(ckpt)!r}, '--trials', {str(trials)!r},"
+            f" '--audio-root', {str(data_dir)!r}, '--backend', 'plda', '--plda-file', "
+            f"{str(plda)!r}, '--out-prefix', {str(tmp_path / 'run')!r}])\n"
+            "print(verify, evaluate, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))\n")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 0 []"
+
+
+def test_plda_file_round_trips_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(7)
+    centers = rng.standard_normal((5, 16))
+    labels = np.repeat(np.arange(5), 4)
+    embs = centers[labels] + 0.3 * rng.standard_normal((20, 16))
+    fitted = plda_train(embs, labels)
+    path = tmp_path / "plda.npz"
+    _save_plda(str(path), fitted)
+    loaded = _load_plda(str(path), 16)
+    for name in ("mu", "q", "p", "center"):
+        want, got = getattr(fitted, name), getattr(loaded, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert np.float64(loaded.c).tobytes() == np.float64(fitted.c).tobytes()
+    assert loaded.length_norm is True
+    with np.load(path) as data:
+        assert sorted(data.files) == ["c", "center", "length_norm", "mu", "p", "q"]
+    a, b = rng.standard_normal((2, 30, 16))
+    assert np.array_equal(plda_score(loaded, a, b), plda_score(fitted, a, b))
 
 
 class TestProfile:

@@ -1,6 +1,7 @@
 """Network component tests: hand oracles for attention, pooling, the
 multi-scale block, the BLSTM, and the margin-softmax head."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -37,6 +38,11 @@ class TestConfig:
     def test_mismatched_block_lists_rejected(self):
         with pytest.raises(ConfigError):
             AmcrnConfig(mcb_channels=(512, 512))
+
+    def test_unequal_block_channels_rejected(self):
+        # The blocks are residual, so a block's width must equal its input's.
+        with pytest.raises(ConfigError, match=r"mcb_channels must all be equal, got \(16, 16, 32"):
+            tiny_config(mcb_channels=(16, 16, 32))
 
     @pytest.mark.parametrize("n_layers", [1, 3])
     def test_blstm_depth_other_than_two_rejected(self, n_layers):
@@ -89,6 +95,50 @@ class TestConfig:
         cfg = tiny_config(standard_conv=True)
         assert [cfg.dilation(i) for i in range(3)] == [1, 1, 1]
         assert [tiny_config().dilation(i) for i in range(3)] == [2, 3, 4]
+
+
+# field -> a value other than tiny_config's: one the model must feel, or
+# one that `AmcrnConfig.validate` refuses on its own.
+AUDIT_VALUES = {
+    "n_mels": 10, "initial_kernel": 3, "initial_channels": 8, "n_mcb": 2,
+    "mcb_channels": (16, 16, 32), "mcb_kernel": (3, 3, 5), "mcb_dilations": (2, 3, 5),
+    "n_scales": 4, "ta_kernel": 5, "fusion_kernel": 5, "blstm_hidden": 10,
+    "blstm_layers": 3, "blstm_dropout": 0.5, "pool_bottleneck": 6, "embedding_dim": 12,
+    "n_classes": 5, "aam_margin": 0.3, "aam_scale": 20.0,
+    "use_temporal_attention": False, "use_blstm": False, "standard_conv": True,
+}
+
+
+def _audit_signature(config):
+    """Parameter count, eval embedding and one taped train-mode loss of a
+    seeded model on seeded input."""
+    model = AmcrnModel(config, seed=0)
+    feats = np.random.default_rng(1).standard_normal((2, 60, config.n_mels))
+    loss = model.classify_loss(feats, [0, 1], mode="train", rng=np.random.default_rng(2))
+    return model.n_params(), model.embed(feats).values, float(loss.data)
+
+
+class TestConfigAudit:
+    """No `AmcrnConfig` field is a dead key: changing it alone changes the
+    parameter count, the eval embedding or the train loss, or is refused."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return _audit_signature(tiny_config())
+
+    def test_every_field_is_audited(self):
+        assert set(AUDIT_VALUES) == {f.name for f in dataclasses.fields(AmcrnConfig)}
+
+    @pytest.mark.parametrize("name", sorted(AUDIT_VALUES))
+    def test_field_changes_the_model(self, baseline, name):
+        assert AUDIT_VALUES[name] != getattr(tiny_config(), name)
+        try:
+            config = tiny_config(**{name: AUDIT_VALUES[name]})
+        except ConfigError:
+            return
+        n_params, emb, loss = _audit_signature(config)
+        assert (n_params != baseline[0] or emb.shape != baseline[1].shape
+                or not np.array_equal(emb, baseline[1]) or loss != baseline[2]), name
 
 
 class TestTemporalAttention:

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amcrn.audio import AudioBuffer, write_wav
-from amcrn.errors import ConfigError, DuplicateId
+from amcrn.errors import AmcrnError, ConfigError, DuplicateId
 from amcrn.model import (AmcrnConfig, AmcrnModel, _atomic_write, _stored_values,
                          checkpoint_bytes, config_text, load_checkpoint, restore_model,
                          save_checkpoint, tiny_config)
@@ -133,6 +133,14 @@ class TestEmbeddingStore:
         store.save(path)
         assert EmbeddingStore(path).get("a").n_utterances == 7
 
+    @pytest.mark.parametrize("count", [0, -7])
+    def test_add_rejects_a_count_below_one(self, count):
+        # A store saved with such a count would not load again.
+        store = EmbeddingStore()
+        with pytest.raises(ConfigError, match=f"utterance count {count} for 'a' is below 1"):
+            store.add("a", np.ones(2), n_utterances=count)
+        assert "a" not in store
+
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\t1\t0.5\nbroken line\n")
@@ -159,11 +167,19 @@ class TestEmbeddingStore:
         "b\tone\t0.5 1.0",
         "b\t1\t0.5",
         "b\t1\t0.5 1.0 2.0",
+        "b\t-7\t0.5 0.25",
+        "b\t0\t0.5 0.25",
     ])
     def test_bad_value_line_reports_location(self, tmp_path, bad_line):
         path = tmp_path / "bad.tsv"
         path.write_text(f"a\t1\t0.25 0.75\n{bad_line}\n")
         with pytest.raises(ConfigError, match=f"{path.name}:2: "):
+            EmbeddingStore(path)
+
+    def test_invalid_utf8_names_the_store(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"a\t1\t0.5 1.0\n\xffb\t1\t0.25 0.75\n")
+        with pytest.raises(ConfigError, match=f"{path.name}: not a UTF-8 store: "):
             EmbeddingStore(path)
 
     def test_repeated_id_names_the_first_line(self, tmp_path):
@@ -190,6 +206,37 @@ class TestEmbeddingStore:
         store = EmbeddingStore()
         store.add("a", np.ones(2))
         assert "a" in store and "b" not in store
+
+
+@pytest.fixture(scope="module")
+def store_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("store") / "s.tsv"
+    _write_fixed_store(path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def scratch_store(tmp_path_factory):
+    return tmp_path_factory.mktemp("mangled") / "s.tsv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mangled_store_bytes_load_or_raise_amcrn_error(scratch_store, store_bytes, data):
+    """Up to four bytes of a valid store replaced, each by a separator, a
+    sign, a digit or any byte, then a cut at any length: the store loads
+    with positive counts and finite vectors, or raises an AmcrnError."""
+    blob = bytearray(store_bytes)
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob[at] = data.draw(st.one_of(st.sampled_from(b"\t\n -0.e"), st.integers(0, 255)))
+    scratch_store.write_bytes(bytes(blob[: data.draw(st.integers(0, len(blob)))]))
+    try:
+        store = EmbeddingStore(scratch_store)
+    except AmcrnError:
+        return
+    for rec in store.records.values():
+        assert rec.n_utterances >= 1 and np.all(np.isfinite(rec.vector))
 
 
 def _first_entry(blob):
