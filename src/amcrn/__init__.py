@@ -5,8 +5,8 @@ toy-scale training, CSM/PLDA scoring, and complexity profiling."""
 from .audio import SAMPLE_RATE, AudioBuffer, read_wav, write_wav
 from .dsp import FrameSpec, LmsFeature, apply_cmvn, extract_lms
 from .augment import augment
-from .model import (AmcrnConfig, AmcrnModel, SpeakerEmbedding, aam_logits,
-                    load_checkpoint, save_checkpoint, tiny_config)
+from .model import (AmcrnConfig, AmcrnModel, aam_logits, load_checkpoint,
+                    save_checkpoint, tiny_config)
 from .profiling import count_macs, count_params, emit_cost_report
 from .scoring import (EvalReport, PldaModel, Trial, compute_eer, compute_mindcf,
                       csm, decide, plda_score, plda_train, run_trials,

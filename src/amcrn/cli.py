@@ -129,8 +129,7 @@ def cmd_verify(args):
     model = load_checkpoint(args.checkpoint, _BACKEND_DTYPE[args.backend])
     store = EmbeddingStore(args.store)
     if args.id not in store:
-        print(f"error: unknown speaker {args.id!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{args.store}: unknown speaker {args.id!r}")
     enrolled = store.get(args.id).vector
     dim = model.config.embedding_dim
     if len(enrolled) != dim:
@@ -347,6 +346,9 @@ def main(argv=None):
         return 3
     except (AmcrnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -5,7 +5,6 @@ logarithm, followed by short-time mean/variance normalization with a
 sliding window.
 """
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -17,31 +16,29 @@ from .errors import ConfigError, InputTooShort
 LOG_FLOOR = 1e-10
 STD_FLOOR = 1e-8
 
+# Frame geometry and filterbank band, fixed for every model (seconds, Hz).
+FRAME_LEN = 0.025
+FRAME_SHIFT = 0.010
+N_FFT = 512
+F_MIN = 20.0
+F_MAX = 7600.0
+
 
 @dataclass
 class FrameSpec:
-    """Framing and filterbank configuration."""
+    """Front-end setting that varies by model: the number of mel filters."""
 
-    frame_len: float = 0.025
-    frame_shift: float = 0.010
-    n_fft: int = 512
     n_mels: int = 80
-    f_min: float = 20.0
-    f_max: float = 7600.0
 
     def validate(self, sample_rate: int) -> None:
-        if self.frame_shift > self.frame_len:
-            raise ConfigError("frame_shift must not exceed frame_len")
-        if self.n_fft < int(round(self.frame_len * sample_rate)):
-            raise ConfigError("n_fft must cover one frame of samples")
-        if self.n_fft & (self.n_fft - 1):
-            raise ConfigError("n_fft must be a power of two")
-        if not (0 <= self.f_min < self.f_max):
-            raise ConfigError("need 0 <= f_min < f_max")
-        if self.f_max > sample_rate / 2:
-            raise ConfigError("f_max exceeds the Nyquist frequency")
         if self.n_mels < 1:
             raise ConfigError("n_mels must be positive")
+        if F_MAX > sample_rate / 2:
+            raise ConfigError(f"f_max {F_MAX:g} Hz exceeds the Nyquist frequency "
+                              f"of {sample_rate} Hz audio")
+        if N_FFT < int(round(FRAME_LEN * sample_rate)):
+            raise ConfigError(f"a {FRAME_LEN:g} s frame of {sample_rate} Hz audio "
+                              f"does not fit in {N_FFT} FFT points")
 
 
 @dataclass
@@ -49,11 +46,10 @@ class LmsFeature:
     """T x M log-mel feature matrix."""
 
     values: np.ndarray
-    frame_spec: FrameSpec
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != self.frame_spec.n_mels:
+        if self.values.ndim != 2:
             raise ConfigError("LMS values must be T x n_mels")
 
     @property
@@ -72,8 +68,8 @@ def frame_and_window(audio: AudioBuffer, spec: FrameSpec) -> np.ndarray:
     Frame t starts at sample t * S; T = floor((N - L) / S) + 1.
     """
     spec.validate(audio.sample_rate)
-    length = int(round(spec.frame_len * audio.sample_rate))
-    shift = int(round(spec.frame_shift * audio.sample_rate))
+    length = int(round(FRAME_LEN * audio.sample_rate))
+    shift = int(round(FRAME_SHIFT * audio.sample_rate))
     n = len(audio.samples)
     if n < length:
         raise InputTooShort(f"audio has {n} samples, need at least {length}")
@@ -101,28 +97,27 @@ def mel_to_hz(m):
 
 def mel_filter_centers(spec: FrameSpec) -> np.ndarray:
     """Center frequencies (Hz) of the triangular filters, mel-equispaced."""
-    edges = np.linspace(hz_to_mel(spec.f_min), hz_to_mel(spec.f_max), spec.n_mels + 2)
+    edges = np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), spec.n_mels + 2)
     return mel_to_hz(edges[1:-1])
 
 
 def mel_filterbank(spec: FrameSpec, sample_rate: int) -> np.ndarray:
     """M x (n_fft/2 + 1) triangular mel filterbank matrix.
 
-    Built once per (FrameSpec fields, sample rate) and shared, so the
-    returned array is read-only.
+    Built once per (n_mels, sample rate) and shared, so the returned
+    array is read-only.
     """
-    return _filterbank(dataclasses.astuple(spec), sample_rate)
+    return _filterbank(spec.n_mels, sample_rate)
 
 
 @functools.lru_cache(maxsize=16)
-def _filterbank(spec_fields, sample_rate):
-    spec = FrameSpec(*spec_fields)
-    spec.validate(sample_rate)
-    mel_edges = np.linspace(hz_to_mel(spec.f_min), hz_to_mel(spec.f_max), spec.n_mels + 2)
+def _filterbank(n_mels, sample_rate):
+    FrameSpec(n_mels).validate(sample_rate)
+    mel_edges = np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), n_mels + 2)
     hz_edges = mel_to_hz(mel_edges)
-    bin_freqs = np.arange(spec.n_fft // 2 + 1) * sample_rate / spec.n_fft
-    bank = np.zeros((spec.n_mels, spec.n_fft // 2 + 1))
-    for m in range(spec.n_mels):
+    bin_freqs = np.arange(N_FFT // 2 + 1) * sample_rate / N_FFT
+    bank = np.zeros((n_mels, N_FFT // 2 + 1))
+    for m in range(n_mels):
         lo, center, hi = hz_edges[m], hz_edges[m + 1], hz_edges[m + 2]
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
@@ -140,22 +135,22 @@ def extract_lms(audio: AudioBuffer, spec: FrameSpec = None) -> LmsFeature:
     if spec is None:
         spec = FrameSpec()
     frames = frame_and_window(audio, spec)
-    power = power_spectrum(frames, spec.n_fft)
+    power = power_spectrum(frames, N_FFT)
     bank = mel_filterbank(spec, audio.sample_rate)
     mel_energy = power @ bank.T
-    return LmsFeature(np.log(np.maximum(mel_energy, LOG_FLOOR)), spec)
+    return LmsFeature(np.log(np.maximum(mel_energy, LOG_FLOOR)))
 
 
 def apply_cmvn(lms: LmsFeature, window: float = 3.0) -> LmsFeature:
     """Sliding-window mean/variance normalization per mel dimension.
 
     Each frame is normalized by the statistics of a window of
-    W = round(window / frame_shift) frames centered on it, clipped at the
+    W = round(window / FRAME_SHIFT) frames centered on it, clipped at the
     utterance edges. The standard deviation is floored at 1e-8.
     """
     x = lms.values
     n_frames = x.shape[0]
-    w = int(round(window / lms.frame_spec.frame_shift))
+    w = int(round(window / FRAME_SHIFT))
     w = max(w, 1)
     half = w // 2
     # Prefix sums give O(T) windowed moments.
@@ -168,7 +163,7 @@ def apply_cmvn(lms: LmsFeature, window: float = 3.0) -> LmsFeature:
     mean = (csum[hi] - csum[lo]) / count
     var = (csum2[hi] - csum2[lo]) / count - mean**2
     std = np.sqrt(np.maximum(var, 0.0))
-    return LmsFeature((x - mean) / np.maximum(std, STD_FLOOR), lms.frame_spec)
+    return LmsFeature((x - mean) / np.maximum(std, STD_FLOOR))
 
 
 def featurize(audio: AudioBuffer, n_mels: int) -> np.ndarray:

@@ -53,7 +53,11 @@ def config_text(config) -> str:
 def parse_config(path, classes):
     """`parse_config_text` over the file at `path`."""
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), classes, path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a UTF-8 config: {exc}") from exc
+    return parse_config_text(text, classes, path)
 
 
 def parse_config_text(text, classes, name):
@@ -156,17 +160,6 @@ def tiny_config(n_mels=8, channels=16, n_scales=2, hidden=8, **overrides) -> Amc
     )
     kwargs.update(overrides)
     return AmcrnConfig(**kwargs)
-
-
-@dataclass
-class SpeakerEmbedding:
-    """Fixed-length speaker representation."""
-
-    values: np.ndarray
-    speaker_id: str = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -613,16 +606,16 @@ class AmcrnModel:
         emb = self.emb_linear(pooled.reshape(-1, pooled.shape[-1]))
         return self.emb_norm(emb.reshape(*batch, self.config.embedding_dim), mode)
 
-    def embed(self, lms_values, speaker_id=None) -> SpeakerEmbedding:
+    def embed(self, lms_values) -> np.ndarray:
         """Deterministic eval-mode embedding as plain numpy: D values for a
         T x n_mels matrix, B x D for a B x T x n_mels stack of equal-length
         utterances. The pass runs under `autodiff.no_grad`, so it keeps no
         tape and gives the same bits as `embed_tensor(..., mode="eval")`
         on float64 weights and input; float32 weights and input compute in
-        float32. The values are returned as float64."""
+        float32. The values are returned as a float64 array."""
         with ad.no_grad():
             emb = self.embed_tensor(lms_values, mode="eval")
-        return SpeakerEmbedding(emb.data, speaker_id)
+        return np.asarray(emb.data, dtype=np.float64)
 
     def classify_loss(self, lms_values, labels, mode="train", rng=None):
         """AAM-softmax cross-entropy loss of one labeled T x n_mels

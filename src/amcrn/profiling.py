@@ -6,9 +6,8 @@ normalization, and the sigmoid/tanh evaluations are excluded.
 
 from dataclasses import dataclass
 
+from .dsp import FRAME_SHIFT
 from .model import AmcrnConfig
-
-FRAME_SHIFT = 0.010
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .model import _atomic_write
 
 
 def _rows(x):
-    return np.asarray(getattr(x, "values", x), dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
 
 
 def _length_norm(x):
@@ -367,7 +367,7 @@ def embed_audio(model, named_audio):
         group = waiting.pop(frames)
         held -= frames * len(group)
         try:
-            out = model.embed(np.stack([feats for _, _, feats in group])).values
+            out = model.embed(np.stack([feats for _, _, feats in group]))
         except InputTooShort as exc:
             # All rows of a pass have the same frame count: name the first.
             raise InputTooShort(f"utterance {group[0][1]!r}: {exc}") from exc

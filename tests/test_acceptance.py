@@ -62,7 +62,7 @@ def toy_benchmark():
         by_speaker.setdefault(utt.speaker_id, []).append(utt)
     train_embs, train_labels, enroll = [], [], {}
     for sid in sorted(by_speaker):
-        vecs = [model.embed(featurize(u.audio, 80)).values for u in by_speaker[sid][:5]]
+        vecs = [model.embed(featurize(u.audio, 80)) for u in by_speaker[sid][:5]]
         train_embs.extend(vecs)
         train_labels.extend([sid] * len(vecs))
         enroll[sid] = np.mean(vecs[:3], axis=0)
@@ -72,7 +72,7 @@ def toy_benchmark():
     held_spec = ToySpeakerSpec(n_speakers=20, utterances_per_speaker=3,
                                utterance_seconds=6.0, seed=0)
     held = make_toy_dataset(held_spec, utterance_offset=10)
-    whole_embs = {u.utterance_id: model.embed(featurize(u.audio, 80)).values
+    whole_embs = {u.utterance_id: model.embed(featurize(u.audio, 80))
                   for u in held}
 
     speakers = sorted(enroll)
@@ -234,7 +234,7 @@ def test_criterion_04_shapes_and_structural_variants():
         assert model.rblstm(x, "eval").data.shape == (t_len, 16)
 
     emb = model.embed(rng.standard_normal((50, 8)))
-    assert emb.values.shape == (256,)
+    assert emb.shape == (256,)
 
     variants = [dict(),
                 dict(standard_conv=True),
@@ -244,12 +244,12 @@ def test_criterion_04_shapes_and_structural_variants():
     for kwargs in variants:
         m = AmcrnModel(tiny_config(**kwargs), seed=0)
         out = m.embed(rng.standard_normal((12, 8)))
-        assert out.values.shape == (16,) and np.all(np.isfinite(out.values))
+        assert out.shape == (16,) and np.all(np.isfinite(out))
 
     for scales in (2, 4, 8, 16, 32):
         m = AmcrnModel(tiny_config(channels=32, n_scales=scales), seed=0)
         out = m.embed(rng.standard_normal((10, 8)))
-        assert np.all(np.isfinite(out.values))
+        assert np.all(np.isfinite(out))
     with pytest.raises(ConfigError):
         tiny_config(channels=24, n_scales=16)
 
@@ -336,7 +336,7 @@ def test_criterion_07_truncation_monotonicity(toy_benchmark):
             test_embs = {}
             for idx, utt in enumerate(bench["held"]):
                 seg, _ = truncate_segment(utt.audio, duration, 1000 * seed + idx)
-                test_embs[utt.utterance_id] = model.embed(featurize(seg, 80)).values
+                test_embs[utt.utterance_id] = model.embed(featurize(seg, 80))
             eer, _, _ = _eer_from_embs(bench, test_embs, csm)
             eers.append(eer)
         means[duration] = float(np.mean(eers))
@@ -376,13 +376,13 @@ def test_criterion_09_round_trips(tmp_path):
     model = AmcrnModel(cfg, seed=9)
     model.initial_bn.running_mean += 0.1
     x = np.random.default_rng(10).standard_normal((14, cfg.n_mels))
-    ref = model.embed(x).values
+    ref = model.embed(x)
     blob = checkpoint_bytes(model)
     again = restore_model(blob)
     # Storage is float32, so compare through a second round trip.
-    ref32 = again.embed(x).values
+    ref32 = again.embed(x)
     assert checkpoint_bytes(again) == checkpoint_bytes(restore_model(checkpoint_bytes(again)))
-    assert np.array_equal(restore_model(checkpoint_bytes(again)).embed(x).values,
+    assert np.array_equal(restore_model(checkpoint_bytes(again)).embed(x),
                           ref32)
     assert ref.shape == ref32.shape
 
@@ -440,7 +440,7 @@ def test_criterion_10_dsp_suite():
     for case in range(50):
         t_len = int(rng.integers(4, 350))
         vals = rng.standard_normal((t_len, 6))
-        feat = LmsFeature(vals, FrameSpec(n_mels=6))
+        feat = LmsFeature(vals)
         out = apply_cmvn(feat, window=0.8).values
         w = int(round(0.8 / 0.010))
         t = int(rng.integers(0, t_len))

@@ -9,13 +9,15 @@ import zlib
 import numpy as np
 import pytest
 
+from amcrn import cli
 from amcrn.audio import AudioBuffer, read_wav, write_wav
 from amcrn.cli import _load_plda, _save_plda, main
 from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms, featurize
-from amcrn.errors import ConfigError
-from amcrn.model import AmcrnModel, load_checkpoint
-from amcrn.scoring import plda_score, plda_train
+from amcrn.errors import AmcrnError, ConfigError, NumericalError
+from amcrn.model import AmcrnConfig, AmcrnModel, load_checkpoint, parse_config
+from amcrn.scoring import plda_score, plda_train, read_trial_list
 from amcrn.store import EmbeddingStore
+from amcrn.training import TrainConfig
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -77,7 +79,7 @@ class TestTrain:
         model = load_checkpoint(ckpt)
         audio = read_wav(data_dir / "spk000" / "utt000.wav")
         emb = model.embed(featurize(audio, model.config.n_mels))
-        assert np.all(np.isfinite(emb.values))
+        assert np.all(np.isfinite(emb))
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -335,6 +337,138 @@ def test_corrupt_wav_is_data_error(workspace, tmp_path, capsys, command, case):
     assert captured.out == ""
 
 
+def _change_byte(blob, rng):
+    """`blob` with one of its first 200 bytes changed."""
+    i = int(rng.integers(min(len(blob), 200)))
+    return blob[:i] + bytes([blob[i] ^ int(rng.integers(1, 256))]) + blob[i + 1:]
+
+
+# cut name -> the damaged bytes of a good file
+CUTS = {
+    "half": lambda blob, rng: blob[: len(blob) // 2],
+    "empty": lambda blob, rng: b"",
+    "non_utf8": lambda blob, rng: b"\xff\xfe\xc3\x28" + blob[4:],
+    "random_64": lambda blob, rng: rng.bytes(64),
+    "byte_changed": _change_byte,
+}
+
+# input kind -> the subcommands that read it
+READ_BY = {
+    "checkpoint": ["embed", "enroll", "verify", "eval"],
+    "store": ["enroll", "verify"],
+    "plda": ["verify_plda", "eval_plda"],
+    "trials": ["eval"],
+    "wav": ["embed", "enroll", "verify", "eval"],
+    "config": ["train", "profile"],
+}
+
+
+@pytest.fixture(scope="module")
+def good_inputs(workspace, tmp_path_factory):
+    """kind -> the bytes of a good input of that kind: the tiny
+    checkpoint, a store enrolling "alice", a fitted PLDA file, a trial
+    list over probe.wav, a WAV and a `--config` file."""
+    root, data_dir, ckpt = workspace
+    work = tmp_path_factory.mktemp("good")
+    store = work / "speakers.tsv"
+    assert main(["enroll", "--checkpoint", str(ckpt), "--store", str(store),
+                 "--id", "alice", str(data_dir / "spk000" / "utt000.wav")]) == 0
+    trials = work / "trials.txt"
+    trials.write_text("1 spk000/utt000.wav spk000/utt003.wav\n"
+                      "0 spk000/utt000.wav spk001/utt000.wav\n")
+    plda = work / "plda.npz"
+    assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(trials),
+                 "--audio-root", str(data_dir), "--backend", "plda",
+                 "--plda-train-dir", str(data_dir), "--plda-file", str(plda),
+                 "--out-prefix", str(work / "fit")]) == 0
+    return {"checkpoint": ckpt.read_bytes(), "store": store.read_bytes(),
+            "plda": plda.read_bytes(),
+            "trials": b"1 probe.wav a.wav\n0 probe.wav b.wav\n",
+            "wav": (data_dir / "spk000" / "utt001.wav").read_bytes(),
+            "config": (root / "run.cfg").read_bytes()}
+
+
+def _read(kind, path, dim):
+    """Read `path` as an input of `kind` with the library's own reader."""
+    readers = {
+        "checkpoint": load_checkpoint,
+        "store": EmbeddingStore,
+        "plda": lambda p: _load_plda(str(p), dim),
+        "trials": read_trial_list,
+        "wav": read_wav,
+        "config": lambda p: parse_config(p, (AmcrnConfig, TrainConfig)),
+    }
+    readers[kind](path)
+
+
+@pytest.mark.parametrize("kind, command", [(k, c) for k in READ_BY for c in READ_BY[k]])
+@pytest.mark.parametrize("cut", sorted(CUTS))
+def test_damaged_input_never_escapes(workspace, good_inputs, tmp_path, capsys,
+                                     kind, command, cut):
+    """One damaged input per run, through every subcommand that reads it:
+    when the input's own reader refuses it, the command exits 2 (3 for a
+    NumericalError) with an error line; otherwise it may run on, but no
+    exception ever escapes `main`."""
+    _, data_dir, good_ckpt = workspace
+    files = {"checkpoint": "model.ckpt", "store": "speakers.tsv", "plda": "plda.npz",
+             "trials": "trials.txt", "wav": "probe.wav", "config": "run.cfg"}
+    for other, name in files.items():
+        (tmp_path / name).write_bytes(good_inputs[other])
+    for name, utt in (("a.wav", "spk000/utt002.wav"), ("b.wav", "spk001/utt000.wav")):
+        (tmp_path / name).write_bytes((data_dir / utt).read_bytes())
+    rng = np.random.default_rng(zlib.crc32(f"{kind}/{cut}".encode()))
+    bad = tmp_path / files[kind]
+    bad.write_bytes(CUTS[cut](good_inputs[kind], rng))
+    try:
+        _read(kind, bad, load_checkpoint(good_ckpt).config.embedding_dim)
+        refused = None
+    except (AmcrnError, OSError, ValueError) as exc:
+        refused = exc
+    paths = {k: str(tmp_path / name) for k, name in files.items()}
+    ckpt = ["--checkpoint", paths["checkpoint"]]
+    plda = ["--backend", "plda", "--plda-file", paths["plda"]]
+    verify = ["verify", *ckpt, "--store", paths["store"], "--id", "alice", paths["wav"]]
+    evaluate = ["eval", *ckpt, "--trials", paths["trials"], "--audio-root", str(tmp_path),
+                "--out-prefix", str(tmp_path / "run")]
+    argv = {
+        "embed": ["embed", *ckpt, "--out", str(tmp_path / "emb.txt"), paths["wav"]],
+        "enroll": ["enroll", *ckpt, "--store", paths["store"], "--id", "bob", paths["wav"]],
+        "verify": verify,
+        "verify_plda": [*verify, *plda],
+        "eval": evaluate,
+        "eval_plda": [*evaluate, *plda],
+        "train": ["train", "--toy", "speakers=2 utts=2 seconds=0.5", "--epochs", "1",
+                  "--config", paths["config"], "--out", str(tmp_path / "out.ckpt")],
+        "profile": ["profile", "--config", paths["config"]],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if refused is not None:
+        assert code == (3 if isinstance(refused, NumericalError) else 2), err
+        if kind != "checkpoint":  # the checkpoint reader's messages name no file
+            assert str(bad) in err, err
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.startswith("error: "), err
+    if code == 3:
+        assert err.startswith("numerical error: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--toy", "speakers=2", "--out", "never.ckpt"],
+    ["verify", "--checkpoint", "m.ckpt", "--store", "s.tsv", "--id", "alice", "t.wav"],
+], ids=["train", "verify"])
+def test_memory_error_is_usage_error(monkeypatch, capsys, argv):
+    """A MemoryError (say, from a config that asks for a huge layer) exits
+    2, not as a traceback with exit 1, which `verify` uses for a reject."""
+    def out_of_memory(args):
+        raise MemoryError("Unable to allocate 93.1 TiB")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], out_of_memory)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 93.1 TiB\n"
+
+
 class TestEnrollVerify:
     @pytest.fixture(scope="class")
     def store(self, workspace, tmp_path_factory):
@@ -361,11 +495,12 @@ class TestEnrollVerify:
         assert code == 1
         assert "reject" in capsys.readouterr().out
 
-    def test_unknown_speaker_is_data_error(self, workspace, store):
+    def test_unknown_speaker_is_data_error(self, workspace, store, capsys):
         _, data_dir, ckpt = workspace
         wav = str(data_dir / "spk000" / "utt000.wav")
         assert main(["verify", "--checkpoint", str(ckpt), "--store", str(store),
                      "--id", "mallory", wav]) == 2
+        assert capsys.readouterr().err == f"error: {store}: unknown speaker 'mallory'\n"
 
     def test_id_with_tab_is_data_error_and_store_untouched(self, workspace, tmp_path):
         _, data_dir, ckpt = workspace

@@ -1,7 +1,5 @@
 """Front-end feature extraction tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -40,6 +38,15 @@ class TestFraming:
     def test_too_short_raises(self):
         with pytest.raises(InputTooShort):
             frame_and_window(AudioBuffer(np.zeros(100)), FrameSpec())
+
+    @pytest.mark.parametrize("n_mels, rate, message", [
+        (0, SAMPLE_RATE, "n_mels must be positive"),
+        (80, 8000, "exceeds the Nyquist frequency"),
+        (80, 48000, "does not fit in 512 FFT points"),  # a 1200-sample frame
+    ])
+    def test_spec_refused_for_the_audio(self, n_mels, rate, message):
+        with pytest.raises(ConfigError, match=message):
+            frame_and_window(AudioBuffer(np.zeros(rate), rate), FrameSpec(n_mels))
 
 
 class TestPowerSpectrum:
@@ -83,7 +90,7 @@ class TestMelFilterbank:
     def test_centers_match_mel_oracle(self):
         spec = FrameSpec()
         # Oracle: recompute centers from the hz->mel->hz round trip.
-        lo, hi = hz_to_mel(spec.f_min), hz_to_mel(spec.f_max)
+        lo, hi = hz_to_mel(dsp.F_MIN), hz_to_mel(dsp.F_MAX)
         expected = mel_to_hz(lo + (hi - lo) * np.arange(1, 81) / 81.0)
         np.testing.assert_allclose(mel_filter_centers(spec), expected, rtol=1e-12)
 
@@ -100,14 +107,14 @@ class TestMelFilterbank:
         spec = FrameSpec()
         bank = mel_filterbank(spec, SAMPLE_RATE)
         bin_freqs = np.arange(257) * SAMPLE_RATE / 512
-        interior = (bin_freqs > spec.f_min + 60) & (bin_freqs < spec.f_max - 60)
+        interior = (bin_freqs > dsp.F_MIN + 60) & (bin_freqs < dsp.F_MAX - 60)
         assert np.all(bank.sum(axis=0)[interior] > 0.0)
 
     def test_compact_support(self):
         spec = FrameSpec()
         bank = mel_filterbank(spec, SAMPLE_RATE)
-        lo_m = hz_to_mel(spec.f_min)
-        hi_m = hz_to_mel(spec.f_max)
+        lo_m = hz_to_mel(dsp.F_MIN)
+        hi_m = hz_to_mel(dsp.F_MAX)
         edges = mel_to_hz(np.linspace(lo_m, hi_m, 82))
         bin_freqs = np.arange(257) * SAMPLE_RATE / 512
         for m in range(0, 80, 7):
@@ -115,8 +122,9 @@ class TestMelFilterbank:
             assert np.all(bank[m][outside] == 0.0)
 
     def test_fmax_above_nyquist_rejected(self):
-        with pytest.raises(ConfigError):
-            mel_filterbank(FrameSpec(f_max=9000.0), SAMPLE_RATE)
+        # 8 kHz audio has its Nyquist frequency (4 kHz) below F_MAX.
+        with pytest.raises(ConfigError, match="exceeds the Nyquist frequency of 8000 Hz"):
+            mel_filterbank(FrameSpec(), 8000)
 
     def test_cached_bank_is_shared_and_read_only(self):
         bank = mel_filterbank(FrameSpec(n_mels=24), SAMPLE_RATE)
@@ -130,8 +138,8 @@ class TestMelFilterbank:
     def test_extraction_with_cached_bank_is_bit_identical(self, n_mels):
         spec = FrameSpec(n_mels=n_mels)
         audio = tone(440.0, seconds=0.5)
-        fresh = dsp._filterbank.__wrapped__(dataclasses.astuple(spec), SAMPLE_RATE)
-        power = power_spectrum(frame_and_window(audio, spec), spec.n_fft)
+        fresh = dsp._filterbank.__wrapped__(n_mels, SAMPLE_RATE)
+        power = power_spectrum(frame_and_window(audio, spec), dsp.N_FFT)
         want = np.log(np.maximum(power @ fresh.T, dsp.LOG_FLOOR))
         for _ in range(2):  # the first call may fill the cache, the second reads it
             np.testing.assert_array_equal(extract_lms(audio, spec).values, want)
@@ -173,7 +181,7 @@ class TestExtractLms:
 
 class TestCmvn:
     def test_constant_feature_maps_to_zero(self):
-        lms = LmsFeature(np.full((50, 80), 3.7), FrameSpec())
+        lms = LmsFeature(np.full((50, 80), 3.7))
         out = apply_cmvn(lms)
         # Rounding residue divided by the floored std stays tiny.
         np.testing.assert_allclose(out.values, 0.0, atol=1e-6)
@@ -183,7 +191,7 @@ class TestCmvn:
         for trial in range(50):
             t_len = int(rng.integers(5, 400))
             x = rng.standard_normal((t_len, 4))
-            lms = LmsFeature(x, FrameSpec(n_mels=4))
+            lms = LmsFeature(x)
             out = apply_cmvn(lms, window=1.0).values
             w = int(round(1.0 / 0.010))
             for t in (0, t_len // 2, t_len - 1):
@@ -195,13 +203,13 @@ class TestCmvn:
                 np.testing.assert_allclose(out[t], ref, atol=1e-9)
 
     def test_default_window_is_300_frames(self):
-        w = int(round(3.0 / FrameSpec().frame_shift))
+        w = int(round(3.0 / dsp.FRAME_SHIFT))
         assert w == 300
 
     def test_interior_window_mean_near_zero(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((80, 3))
-        out = apply_cmvn(LmsFeature(x, FrameSpec(n_mels=3)), window=0.2).values
+        out = apply_cmvn(LmsFeature(x), window=0.2).values
         # A frame whose window is fully interior has exactly the window stats.
         w = 20
         t = 40

@@ -115,7 +115,7 @@ def _audit_signature(config):
     model = AmcrnModel(config, seed=0)
     feats = np.random.default_rng(1).standard_normal((2, 60, config.n_mels))
     loss = model.classify_loss(feats, [0, 1], mode="train", rng=np.random.default_rng(2))
-    return model.n_params(), model.embed(feats).values, float(loss.data)
+    return model.n_params(), model.embed(feats), float(loss.data)
 
 
 class TestConfigAudit:
@@ -691,7 +691,7 @@ class TestBatchedModel:
         stacked = model.embed_tensor(x, mode="eval").data
         assert stacked.shape == (3, cfg.embedding_dim)
         for b in range(3):
-            np.testing.assert_allclose(stacked[b], model.embed(x[b]).values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stacked[b], model.embed(x[b]), rtol=0, atol=1e-12)
 
     def test_pooling_grad_check(self):
         rng = np.random.default_rng(43)
@@ -744,14 +744,14 @@ class TestFullModel:
         model = AmcrnModel(cfg, seed=0)
         x = np.random.default_rng(27).standard_normal((t_len, cfg.n_mels))
         emb = model.embed(x)
-        assert emb.values.shape == (cfg.embedding_dim,)
-        assert np.all(np.isfinite(emb.values))
+        assert emb.shape == (cfg.embedding_dim,)
+        assert np.all(np.isfinite(emb))
 
     def test_eval_embedding_deterministic(self):
         cfg = tiny_config()
         model = AmcrnModel(cfg, seed=0)
         x = np.random.default_rng(28).standard_normal((12, cfg.n_mels))
-        np.testing.assert_array_equal(model.embed(x).values, model.embed(x).values)
+        np.testing.assert_array_equal(model.embed(x), model.embed(x))
 
     def test_wrong_feature_width_rejected(self):
         model = AmcrnModel(tiny_config(), seed=0)
@@ -781,14 +781,14 @@ class TestFullModel:
         model = AmcrnModel(cfg, seed=0)
         x = np.random.default_rng(30).standard_normal((9, cfg.n_mels))
         emb = model.embed(x)
-        assert np.all(np.isfinite(emb.values))
+        assert np.all(np.isfinite(emb))
 
     @pytest.mark.parametrize("scales", [2, 4, 8, 16, 32])
     def test_scale_sweep_runs(self, scales):
         cfg = tiny_config(channels=32, n_scales=scales)
         model = AmcrnModel(cfg, seed=0)
         emb = model.embed(np.random.default_rng(31).standard_normal((6, cfg.n_mels)))
-        assert np.all(np.isfinite(emb.values))
+        assert np.all(np.isfinite(emb))
 
     def test_ablations_change_parameter_count(self):
         full = AmcrnModel(tiny_config(), seed=0).n_params(include_head=False)
@@ -816,7 +816,7 @@ class TestTapeFreeEmbed:
         x = np.random.default_rng(44).standard_normal(batch + (30, cfg.n_mels))
         taped = model.embed_tensor(x, mode="eval")
         assert taped._parents  # the oracle does build a tape
-        got = model.embed(x).values
+        got = model.embed(x)
         assert got.shape == batch + (cfg.embedding_dim,)
         np.testing.assert_array_equal(got, taped.data)
 

@@ -14,7 +14,7 @@ from amcrn.audio import SAMPLE_RATE, AudioBuffer
 from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms
 from amcrn.errors import (DegenerateInput, InputTooShort, InsufficientTrials,
                           MissingUtterance, NumericalError)
-from amcrn.model import AmcrnModel, SpeakerEmbedding, tiny_config
+from amcrn.model import AmcrnModel, tiny_config
 from amcrn.scoring import (EvalReport, PldaModel, Trial, compute_eer,
                            compute_mindcf, csm, decide, det_sweep, far_frr,
                            plda_score, plda_train, read_trial_list, run_trials,
@@ -107,11 +107,6 @@ class TestCsm:
         a = np.array([0.3, -0.7, 1.1])
         b = np.array([1.0, 0.4, -0.2])
         assert csm(3.0 * a, b) == pytest.approx(csm(a, 0.5 * b), abs=1e-12)
-
-    def test_accepts_embedding_objects(self):
-        a = SpeakerEmbedding(np.array([1.0, 0.0]))
-        b = SpeakerEmbedding(np.array([1.0, 0.0]))
-        assert csm(a, b) == pytest.approx(1.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInput):

@@ -268,8 +268,8 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         loaded = load_checkpoint(path)
         x = np.random.default_rng(6).standard_normal((9, cfg.n_mels))
-        ref = restore_model(checkpoint_bytes(model)).embed(x).values
-        assert np.array_equal(loaded.embed(x).values, ref)
+        ref = restore_model(checkpoint_bytes(model)).embed(x)
+        assert np.array_equal(loaded.embed(x), ref)
 
     def test_embedded_config_round_trips(self, tmp_path):
         """The config travels inside the one file, as `config_text`; no
