@@ -188,9 +188,6 @@ class Conv1d:
     def __call__(self, x):
         return ad.conv1d_dilated(x, self.kernel, self.bias, self.dilation)
 
-    def params(self):
-        return [self.kernel, self.bias]
-
 
 class Linear:
     def __init__(self, name, d_in, d_out, rng):
@@ -200,9 +197,6 @@ class Linear:
     def __call__(self, x):
         return ad.linear(x, self.weight, self.bias)
 
-    def params(self):
-        return [self.weight, self.bias]
-
 
 class _RunningNorm:
     """Per-channel affine normalization with running mean and variance
@@ -211,7 +205,7 @@ class _RunningNorm:
     EPS = 1e-5
     MOMENTUM = 0.1
 
-    def __init__(self, name, channels, rng=None):
+    def __init__(self, name, channels):
         self.name = name
         self.gamma = Parameter(np.ones(channels), f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels), f"{name}.beta")
@@ -221,13 +215,6 @@ class _RunningNorm:
     def _normalize(self, x, mean, var):
         xhat = (x - Tensor(mean)) / Tensor(np.sqrt(var + self.EPS))
         return self.gamma * xhat + self.beta
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def buffers(self):
-        return [(f"{self.name}.running_mean", "running_mean"),
-                (f"{self.name}.running_var", "running_var")]
 
 
 class BatchNorm(_RunningNorm):
@@ -297,9 +284,6 @@ class TemporalAttention:
     def __call__(self, x):
         return temporal_attention(x, self.kernel, self.bias)
 
-    def params(self):
-        return [self.kernel, self.bias]
-
 
 class McbBlock:
     """Multi-scale convolutional block with residual connection.
@@ -318,12 +302,12 @@ class McbBlock:
         sub = c // n
         self.n_scales = n
         self.conv_pre = Conv1d(f"{name}.pre", k, c, c, r, rng)
-        self.bn_pre = BatchNorm(f"{name}.bn_pre", c, rng)
+        self.bn_pre = BatchNorm(f"{name}.bn_pre", c)
         self.scale_convs = [
             Conv1d(f"{name}.scale{j}", 3, sub, sub, r, rng) for j in range(1, n)
         ]
         self.conv_post = Conv1d(f"{name}.post", config.fusion_kernel, c, c, r, rng)
-        self.bn_post = BatchNorm(f"{name}.bn_post", c, rng)
+        self.bn_post = BatchNorm(f"{name}.bn_post", c)
         self.attention = TemporalAttention(f"{name}.ta", config.ta_kernel, rng) \
             if config.use_temporal_attention else None
 
@@ -341,15 +325,6 @@ class McbBlock:
             _, x = self.attention(x)
         return ad.relu(s + x)
 
-    def params(self):
-        out = self.conv_pre.params() + self.bn_pre.params()
-        for conv in self.scale_convs:
-            out += conv.params()
-        out += self.conv_post.params() + self.bn_post.params()
-        if self.attention is not None:
-            out += self.attention.params()
-        return out
-
 
 class LstmDirection:
     """One direction of an LSTM layer (gate order: input, forget, cell, output)."""
@@ -363,9 +338,6 @@ class LstmDirection:
 
     def __call__(self, x, reverse):
         return ad.lstm(x, self.w_x, self.w_h, self.bias, reverse)
-
-    def params(self):
-        return [self.w_x, self.w_h, self.bias]
 
 
 # The two directions of a BLSTM layer run concurrently when the
@@ -452,9 +424,6 @@ class BlstmLayer:
             back = self.bwd(x, reverse=True)
         return ad.concat([ahead.result(), back], axis=-1)
 
-    def params(self):
-        return self.fwd.params() + self.bwd.params()
-
 
 class ResidualBlstm:
     """Two BLSTM layers with dropout between them, a linear projection
@@ -476,9 +445,6 @@ class ResidualBlstm:
         h2 = self.blstm2(d)
         return x + self.proj(h2)
 
-    def params(self):
-        return self.blstm1.params() + self.blstm2.params() + self.proj.params()
-
 
 class AttentiveStatPool:
     """Channel-wise attentive mean and standard deviation over time:
@@ -499,9 +465,6 @@ class AttentiveStatPool:
         second = ad.tsum(alpha * h * h, axis=-2)
         std = ad.sqrt(ad.clamp_min(second - mean * mean, self.VAR_FLOOR))
         return ad.concat([mean, std], axis=-1)
-
-    def params(self):
-        return self.score1.params() + self.score2.params()
 
 
 def aam_logits(embedding, class_weights, labels, margin, scale):
@@ -544,6 +507,26 @@ def by_frame_count(rows):
     return [tuple(zip(*group)) for group in groups.values()]
 
 
+def named_arrays(obj):
+    """(name, owner, attribute) of every array that `obj` and its layers
+    hold, in the order the attributes were assigned. A Parameter gives
+    (its name, itself, "data"); a list is walked in order and any other
+    object with attributes through `vars`; a normalization layer adds its
+    running mean and variance after its gamma and beta. Anything else
+    (arrays, numbers, None, the config's values) gives nothing."""
+    if isinstance(obj, Parameter):
+        yield obj.name, obj, "data"
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from named_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from named_arrays(value)
+        if isinstance(obj, _RunningNorm):
+            for attr in ("running_mean", "running_var"):
+                yield f"{obj.name}.{attr}", obj, attr
+
+
 class AmcrnModel:
     """Speaker embedding network plus the training-time classifier head."""
 
@@ -557,9 +540,7 @@ class AmcrnModel:
         array."""
         model = cls.__new__(cls)
         model._build(config, None)
-        for p in model.parameters():
-            p.data = np.zeros(p.data.shape, dtype)
-        for _, owner, attr in model.buffers():
+        for _, owner, attr in named_arrays(model):
             setattr(owner, attr, np.zeros(getattr(owner, attr).shape, dtype))
         return model
 
@@ -568,14 +549,14 @@ class AmcrnModel:
         c0 = config.initial_channels
         self.initial_conv = Conv1d("initial.conv", config.initial_kernel,
                                    config.n_mels, c0, 1, rng)
-        self.initial_bn = BatchNorm("initial.bn", c0, rng)
+        self.initial_bn = BatchNorm("initial.bn", c0)
         self.blocks = [McbBlock(f"mcb{i}", config, i, rng) for i in range(config.n_mcb)]
         last_c = config.mcb_channels[-1]
         self.rblstm = ResidualBlstm("rblstm", last_c, config.blstm_hidden,
                                     config.blstm_dropout, rng) if config.use_blstm else None
         self.pool = AttentiveStatPool("pool", last_c, config.pool_bottleneck, rng)
         self.emb_linear = Linear("embed.linear", 2 * last_c, config.embedding_dim, rng)
-        self.emb_norm = VectorNorm("embed.norm", config.embedding_dim, rng)
+        self.emb_norm = VectorNorm("embed.norm", config.embedding_dim)
         self.head = Parameter(_uniform(rng, (config.n_classes, config.embedding_dim),
                                        config.embedding_dim), "head.weight")
 
@@ -639,21 +620,13 @@ class AmcrnModel:
     # -- parameter access ----------------------------------------------
 
     def parameters(self, include_head=True):
-        out = self.initial_conv.params() + self.initial_bn.params()
-        for block in self.blocks:
-            out += block.params()
-        if self.rblstm is not None:
-            out += self.rblstm.params()
-        out += self.pool.params() + self.emb_linear.params() + self.emb_norm.params()
-        if include_head:
-            out.append(self.head)
-        return out
+        """Every Parameter in layer order; the head, built last, comes last."""
+        return [p for _, p, _ in named_arrays(self)
+                if isinstance(p, Parameter) and (include_head or p is not self.head)]
 
     def buffers(self):
         """(name, owner, attribute) of each normalization running statistic."""
-        owners = [self.initial_bn, *(bn for b in self.blocks for bn in (b.bn_pre, b.bn_post)),
-                  self.emb_norm]
-        return [(name, owner, attr) for owner in owners for name, attr in owner.buffers()]
+        return [entry for entry in named_arrays(self) if not isinstance(entry[1], Parameter)]
 
     def zero_grad(self):
         for p in self.parameters():
@@ -722,7 +695,9 @@ def build_config(path, make, *args, **kwargs):
 
 
 def load_checkpoint(path, dtype=np.float64) -> AmcrnModel:
-    """`restore_model` over the checkpoint file at `path`."""
+    """`restore_model` over the checkpoint file at `path`; each ConfigError
+    it raises starts with `<path>: ` (`<path>:<line>: ` for a line of the
+    embedded config)."""
     with open(path, "rb") as fh:
         return restore_model(fh, dtype)
 
@@ -740,10 +715,10 @@ def _stored_values(config: AmcrnConfig) -> int:
 def restore_model(source, dtype=np.float64) -> AmcrnModel:
     """Rebuild a model from `checkpoint_bytes` output, given as bytes or as
     a binary file open at its start; any malformed, truncated or corrupt
-    checkpoint raises ConfigError, prefixed with the file's name if its
-    embedded config is at fault. The model's arrays have `dtype`: float64
-    for training and for embeddings that are stored or scored by PLDA,
-    float32 for cosine-scored inference.
+    checkpoint raises ConfigError, prefixed with the file's name if it has
+    one. The model's arrays have `dtype`: float64 for training and for
+    embeddings that are stored or scored by PLDA, float32 for
+    cosine-scored inference.
 
     A file too small to hold the values its config needs is refused
     before any layer is built. A float32 model's arrays are read straight
@@ -754,22 +729,27 @@ def restore_model(source, dtype=np.float64) -> AmcrnModel:
     end.
     """
     fh = io.BytesIO(source) if isinstance(source, (bytes, bytearray, memoryview)) else source
+    origin = getattr(fh, "name", None)
+
+    def refused(message):
+        return ConfigError(message if origin is None else f"{origin}: {message}")
+
     end = fh.seek(0, io.SEEK_END) - 8  # the trailing entry count and CRC
     fh.seek(0)
     magic = fh.read(len(CHECKPOINT_MAGIC))
     if magic == b"AMCRN1":
-        raise ConfigError("an AMCRN1 checkpoint, an old format that is no longer read; "
-                          "retrain the model to write an AMCRN2 checkpoint")
+        raise refused("an AMCRN1 checkpoint, an old format that is no longer read; "
+                      "retrain the model to write an AMCRN2 checkpoint")
     if magic != CHECKPOINT_MAGIC:
-        raise ConfigError("not a recognized checkpoint file")
+        raise refused("not a recognized checkpoint file")
     pos, crc = len(magic), zlib.crc32(magic)
 
     def claim(n):
         """Check that n more bytes lie before the trailer; advance."""
         nonlocal pos
         if n > end - pos:
-            raise ConfigError(f"checkpoint truncated: {n} bytes wanted at offset {pos}, "
-                              f"{max(end - pos, 0)} left")
+            raise refused(f"checkpoint truncated: {n} bytes wanted at offset {pos}, "
+                          f"{max(end - pos, 0)} left")
         pos += n
 
     def take(n, into=None):
@@ -787,20 +767,18 @@ def restore_model(source, dtype=np.float64) -> AmcrnModel:
         try:
             return str(take(n), "utf-8")
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"checkpoint {what} at offset {pos - n} is not UTF-8") from exc
+            raise refused(f"checkpoint {what} at offset {pos - n} is not UTF-8") from exc
 
-    origin = getattr(fh, "name", "checkpoint")
     (config_len,) = struct.unpack("<I", take(4))
-    (kwargs,) = parse_config_text(text(config_len, "config"), (AmcrnConfig,), origin)
-    config = build_config(origin, AmcrnConfig, **kwargs)
+    config_name = origin or "checkpoint"  # names the config's own errors
+    (kwargs,) = parse_config_text(text(config_len, "config"), (AmcrnConfig,), config_name)
+    config = build_config(config_name, AmcrnConfig, **kwargs)
     need = 4 * _stored_values(config)
     if need > end - pos:
-        raise ConfigError(f"checkpoint truncated: its config needs {need} bytes of values, "
-                          f"{end - pos} left")
+        raise refused(f"checkpoint truncated: its config needs {need} bytes of values, "
+                      f"{end - pos} left")
     model = AmcrnModel.skeleton(config, dtype)
-    arrays = {p.name: ("parameter", p.data) for p in model.parameters()}
-    arrays.update((name, ("buffer", getattr(owner, attr)))
-                  for name, owner, attr in model.buffers())
+    arrays = {name: (owner, getattr(owner, attr)) for name, owner, attr in named_arrays(model)}
     shapes = {}  # entry name -> shape as read; a repeated name keeps its last
     while pos < end:
         (name_len,) = struct.unpack("<H", take(2))
@@ -819,15 +797,16 @@ def restore_model(source, dtype=np.float64) -> AmcrnModel:
                 np.copyto(target, np.frombuffer(take(n), dtype="<f4").reshape(shape))
     count = fh.read(4)
     if zlib.crc32(count, crc).to_bytes(4, "little") != fh.read(4):
-        raise ConfigError("checkpoint checksum mismatch")
+        raise refused("checkpoint checksum mismatch")
     (n_entries,) = struct.unpack("<I", count)
     if n_entries != len(shapes):
-        raise ConfigError(f"checkpoint entry count mismatch: {n_entries} != {len(shapes)}")
-    for name, (kind, array) in arrays.items():
+        raise refused(f"checkpoint entry count mismatch: {n_entries} != {len(shapes)}")
+    for name, (owner, array) in arrays.items():
         if name not in shapes:
-            raise ConfigError(f"checkpoint missing {kind} {name}")
+            kind = "parameter" if isinstance(owner, Parameter) else "buffer"
+            raise refused(f"checkpoint missing {kind} {name}")
         if shapes[name] != array.shape:
-            raise ConfigError(f"shape mismatch for {name}")
+            raise refused(f"shape mismatch for {name}")
     return model
 
 

@@ -38,6 +38,8 @@ class EmbeddingStore:
             line = raw.rstrip("\n")
             if not line:
                 continue
+            if not raw.endswith("\n"):  # `save` ends every line, so the file was cut
+                raise ConfigError(f"{path}:{lineno}: line cut short")
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ConfigError(f"{path}:{lineno}: malformed store line")
@@ -74,7 +76,8 @@ class EmbeddingStore:
             raise DuplicateId(f"id {rec_id!r} already stored (use overwrite)")
         stored = {len(rec.vector) for key, rec in self.records.items() if key != rec_id}
         if stored and stored != {len(vector)}:
-            raise ConfigError(f"embedding for {rec_id!r} has {len(vector)} values, "
+            where = "" if self.path is None else f"{self.path}: "
+            raise ConfigError(f"{where}embedding for {rec_id!r} has {len(vector)} values, "
                               f"the store holds {stored.pop()}")
         self.records[rec_id] = StoreRecord(vector, int(n_utterances))
 

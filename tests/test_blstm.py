@@ -20,7 +20,7 @@ import pytest
 from amcrn import autodiff as ad
 from amcrn import model
 from amcrn.audio import AudioBuffer
-from amcrn.autodiff import Tensor
+from amcrn.autodiff import Parameter, Tensor
 from amcrn.model import (AmcrnModel, BlstmLayer, LstmDirection, checkpoint_bytes,
                          restore_model, tiny_config)
 from amcrn.training import minibatch_backward
@@ -52,9 +52,14 @@ def set_spare_cpu(monkeypatch, spare):
     monkeypatch.setattr(model, "_spare_cpu", lambda: spare)
 
 
+def params(layer):
+    """The layer's Parameters in order, from `model.named_arrays`."""
+    return [p for _, p, _ in model.named_arrays(layer) if isinstance(p, Parameter)]
+
+
 def paper_layer(dtype, d_in=16, seed=0):
     layer = BlstmLayer("bl", d_in, PAPER_HIDDEN, np.random.default_rng(seed))
-    for p in layer.params():
+    for p in params(layer):
         p.data = p.data.astype(dtype)
     return layer
 
@@ -93,7 +98,7 @@ def test_threaded_taped_pass_equals_inline(monkeypatch, executor):
         x = Tensor(features((2, 3, 3), np.float64), requires_grad=True)
         out = layer(x)
         ad.tsum(out * out).backward()
-        results.append([out.data, x.grad] + [p.grad for p in layer.params()])
+        results.append([out.data, x.grad] + [p.grad for p in params(layer)])
     assert executor.submitted == 1
     for inline, threaded in zip(*results):
         assert np.array_equal(threaded, inline)
@@ -149,7 +154,7 @@ def test_small_layers_stay_inline(monkeypatch, executor):
     add to it: H = 256 in float32 (1 MiB of w_h) runs inline."""
     set_spare_cpu(monkeypatch, True)
     layer = BlstmLayer("bl", 8, 256, np.random.default_rng(0))
-    for p in layer.params():
+    for p in params(layer):
         p.data = p.data.astype(np.float32)
     with ad.no_grad():
         layer(features((1, 3, 8), np.float32))
@@ -223,7 +228,7 @@ def test_tape_free_lstm_copies_no_recurrent_weights(dtype):
     projection and a few B x 4H step buffers, and no H x 4H array."""
     rng = np.random.default_rng(3)
     direction = LstmDirection("l", 4, PAPER_HIDDEN, rng)
-    weights = [p.data.astype(dtype) for p in direction.params()]
+    weights = [p.data.astype(dtype) for p in params(direction)]
     x = rng.standard_normal((1, 4, 4)).astype(dtype)
     with ad.no_grad():
         tracemalloc.start()

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -286,7 +287,7 @@ def test_corrupt_checkpoint_is_data_error(workspace, tmp_path, capsys, command, 
     corrupt, begins = CORRUPT_CHECKPOINTS[case]
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(corrupt(ckpt.read_bytes()))
-    with pytest.raises(ConfigError, match=f"^{begins}") as expected:
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(bad))}: {begins}") as expected:
         load_checkpoint(bad)
     wav = str(data_dir / "spk000" / "utt000.wav")
     store = str(tmp_path / "speakers.tsv")
@@ -445,8 +446,7 @@ def test_damaged_input_never_escapes(workspace, good_inputs, tmp_path, capsys,
     err = capsys.readouterr().err
     if refused is not None:
         assert code == (3 if isinstance(refused, NumericalError) else 2), err
-        if kind != "checkpoint":  # the checkpoint reader's messages name no file
-            assert str(bad) in err, err
+        assert str(bad) in err, err
     assert code in (0, 1, 2, 3)
     if code == 2:
         assert err.startswith("error: "), err

@@ -188,6 +188,28 @@ class TestEmbeddingStore:
         with pytest.raises(ConfigError, match=f"{path.name}:3: id 'a' repeats line 1"):
             EmbeddingStore(path)
 
+    def test_cut_last_line_refused(self, tmp_path):
+        """`save` ends every line, so a last line without its end was cut
+        short; it is refused, not read as a shorter vector."""
+        path = tmp_path / "s.tsv"
+        store = EmbeddingStore()
+        store.add("a", [0.5, 1.0])
+        store.add("b", [0.25, 0.75])
+        store.save(path)
+        path.write_bytes(path.read_bytes()[:-4])  # "b\t1\t0.25 0."
+        with pytest.raises(ConfigError) as refused:
+            EmbeddingStore(path)
+        assert str(refused.value) == f"{path}:2: line cut short"
+
+    def test_second_dimension_names_the_store(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        store = EmbeddingStore(path)
+        store.add("a", np.ones(3))
+        store.save()
+        with pytest.raises(ConfigError) as refused:
+            EmbeddingStore(path).add("b", np.ones(4))
+        assert str(refused.value) == f"{path}: embedding for 'b' has 4 values, the store holds 3"
+
     @pytest.mark.parametrize("rec_id", ["a\tb", "a\nb", "a\rb", "\t", "a\n"])
     def test_id_with_separator_rejected(self, rec_id):
         store = EmbeddingStore()
@@ -439,11 +461,23 @@ class TestCheckpointBounds:
 
 
 # SHA-256 and size of the AMCRN2 checkpoint of AmcrnModel(tiny_config(),
-# seed=0) with 0.25 added to initial_bn.running_mean. Frozen when the
-# config moved into the file and the CRC32 trailer was added; the bytes
-# are the AMCRN1 file's entries and count, with the magic, the config
-# block and the CRC around them.
-SEEDED_CHECKPOINT = ("326bccfc159e20c6c43545f539a4541d9e5635fcb59126930183c02beb545f2d", 45464)
+# seed=0) with 0.25 added to initial_bn.running_mean. The default was
+# frozen when the config moved into the file and the CRC32 trailer was
+# added; its bytes are the AMCRN1 file's entries and count, with the
+# magic, the config block and the CRC around them. Each structural
+# ablation holds a different set of entries (standard_conv changes only
+# the config text); these were frozen before the model's arrays came to
+# be listed by one walk over its layers.
+SEEDED_CHECKPOINTS = {
+    "default": ({}, ("326bccfc159e20c6c43545f539a4541d9e5635fcb59126930183c02beb545f2d", 45464)),
+    "no_blstm": (dict(use_blstm=False),
+                 ("17182bae1669f4552fafc166f8837e0a02971e8b37c15845cd1e803073c1f64c", 31153)),
+    "no_temporal_attention": (
+        dict(use_temporal_attention=False),
+        ("66a898f4bb846cd4434bd573b81f37e82fdb678f51290167f1117657174773a7", 45141)),
+    "standard_conv": (dict(standard_conv=True),
+                      ("2dd908756da1f61d89c2cb9e7ce13349f160ec7dfaccaff77d91715b7598d337", 45463)),
+}
 
 
 def _seeded_model(**overrides):
@@ -460,12 +494,14 @@ class TestStreamedCheckpoint:
     """`save_checkpoint` writes and `load_checkpoint` reads one entry at a
     time; the file bytes and every error stay those of the in-memory blob."""
 
-    def test_seeded_file_bytes_frozen(self, tmp_path):
-        model = _seeded_model()
+    @pytest.mark.parametrize("variant", sorted(SEEDED_CHECKPOINTS))
+    def test_seeded_file_bytes_frozen(self, tmp_path, variant):
+        overrides, frozen = SEEDED_CHECKPOINTS[variant]
+        model = _seeded_model(**overrides)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         data = path.read_bytes()
-        assert (hashlib.sha256(data).hexdigest(), len(data)) == SEEDED_CHECKPOINT
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == frozen
         assert data == checkpoint_bytes(model)
 
     def test_truncated_files_fail_as_truncated_blobs(self, tmp_path):
@@ -479,11 +515,11 @@ class TestStreamedCheckpoint:
             path.write_bytes(blob[:n])
             with pytest.raises(ConfigError) as from_file:
                 load_checkpoint(path)
-            assert str(from_file.value) == str(from_bytes.value)
-            assert str(from_file.value).startswith(("checkpoint truncated",
-                                                    "checkpoint entry count mismatch",
-                                                    "not a recognized checkpoint file",
-                                                    "checkpoint checksum mismatch"))
+            assert str(from_file.value) == f"{path}: {from_bytes.value}"
+            assert str(from_bytes.value).startswith(("checkpoint truncated",
+                                                     "checkpoint entry count mismatch",
+                                                     "not a recognized checkpoint file",
+                                                     "checkpoint checksum mismatch"))
 
     @pytest.mark.parametrize("keep", [0, 5, 9, 200, -1])
     def test_truncated_file_exits_2_via_embed(self, tmp_path, capsys, keep):
@@ -500,7 +536,7 @@ class TestStreamedCheckpoint:
         write_wav(wav, AudioBuffer(0.1 * np.sin(np.arange(8000) / 3.0)))
         assert main(["embed", "--checkpoint", str(path), str(wav)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {expected.value}\n"
+        assert captured.err == f"error: {path}: {expected.value}\n"
         assert captured.out == ""
 
     # Python-side allowance on top of the arrays: names, Tensor objects,
