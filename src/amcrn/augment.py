@@ -3,7 +3,6 @@
 The additive kinds mix a synthetic interferer (colored noise, a tone
 mixture, or band-limited noise bursts) into the input at a requested SNR.
 Reverb convolves with a synthetic exponentially decaying impulse response.
-A file-based interferer hook accepts real noise recordings when available.
 
 scipy.signal is imported where a filter or convolution runs, not with
 the module: it takes about a second and 48 MB to load, and the commands
@@ -78,13 +77,10 @@ def _mix_at_snr(clean, interferer, snr_db):
     return clean + scale * interferer
 
 
-def augment(audio: AudioBuffer, kind: str, snr_db: float, seed: int,
-            interferer: AudioBuffer = None) -> AudioBuffer:
+def augment(audio: AudioBuffer, kind: str, snr_db: float, seed: int) -> AudioBuffer:
     """Return a corrupted copy of the audio; deterministic given seed.
 
-    `snr_db = inf` is a no-op for the additive kinds. An explicit
-    `interferer` buffer (looped/truncated to length) overrides the
-    synthetic interferer for the additive kinds.
+    `snr_db = inf` is a no-op for the additive kinds.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown augmentation kind: {kind!r}")
@@ -104,10 +100,6 @@ def augment(audio: AudioBuffer, kind: str, snr_db: float, seed: int,
     else:
         if not np.isfinite(snr_db):
             return AudioBuffer(x.copy(), audio.sample_rate)
-        if interferer is not None:
-            reps = int(np.ceil(len(x) / max(1, len(interferer.samples))))
-            noise = np.tile(interferer.samples, reps)[: len(x)]
-        else:
-            noise = _GENERATORS[kind](rng, len(x), audio.sample_rate)
+        noise = _GENERATORS[kind](rng, len(x), audio.sample_rate)
         out = _mix_at_snr(x, noise, snr_db)
     return AudioBuffer(np.clip(out, -1.0, 1.0), audio.sample_rate)

@@ -7,10 +7,8 @@ Exit codes: 0 success/accept, 1 reject, 2 usage or data error,
 
 import argparse
 import dataclasses
-import io
 import os
 import sys
-import zipfile
 
 import numpy as np
 
@@ -137,65 +135,15 @@ def cmd_verify(args):
                           f"the checkpoint embeds {dim}-d")
     # The back end is read and checked before the forward pass, so a bad
     # --plda-file fails without embedding anything.
-    plda = _load_plda(args.plda_file, dim) if args.backend == "plda" else None
+    if args.backend == "plda" and not args.plda_file:
+        raise AmcrnError("PLDA backend needs --plda-file")
+    plda = scoring.load_plda(args.plda_file, dim) if args.backend == "plda" else None
     (test,) = _embed_wavs(model, [args.wav])
-    if plda is not None:
-        score = scoring.plda_score(plda, enrolled, test)
-    else:
-        score = scoring.csm(enrolled, test)
+    score = (scoring.csm(enrolled, test) if plda is None
+             else scoring.plda_score(plda, enrolled, test))
     decision = scoring.decide(score, args.threshold)
     print(f"score {score!r}  {decision}")
     return 0 if decision == "accept" else 1
-
-
-def _load_plda(path, dim):
-    """Read a back end written by `_save_plda` for `dim`-d embeddings.
-
-    The file holds the fitted scoring terms, so nothing is solved and
-    scipy is not imported. Every array must be present, finite and of
-    its shape for `dim`; Q must be negative definite (a Cholesky of -Q
-    succeeds), as it is for every fit with positive-definite covariances,
-    or NumericalError. A file of the older covariance-only layout is
-    refused with ConfigError.
-    """
-    if not path:
-        raise AmcrnError("PLDA backend needs --plda-file")
-    shapes = {"mu": (dim,), "q": (dim, dim), "p": (dim, dim), "c": (), "center": (dim,)}
-    try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ConfigError(f"{path}: not a PLDA .npz archive")
-        with data:
-            if "between" in data.files and "q" not in data.files:
-                raise ConfigError(f"{path}: PLDA file of the old covariance-only layout; "
-                                  "refit it with --plda-train-dir")
-            arrays = {name: np.asarray(data[name], dtype=np.float64) for name in shapes}
-            length_norm = bool(data["length_norm"])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: PLDA file lacks array {exc}") from exc
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise ConfigError(f"{path}: unreadable PLDA file: {exc}") from exc
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ConfigError(f"{path}: {name} has shape {arrays[name].shape}, expected "
-                              f"{shape} for the checkpoint's {dim}-d embeddings")
-        if not np.all(np.isfinite(arrays[name])):
-            raise ConfigError(f"{path}: {name} has non-finite values")
-    try:
-        np.linalg.cholesky(-arrays["q"])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{path}: PLDA q is not negative definite: {exc}") from exc
-    return scoring.PldaModel.from_terms(**arrays, length_norm=length_norm)
-
-
-def _save_plda(path, plda):
-    """Write what `plda_score` reads of a fitted model: `mu`, `q`, `p`,
-    `c` (0-d), `center` and `length_norm`, so `_load_plda` restores them
-    bit for bit and factorizes nothing."""
-    buf = io.BytesIO()
-    np.savez(buf, mu=plda.mu, q=plda.q, p=plda.p, c=np.float64(plda.c),
-             center=plda.center, length_norm=np.bool_(plda.length_norm))
-    _atomic_write(path, buf.getvalue())
 
 
 def cmd_eval(args):
@@ -212,18 +160,17 @@ def cmd_eval(args):
     plda = None
     if args.backend == "plda":
         if args.plda_file and os.path.exists(args.plda_file):
-            plda = _load_plda(args.plda_file, model.config.embedding_dim)
+            plda = scoring.load_plda(args.plda_file, model.config.embedding_dim)
         elif args.plda_train_dir:
             data = _load_dataset_dir(args.plda_train_dir)
             embs = scoring.embed_audio(model, [(u.utterance_id, u.audio) for u in data])
             plda = scoring.plda_train(embs, [u.speaker_id for u in data])
             if args.plda_file:
-                _save_plda(args.plda_file, plda)
+                scoring.save_plda(args.plda_file, plda)
         else:
             raise AmcrnError("PLDA backend needs --plda-file or --plda-train-dir")
     truncation = None if args.truncate in (None, "whole") else float(args.truncate)
-    scores, report = scoring.run_trials(model, trials, resolve, backend=args.backend,
-                                        plda_model=plda, truncation=truncation,
+    scores, report = scoring.run_trials(model, trials, resolve, plda, truncation=truncation,
                                         seed=args.seed)
     prefix = args.out_prefix or args.trials
     scoring.write_scored_trials(prefix + ".scores", trials, scores)

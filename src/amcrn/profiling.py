@@ -4,9 +4,11 @@ One MAC is one multiply-accumulate pair. Activations, inference-time
 normalization, and the sigmoid/tanh evaluations are excluded.
 """
 
+import math
 from dataclasses import dataclass
 
 from .dsp import FRAME_SHIFT
+from .errors import ConfigError
 from .model import AmcrnConfig
 
 
@@ -42,7 +44,10 @@ def frames_for(duration_s: float) -> int:
 
 
 def layer_costs(config: AmcrnConfig, duration_s: float, include_head=False):
-    """Per-layer (name, params, macs) for one input duration."""
+    """Per-layer (name, params, macs) for one input duration, a finite
+    number of seconds > 0 (else ConfigError)."""
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ConfigError(f"duration {duration_s!r} s: expected a finite number > 0")
     t = frames_for(duration_s)
     rows = []
 
@@ -98,8 +103,6 @@ def count_params(config: AmcrnConfig, include_head=False) -> int:
 
 
 def count_macs(config: AmcrnConfig, duration_s: float, include_head=False) -> int:
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
     return sum(r.macs for r in layer_costs(config, duration_s, include_head))
 
 

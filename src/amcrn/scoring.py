@@ -1,17 +1,19 @@
 """Back-end scoring and evaluation: cosine similarity, a two-covariance
-PLDA, accept/reject decisions, EER and minDCF, and truncated-segment
-evaluation."""
+PLDA and its file, accept/reject decisions, EER and minDCF, and
+truncated-segment evaluation."""
 
+import io
 import math
 import warnings
+import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioBuffer, random_crop
 from .dsp import featurize
-from .errors import (DegenerateInput, InputTooShort, InsufficientTrials,
+from .errors import (ConfigError, DegenerateInput, InputTooShort, InsufficientTrials,
                      MissingUtterance, NumericalError)
 from .model import _atomic_write
 
@@ -48,72 +50,33 @@ def csm(a, b):
 def decide(score: float, threshold: float = 0.5) -> str:
     """Reject iff the score is strictly below the threshold.
 
-    A NaN score raises NumericalError, so it can never be accepted.
+    A NaN score raises NumericalError, so it can never be accepted; a NaN
+    threshold, which no score is below, raises ConfigError.
     """
     if math.isnan(score):
         raise NumericalError("score is NaN")
+    if math.isnan(threshold):
+        raise ConfigError("threshold is NaN")
     return "reject" if score < threshold else "accept"
 
 
 @dataclass
 class PldaModel:
-    """Two-covariance Gaussian model: class mean ~ N(mu, B), residual ~ N(0, W).
+    """What `plda_score` reads of a two-covariance PLDA model.
 
-    `center` and `length_norm` describe the preprocessing applied to raw
-    embeddings before scoring (set by plda_train; leave at defaults to
-    score raw vectors against a hand-constructed model).
-
-    Construction from the covariances derives the closed-form scoring
-    terms (Ioffe 2006): with T = B + W and S = T - B T^-1 B, the
-    same/different log-likelihood ratio of a pair is
-    ½x'Qx + ½y'Qy + x'Py + c for Q = T^-1 - S^-1, P = T^-1 B S^-1 and
-    c = ½ logdet T - ½ logdet S. T and S are factorized by Cholesky and
-    every inverse is a `cho_solve`; a covariance that is not positive
-    definite raises NumericalError. This constructor is the only place
-    the closed form is computed: `from_terms` restores a model from Q,
-    P and c as `plda_score` reads them, with `between` and `within` None.
+    `q`, `p` and `c` are the closed-form scoring terms that
+    `plda_from_covariances` derives; `center` and `length_norm` describe
+    the preprocessing applied to raw embeddings before scoring (set by
+    plda_train; leave at defaults to score raw vectors). `save_plda` and
+    `load_plda` store and restore these six fields.
     """
 
     mu: np.ndarray
-    between: np.ndarray
-    within: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    c: float
     center: np.ndarray = None
     length_norm: bool = False
-    q: np.ndarray = field(init=False, repr=False, compare=False)
-    p: np.ndarray = field(init=False, repr=False, compare=False)
-    c: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Imported here: scipy.linalg adds about 0.3 s and 28 MB to a
-        # process, and only the fit (and a hand-built model) needs it;
-        # scoring a model restored by `from_terms` does not.
-        from scipy.linalg import cho_factor, cho_solve
-
-        between = np.asarray(self.between, dtype=np.float64)
-        total = between + np.asarray(self.within, dtype=np.float64)
-        eye = np.eye(len(total))
-        try:
-            chol_t = cho_factor(total, lower=True)
-            t_inv_b = cho_solve(chol_t, between)
-            chol_s = cho_factor(total - between @ t_inv_b, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular covariance in PLDA model: {exc}") from exc
-        s_inv = cho_solve(chol_s, eye)
-        self.q = cho_solve(chol_t, eye) - s_inv
-        # P = T^-1 B S^-1 is symmetric; (S^-1 (T^-1 B)')' computes it.
-        self.p = cho_solve(chol_s, t_inv_b.T).T
-        self.c = float(np.sum(np.log(np.diag(chol_t[0])))
-                       - np.sum(np.log(np.diag(chol_s[0]))))
-
-    @classmethod
-    def from_terms(cls, mu, q, p, c, center=None, length_norm=False):
-        """A model that scores with the given terms, as a fitted model's
-        `mu`, `q`, `p`, `c`, `center` and `length_norm`; nothing is
-        solved or checked, and `between` and `within` are None."""
-        model = cls.__new__(cls)
-        vars(model).update(mu=mu, between=None, within=None, center=center,
-                           length_norm=bool(length_norm), q=q, p=p, c=float(c))
-        return model
 
     def preprocess(self, x):
         """Center and length-normalize an embedding or the rows of a stack."""
@@ -121,6 +84,86 @@ class PldaModel:
         if self.center is not None:
             x = x - self.center
         return _length_norm(x) if self.length_norm else x
+
+
+def plda_from_covariances(mu, between, within, center=None, length_norm=False) -> PldaModel:
+    """Two-covariance Gaussian model: class mean ~ N(mu, B), residual ~ N(0, W).
+
+    Derives the closed-form scoring terms (Ioffe 2006): with T = B + W
+    and S = T - B T^-1 B, the same/different log-likelihood ratio of a
+    pair is ½x'Qx + ½y'Qy + x'Py + c for Q = T^-1 - S^-1,
+    P = T^-1 B S^-1 and c = ½ logdet T - ½ logdet S. T and S are
+    factorized by Cholesky and every inverse is a `cho_solve`; a
+    covariance that is not positive definite raises NumericalError.
+    This is the only place the closed form is computed.
+    """
+    # Imported here: scipy.linalg adds about 0.3 s and 28 MB to a
+    # process, and only the fit (and a hand-built model) needs it;
+    # scoring a model read by `load_plda` does not.
+    from scipy.linalg import cho_factor, cho_solve
+
+    between = np.asarray(between, dtype=np.float64)
+    total = between + np.asarray(within, dtype=np.float64)
+    eye = np.eye(len(total))
+    try:
+        chol_t = cho_factor(total, lower=True)
+        t_inv_b = cho_solve(chol_t, between)
+        chol_s = cho_factor(total - between @ t_inv_b, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular covariance in PLDA model: {exc}") from exc
+    s_inv = cho_solve(chol_s, eye)
+    q = cho_solve(chol_t, eye) - s_inv
+    # P = T^-1 B S^-1 is symmetric; (S^-1 (T^-1 B)')' computes it.
+    p = cho_solve(chol_s, t_inv_b.T).T
+    c = float(np.sum(np.log(np.diag(chol_t[0]))) - np.sum(np.log(np.diag(chol_s[0]))))
+    return PldaModel(mu, q, p, c, center=center, length_norm=length_norm)
+
+
+def save_plda(path, model: PldaModel):
+    """Write a model's six fields as a numpy `.npz` archive (`c` 0-d),
+    so `load_plda` restores them bit for bit and factorizes nothing."""
+    buf = io.BytesIO()
+    np.savez(buf, mu=model.mu, q=model.q, p=model.p, c=np.float64(model.c),
+             center=model.center, length_norm=np.bool_(model.length_norm))
+    _atomic_write(path, buf.getvalue())
+
+
+def load_plda(path, dim) -> PldaModel:
+    """Read a model written by `save_plda` for `dim`-d embeddings.
+
+    Nothing is solved and scipy is not imported. Every array must be
+    present, finite and of its shape for `dim`, or ConfigError; Q must be
+    negative definite (a Cholesky of -Q succeeds), as it is for every fit
+    with positive-definite covariances, or NumericalError. A file of the
+    older covariance-only layout is refused with ConfigError.
+    """
+    shapes = {"mu": (dim,), "q": (dim, dim), "p": (dim, dim), "c": (), "center": (dim,)}
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path}: not a PLDA .npz archive")
+        with data:
+            if "between" in data.files and "q" not in data.files:
+                raise ConfigError(f"{path}: PLDA file of the old covariance-only layout; "
+                                  "refit it with --plda-train-dir")
+            arrays = {name: np.asarray(data[name], dtype=np.float64) for name in shapes}
+            length_norm = bool(data["length_norm"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: PLDA file lacks array {exc}") from exc
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable PLDA file: {exc}") from exc
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ConfigError(f"{path}: {name} has shape {arrays[name].shape}, expected "
+                              f"{shape} for the checkpoint's {dim}-d embeddings")
+        if not np.all(np.isfinite(arrays[name])):
+            raise ConfigError(f"{path}: {name} has non-finite values")
+    try:
+        np.linalg.cholesky(-arrays["q"])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{path}: PLDA q is not negative definite: {exc}") from exc
+    arrays["c"] = float(arrays["c"])
+    return PldaModel(**arrays, length_norm=length_norm)
 
 
 RIDGE = 1e-6
@@ -164,7 +207,7 @@ def plda_train(embeddings, labels) -> PldaModel:
     within = within / max(1, n_within)
     between += RIDGE * np.eye(dim)
     within += RIDGE * np.eye(dim)
-    return PldaModel(mu, between, within, center=center, length_norm=True)
+    return plda_from_covariances(mu, between, within, center=center, length_norm=True)
 
 
 def plda_score(model: PldaModel, a, b):
@@ -394,9 +437,10 @@ def embed_audio(model, named_audio):
     return np.reshape(vectors, (len(vectors), model.config.embedding_dim))
 
 
-def run_trials(model, trials, resolve_audio, backend="csm", plda_model=None,
-               truncation=None, seed=0, p_target=0.01):
-    """Score a trial list and compute EER/minDCF.
+def run_trials(model, trials, resolve_audio, plda=None, truncation=None, seed=0,
+               p_target=0.01):
+    """Score a trial list and compute EER/minDCF, by cosine similarity or,
+    given a PldaModel `plda`, by `plda_score`.
 
     `resolve_audio(ref)` returns an AudioBuffer or raises KeyError.
     Truncation (in seconds) applies to the test side only; each ref's
@@ -409,8 +453,6 @@ def run_trials(model, trials, resolve_audio, backend="csm", plda_model=None,
     first appearance, so no audio is held past its featurization. The
     whole list is scored in one back-end call on the stacked sides.
     """
-    if backend == "plda" and plda_model is None:
-        raise NumericalError("PLDA backend requested without a trained model")
     if not trials:
         raise InsufficientTrials("empty trial list")
 
@@ -437,10 +479,7 @@ def run_trials(model, trials, resolve_audio, backend="csm", plda_model=None,
     vectors = embed_audio(model, unique_audio())
     enroll = vectors[[row[t.enroll_ref, None] for t in trials]]
     test = vectors[[row[t.test_ref, truncation] for t in trials]]
-    if backend == "csm":
-        scores = csm(enroll, test).tolist()
-    else:
-        scores = plda_score(plda_model, enroll, test).tolist()
+    scores = (csm(enroll, test) if plda is None else plda_score(plda, enroll, test)).tolist()
     labels = [t.label for t in trials]
     eer, thr = compute_eer(labels, scores)
     min_dcf = compute_mindcf(labels, scores, p_target=p_target)

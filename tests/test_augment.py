@@ -66,13 +66,3 @@ class TestMisc:
         out = augment(clean, "reverb", 0.0, seed=3)
         assert len(out) == len(clean)
         assert not np.array_equal(out.samples, clean.samples)
-
-    def test_explicit_interferer_is_used(self):
-        clean = speechlike()
-        hum = AudioBuffer(0.1 * np.sin(2 * np.pi * 60 * np.arange(4000) / SAMPLE_RATE))
-        out = augment(clean, "noise", 10.0, seed=0, interferer=hum)
-        noise = out.samples - clean.samples
-        # Residual must be the looped hum up to a scale factor.
-        looped = np.tile(hum.samples, int(np.ceil(len(clean) / len(hum))))[: len(clean)]
-        scale = noise[100] / looped[100]
-        np.testing.assert_allclose(noise, scale * looped, atol=1e-9)

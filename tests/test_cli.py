@@ -12,11 +12,11 @@ import pytest
 
 from amcrn import cli
 from amcrn.audio import AudioBuffer, read_wav, write_wav
-from amcrn.cli import _load_plda, _save_plda, main
+from amcrn.cli import main
 from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms, featurize
 from amcrn.errors import AmcrnError, ConfigError, NumericalError
 from amcrn.model import AmcrnConfig, AmcrnModel, load_checkpoint, parse_config
-from amcrn.scoring import plda_score, plda_train, read_trial_list
+from amcrn.scoring import load_plda, plda_score, plda_train, read_trial_list, save_plda
 from amcrn.store import EmbeddingStore
 from amcrn.training import TrainConfig
 
@@ -394,7 +394,7 @@ def _read(kind, path, dim):
     readers = {
         "checkpoint": load_checkpoint,
         "store": EmbeddingStore,
-        "plda": lambda p: _load_plda(str(p), dim),
+        "plda": lambda p: load_plda(str(p), dim),
         "trials": read_trial_list,
         "wav": read_wav,
         "config": lambda p: parse_config(p, (AmcrnConfig, TrainConfig)),
@@ -494,6 +494,14 @@ class TestEnrollVerify:
                      "--id", "alice", "--threshold", "2.0", wav])
         assert code == 1
         assert "reject" in capsys.readouterr().out
+
+    def test_nan_threshold_is_usage_error(self, workspace, store, capsys):
+        _, data_dir, ckpt = workspace
+        wav = str(data_dir / "spk000" / "utt003.wav")
+        code = main(["verify", "--checkpoint", str(ckpt), "--store", str(store),
+                     "--id", "alice", "--threshold", "nan", wav])
+        assert code == 2
+        assert capsys.readouterr().err == "error: threshold is NaN\n"
 
     def test_unknown_speaker_is_data_error(self, workspace, store, capsys):
         _, data_dir, ckpt = workspace
@@ -814,8 +822,8 @@ def test_plda_file_round_trips_bit_for_bit(tmp_path):
     embs = centers[labels] + 0.3 * rng.standard_normal((20, 16))
     fitted = plda_train(embs, labels)
     path = tmp_path / "plda.npz"
-    _save_plda(str(path), fitted)
-    loaded = _load_plda(str(path), 16)
+    save_plda(str(path), fitted)
+    loaded = load_plda(str(path), 16)
     for name in ("mu", "q", "p", "center"):
         want, got = getattr(fitted, name), getattr(loaded, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -839,3 +847,9 @@ class TestProfile:
         capsys.readouterr()
         lines = open(csv_path).read().splitlines()
         assert lines[0] == "layer,params,macs_1s,macs_2s"
+
+    @pytest.mark.parametrize("duration", ["inf", "-1", "0", "nan"])
+    def test_unusable_duration_is_usage_error(self, capsys, duration):
+        assert main(["profile", "--durations", f"2,{duration}"]) == 2
+        assert capsys.readouterr().err == (f"error: duration {float(duration)!r} s: "
+                                           "expected a finite number > 0\n")

@@ -16,10 +16,10 @@ import pytest
 from amcrn import autodiff as ad
 from amcrn.audio import read_wav
 from amcrn.autodiff import Tensor
-from amcrn.cli import _load_plda, main
+from amcrn.cli import main
 from amcrn.model import (AmcrnConfig, AmcrnModel, checkpoint_bytes, load_checkpoint,
                          restore_model, save_checkpoint, tiny_config)
-from amcrn.scoring import Trial, csm, embed_audio, plda_score, run_trials
+from amcrn.scoring import Trial, csm, embed_audio, load_plda, plda_score, run_trials
 from amcrn.store import EmbeddingStore
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
 
@@ -211,7 +211,7 @@ class TestCommandsByBackend:
         score, wav = self._verify(work, "plda", capsys)
         enrolled = EmbeddingStore(store).get("alice").vector
         (test,) = self._embed(ckpt, [wav])
-        assert score == plda_score(_load_plda(plda, len(enrolled)), enrolled, test)
+        assert score == plda_score(load_plda(plda, len(enrolled)), enrolled, test)
 
     def test_verify_csm_score_is_float32(self, work, capsys):
         ckpt, store = work[2], work[5]
@@ -235,9 +235,9 @@ class TestCommandsByBackend:
     def _in_process(self, work, rows, backend, dtype):
         _, data, ckpt, _, plda, _, _ = work
         model = load_checkpoint(ckpt, dtype)
-        backend_model = _load_plda(plda, model.config.embedding_dim)
-        scores, _ = run_trials(model, rows, lambda ref: read_wav(data / ref), backend=backend,
-                               plda_model=backend_model)
+        plda_model = (load_plda(plda, model.config.embedding_dim) if backend == "plda"
+                      else None)
+        scores, _ = run_trials(model, rows, lambda ref: read_wav(data / ref), plda_model)
         return scores
 
     def test_eval_plda_scores_are_float64(self, work, tmp_path):

@@ -3,6 +3,7 @@ against the instantiated network."""
 
 import pytest
 
+from amcrn.errors import ConfigError
 from amcrn.model import AmcrnConfig, AmcrnModel, tiny_config
 from amcrn.profiling import (count_macs, count_params, emit_cost_report,
                              format_report_csv, format_report_table,
@@ -77,7 +78,7 @@ class TestScaling:
         assert abs(m5 / m2 - 2.5) < 0.02 * 2.5
 
     def test_nonpositive_duration_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             count_macs(tiny_config(), 0.0)
 
     def test_ablations_reduce_macs(self):

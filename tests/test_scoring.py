@@ -12,11 +12,11 @@ from scipy.linalg import solve_triangular
 from amcrn import dsp, scoring
 from amcrn.audio import SAMPLE_RATE, AudioBuffer
 from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms
-from amcrn.errors import (DegenerateInput, InputTooShort, InsufficientTrials,
-                          MissingUtterance, NumericalError)
+from amcrn.errors import (ConfigError, DegenerateInput, InputTooShort,
+                          InsufficientTrials, MissingUtterance, NumericalError)
 from amcrn.model import AmcrnModel, tiny_config
-from amcrn.scoring import (EvalReport, PldaModel, Trial, compute_eer,
-                           compute_mindcf, csm, decide, det_sweep, far_frr,
+from amcrn.scoring import (EvalReport, Trial, compute_eer, compute_mindcf, csm,
+                           decide, det_sweep, far_frr, plda_from_covariances,
                            plda_score, plda_train, read_trial_list, run_trials,
                            truncate_segment, write_scored_trials)
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
@@ -53,26 +53,30 @@ def _gaussian_logpdf(x, cov):
     return -0.5 * (len(x) * np.log(2.0 * np.pi) + logdet + y @ y)
 
 
-def plda_llr_oracle(model, a, b):
+def plda_llr_oracle(model, between, within, a, b):
     """Same/different-speaker log-likelihood ratio of one pair from the
-    2D x 2D joint Gaussian, with no closed-form algebra."""
+    2D x 2D joint Gaussian of the covariances `model` was built from, with
+    no closed-form algebra."""
     a = model.preprocess(a) - model.mu
     b = model.preprocess(b) - model.mu
-    total = model.between + model.within
-    joint_same = np.block([[total, model.between], [model.between, total]])
+    total = between + within
+    joint_same = np.block([[total, between], [between, total]])
     ll_same = _gaussian_logpdf(np.concatenate([a, b]), joint_same)
     ll_diff = _gaussian_logpdf(a, total) + _gaussian_logpdf(b, total)
     return float(ll_same - ll_diff)
 
 
 def random_plda(rng, dim, spread, length_norm):
-    """Random model whose covariance eigenvalues span `spread` decades."""
+    """(model, between, within) for random covariances whose eigenvalues
+    span `spread` decades."""
     def covariance():
         basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         return (basis * 10.0 ** rng.uniform(-spread, 0.0, dim)) @ basis.T
+    mu, between, within = 0.1 * rng.standard_normal(dim), covariance(), covariance()
     center = rng.standard_normal(dim) if length_norm else None
-    return PldaModel(0.1 * rng.standard_normal(dim), covariance(), covariance(),
-                     center=center, length_norm=length_norm)
+    model = plda_from_covariances(mu, between, within, center=center,
+                                  length_norm=length_norm)
+    return model, between, within
 
 
 def mindcf_oracle(labels, scores, p_target=0.01, c_miss=1.0, c_fa=1.0):
@@ -116,11 +120,18 @@ class TestCsm:
         assert decide(0.5, 0.5) == "accept"
         assert decide(0.4999999, 0.5) == "reject"
         assert decide(-1.0, -2.0) == "accept"
+        assert decide(-1e300, -np.inf) == "accept"
+        assert decide(1e300, np.inf) == "reject"
 
     @pytest.mark.parametrize("threshold", [0.5, -np.inf, np.inf, np.nan])
     def test_nan_score_is_never_accepted(self, threshold):
         with pytest.raises(NumericalError):
             decide(float("nan"), threshold)
+
+    @pytest.mark.parametrize("score", [0.5, -np.inf, np.inf])
+    def test_nan_threshold_is_a_config_error(self, score):
+        with pytest.raises(ConfigError, match="threshold is NaN"):
+            decide(score, float("nan"))
 
     def test_row_stack_matches_per_pair_calls(self):
         rng = np.random.default_rng(11)
@@ -164,7 +175,7 @@ class TestPlda:
 
     def test_one_dimensional_hand_case(self):
         # B = W = 1: LLR = log N([a,b]; 0, [[2,1],[1,2]]) - log N(a;0,2) N(b;0,2)
-        model = PldaModel(mu=np.zeros(1), between=np.eye(1), within=np.eye(1))
+        model = plda_from_covariances(np.zeros(1), np.eye(1), np.eye(1))
         a, b = 0.7, -0.3
         joint = np.array([[2.0, 1.0], [1.0, 2.0]])
         v = np.array([a, b])
@@ -180,10 +191,11 @@ class TestPlda:
     def test_row_stack_matches_joint_gaussian_oracle(self, seed, dim, spread, length_norm):
         # Scores reach 1e5 in magnitude, so the tolerance is relative.
         rng = np.random.default_rng(seed)
-        model = random_plda(rng, dim, spread, length_norm)
+        model, between, within = random_plda(rng, dim, spread, length_norm)
         a, b = rng.standard_normal((2, 5, dim))
         got = plda_score(model, a, b)
-        want = np.array([plda_llr_oracle(model, x, y) for x, y in zip(a, b)])
+        want = np.array([plda_llr_oracle(model, between, within, x, y)
+                         for x, y in zip(a, b)])
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), (got, want)
 
     def test_row_stack_matches_per_pair_calls(self):
@@ -206,10 +218,10 @@ class TestPlda:
     ])
     def test_singular_total_covariance_is_numerical_error(self, between, within):
         with pytest.raises(NumericalError):
-            plda_score(PldaModel(np.zeros(2), between, within), np.ones(2), np.ones(2))
+            plda_from_covariances(np.zeros(2), between, within)
 
     def test_identical_embeddings_favor_same_hypothesis(self):
-        model = PldaModel(mu=np.zeros(2), between=np.eye(2), within=0.1 * np.eye(2))
+        model = plda_from_covariances(np.zeros(2), np.eye(2), 0.1 * np.eye(2))
         x = np.array([0.5, -1.0])
         assert plda_score(model, x, x) > plda_score(model, x, -x)
 
@@ -234,8 +246,14 @@ class TestPlda:
         means = np.asarray([np.mean(v, axis=0) for v in by.values()])
         cm = means - means.mean(axis=0)
         between_ref = cm.T @ cm / len(means)
-        np.testing.assert_allclose(model.between, between_ref + 1e-6 * np.eye(dim),
-                                   atol=1e-12)
+        within_ref = sum((np.asarray(v) - m).T @ (np.asarray(v) - m)
+                         for v, m in zip(by.values(), means)) / len(x)
+        ridge = 1e-6 * np.eye(dim)
+        want = plda_from_covariances(means.mean(axis=0), between_ref + ridge,
+                                     within_ref + ridge)
+        for name in ("mu", "q", "p", "c"):
+            np.testing.assert_allclose(getattr(model, name), getattr(want, name),
+                                       rtol=0, atol=1e-9, err_msg=name)
 
     def test_single_speaker_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -532,10 +550,11 @@ class TestRunTrials:
         dim = model.config.embedding_dim
         rng = np.random.default_rng(2)
         spread = rng.standard_normal((dim, dim)) / np.sqrt(dim)
-        plda = PldaModel(mu=np.zeros(dim), between=spread @ spread.T + np.eye(dim),
-                         within=np.eye(dim))
-        got, _ = run_trials(model, trials, audio.__getitem__, backend=backend,
-                            plda_model=plda, truncation=truncation, seed=4)
+        plda = plda_from_covariances(np.zeros(dim), spread @ spread.T + np.eye(dim),
+                                     np.eye(dim))
+        got, _ = run_trials(model, trials, audio.__getitem__,
+                            plda if backend == "plda" else None,
+                            truncation=truncation, seed=4)
         want = self._per_ref_taped_scores(model, trials, audio, backend, plda,
                                           truncation, seed=4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
