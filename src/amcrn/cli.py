@@ -159,7 +159,9 @@ def cmd_eval(args):
 
     plda = None
     if args.backend == "plda":
-        if args.plda_file and os.path.exists(args.plda_file):
+        # An existing file is read, else the train dir is fitted; a file
+        # given alone goes to load_plda even if missing, which names it.
+        if args.plda_file and (os.path.exists(args.plda_file) or not args.plda_train_dir):
             plda = scoring.load_plda(args.plda_file, model.config.embedding_dim)
         elif args.plda_train_dir:
             data = _load_dataset_dir(args.plda_train_dir)
@@ -185,7 +187,12 @@ def cmd_eval(args):
 
 def cmd_profile(args):
     config = build_config(args.config, AmcrnConfig, **_run_config(args)[0])
-    durations = tuple(float(d) for d in args.durations.split(","))
+    durations = []
+    for item in args.durations.split(","):
+        try:
+            durations.append(float(item))
+        except ValueError:
+            raise ConfigError(f"--durations item {item!r}: expected a number of seconds") from None
     reports = profiling.emit_cost_report(config, durations, include_head=args.include_head)
     print(profiling.format_report_table(reports), end="")
     if args.csv:

@@ -73,9 +73,8 @@ def frame_and_window(audio: AudioBuffer, spec: FrameSpec) -> np.ndarray:
     n = len(audio.samples)
     if n < length:
         raise InputTooShort(f"audio has {n} samples, need at least {length}")
-    n_frames = (n - length) // shift + 1
-    idx = np.arange(length)[None, :] + shift * np.arange(n_frames)[:, None]
-    return audio.samples[idx] * hamming_window(length)[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(audio.samples, length)[::shift]
+    return frames * hamming_window(length)
 
 
 def power_spectrum(frames: np.ndarray, n_fft: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from .audio import AudioBuffer, random_crop
 from .dsp import featurize
 from .errors import (ConfigError, DegenerateInput, InputTooShort, InsufficientTrials,
                      MissingUtterance, NumericalError)
-from .model import _atomic_write
+from .model import _atomic_write, equal_length_runs
 
 # ----------------------------------------------------------------------
 # Similarity backends
@@ -378,62 +378,35 @@ def write_scored_trials(path, trials, scores):
 # 275 ms at 4096 frames (13 utterances).
 EMBED_FRAME_LIMIT = 2048
 
-# Featurized utterances wait for others of their frame count to fill a
-# pass. Before the waiting features would exceed this many passes' worth
-# of frames, every waiting group is embedded as it stands, so what is
-# held between passes stays bounded however long the list is (8192
-# frames of 80 mels are 5 MB).
-EMBED_PENDING_PASSES = 4
-
 
 def embed_audio(model, named_audio):
     """Eval-mode embeddings of (name, AudioBuffer) pairs as an N x D array,
     row i for the i-th pair.
 
     The pairs are featurized in order, as they are drawn from
-    `named_audio`. Utterances of equal frame count share tape-free
-    forward passes of at most EMBED_FRAME_LIMIT frames (a longer
-    utterance runs alone): a group is embedded once it fills a pass, and
-    all waiting groups are embedded as they stand before the waiting
-    features would pass EMBED_PENDING_PASSES passes' worth of frames.
-    Audio too short to featurize or to pool raises InputTooShort naming
-    it. The features are cast to the model's dtype, so a float32 model
-    embeds in float32; the rows are float64 either way.
+    `named_audio`, and each run of consecutive utterances of equal frame
+    count shares tape-free forward passes of at most EMBED_FRAME_LIMIT
+    frames (a longer utterance runs alone), so at most one pass of
+    features is held. Audio too short to featurize or to pool raises
+    InputTooShort naming it. The features are cast to the model's dtype,
+    so a float32 model embeds in float32; the rows are float64 either way.
     """
-    pending_limit = EMBED_PENDING_PASSES * EMBED_FRAME_LIMIT
-    vectors = []
-    waiting = {}  # frame count -> [(row, name, features)], in order
-    held = 0
+    def featurized():
+        for name, audio in named_audio:
+            try:
+                feats = featurize(audio, model.config.n_mels)
+            except InputTooShort as exc:
+                raise InputTooShort(f"utterance {name!r}: {exc}") from exc
+            yield feats.astype(model.dtype, copy=False), name
 
-    def embed_group(frames):
-        nonlocal held
-        group = waiting.pop(frames)
-        held -= frames * len(group)
+    vectors = []
+    for run in equal_length_runs(featurized(), EMBED_FRAME_LIMIT):
+        feats, names = zip(*run)
         try:
-            out = model.embed(np.stack([feats for _, _, feats in group]))
+            vectors.extend(model.embed(np.stack(feats)))
         except InputTooShort as exc:
             # All rows of a pass have the same frame count: name the first.
-            raise InputTooShort(f"utterance {group[0][1]!r}: {exc}") from exc
-        for (row, _, _), vector in zip(group, out):
-            vectors[row] = vector
-
-    for row, (name, audio) in enumerate(named_audio):
-        try:
-            feats = featurize(audio, model.config.n_mels).astype(model.dtype, copy=False)
-        except InputTooShort as exc:
-            raise InputTooShort(f"utterance {name!r}: {exc}") from exc
-        frames = len(feats)
-        if held + frames > pending_limit:
-            for waiting_frames in list(waiting):
-                embed_group(waiting_frames)
-        vectors.append(None)
-        group = waiting.setdefault(frames, [])
-        group.append((row, name, feats))
-        held += frames
-        if len(group) >= max(1, EMBED_FRAME_LIMIT // frames):
-            embed_group(frames)
-    for waiting_frames in list(waiting):
-        embed_group(waiting_frames)
+            raise InputTooShort(f"utterance {names[0]!r}: {exc}") from exc
     return np.reshape(vectors, (len(vectors), model.config.embedding_dim))
 
 

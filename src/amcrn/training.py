@@ -13,7 +13,7 @@ from .augment import augment
 from .audio import random_crop
 from .dsp import featurize
 from .errors import ConfigError, NumericalError
-from .model import (AmcrnModel, _atomic_write, by_frame_count, checkpoint_bytes,
+from .model import (AmcrnModel, _atomic_write, checkpoint_bytes, equal_length_runs,
                     restore_model)
 
 
@@ -119,16 +119,17 @@ def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> fl
 
     The views are taken in order, and each is cropped (its offset draw)
     and given its dropout draws before the next, so `rng` is consumed as
-    by one forward pass per crop. Crops of equal frame count then run as
-    one B x T x n_mels forward and backward pass; with mixed lengths the
-    groups run in order of first appearance.
+    by one forward pass per crop. Each run of consecutive crops of equal
+    frame count then runs as one B x T x n_mels forward and backward pass,
+    so the passes follow crop order, as in a per-crop loop.
     """
     rows = []
     for audio, label in batch:
         feats = featurize(random_crop(audio, crop_seconds, rng), model.config.n_mels)
         rows.append((feats, label, model.draw_dropout(len(feats), rng)))
     total = 0.0
-    for feats, labels, draws in by_frame_count(rows):
+    for run in equal_length_runs(rows):
+        feats, labels, draws = zip(*run)
         noise = None if draws[0] is None else np.stack(draws)
         loss = model.classify_loss(np.stack(feats), labels, mode="train", rng=noise)
         loss.backward()
@@ -201,13 +202,14 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig) -> float:
-    """Mean eval-mode loss over whole utterances, equal-length ones batched,
-    computed without a tape."""
+    """Mean eval-mode loss over whole utterances, consecutive equal-length
+    ones batched, computed without a tape."""
     rows = [(featurize(utt.audio, model.config.n_mels), label_of[utt.speaker_id])
             for utt in val_set]
     total = 0.0
     with ad.no_grad():
-        for feats, labels in by_frame_count(rows):
+        for run in equal_length_runs(rows):
+            feats, labels = zip(*run)
             total += float(model.classify_loss(np.stack(feats), labels, mode="eval").data)
     return total / len(val_set)
 

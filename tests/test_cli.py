@@ -614,6 +614,15 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(trial_file),
                      "--audio-root", str(data_dir), "--backend", "plda"]) == 2
 
+    def test_missing_plda_file_is_named(self, workspace, trial_file, tmp_path, capsys):
+        _, data_dir, ckpt = workspace
+        missing = tmp_path / "missing.npz"
+        assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(trial_file),
+                     "--audio-root", str(data_dir), "--backend", "plda",
+                     "--plda-file", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "No such file" in err
+
     @pytest.mark.parametrize("samples", [320, 400])
     def test_too_short_ref_is_named(self, workspace, tmp_path, capsys, samples):
         # 320 samples make no frame; 400 make one, too few to pool.
@@ -853,3 +862,10 @@ class TestProfile:
         assert main(["profile", "--durations", f"2,{duration}"]) == 2
         assert capsys.readouterr().err == (f"error: duration {float(duration)!r} s: "
                                            "expected a finite number > 0\n")
+
+    @pytest.mark.parametrize("durations, item", [("", ""), ("2,,3", ""), ("2,x", "x")],
+                             ids=["empty", "empty_item", "word"])
+    def test_non_numeric_duration_is_usage_error(self, capsys, durations, item):
+        assert main(["profile", "--durations", durations]) == 2
+        assert capsys.readouterr().err == (f"error: --durations item {item!r}: "
+                                           "expected a number of seconds\n")

@@ -35,6 +35,14 @@ class TestFraming:
         for t in (0, 1, 50):
             np.testing.assert_allclose(frames[t], audio.samples[160 * t : 160 * t + 400] * w)
 
+    @pytest.mark.parametrize("n", [400, 401, 8000, 32000, 48000, 80000])
+    def test_frames_equal_the_index_gather(self, n):
+        samples = np.random.default_rng(n).standard_normal(n)
+        frames = frame_and_window(AudioBuffer(samples), FrameSpec())
+        idx = np.arange(400)[None, :] + 160 * np.arange((n - 400) // 160 + 1)[:, None]
+        want = samples[idx] * hamming_window(400)[None, :]
+        assert frames.shape == want.shape and np.array_equal(frames, want)
+
     def test_too_short_raises(self):
         with pytest.raises(InputTooShort):
             frame_and_window(AudioBuffer(np.zeros(100)), FrameSpec())

@@ -72,7 +72,11 @@ class TestFloat32Model:
         arrays = [p.data for p in loaded.parameters()]
         arrays += [getattr(owner, attr) for _, owner, attr in loaded.buffers()]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
-        assert all(a.flags.writeable and a.flags.owndata for a in arrays)
+        # Writable arrays of their own memory: no two overlap, and none is a
+        # view of the checkpoint bytes (those would be read-only).
+        assert all(a.flags.writeable and a.flags.c_contiguous for a in arrays)
+        assert not any(np.may_share_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
         assert checkpoint_bytes(loaded) == blob
 
     def test_forward_builds_no_float64_tensor(self, monkeypatch):

@@ -477,15 +477,12 @@ class TestRunTrials:
         assert self._rows(shapes) == len(audio)
         assert kept == whole
 
-    @pytest.mark.parametrize("frame_limit, pending_passes",
-                             [(150, 2), (scoring.EMBED_FRAME_LIMIT,
-                                         scoring.EMBED_PENDING_PASSES)])
-    def test_waiting_features_stay_bounded(self, monkeypatch, frame_limit,
-                                           pending_passes):
+    @pytest.mark.parametrize("frame_limit", [150, scoring.EMBED_FRAME_LIMIT])
+    def test_waiting_features_stay_bounded(self, monkeypatch, frame_limit):
         # Twenty refs of ten lengths (28 to 64 frames), each length twice
-        # and ten refs apart, so that with a limit of 150 frames the first
-        # ten refs fill no pass; the test side is cut to 0.4 s where it
-        # is longer.
+        # and ten refs apart, so no two consecutive whole refs share a
+        # pass; the test side is cut to 0.4 s where it is longer, and those
+        # cut sides run in passes of several.
         data = make_toy_dataset(ToySpeakerSpec(n_speakers=4, utterances_per_speaker=5,
                                                utterance_seconds=1.0, seed=1))
         seconds = [0.3 + 0.04 * i for i in range(10)]
@@ -496,7 +493,6 @@ class TestRunTrials:
         trials = [Trial(int(speaker[a] == speaker[b]), a, b)
                   for i, a in enumerate(refs) for b in refs[i + 1:i + 4]]
         monkeypatch.setattr(scoring, "EMBED_FRAME_LIMIT", frame_limit)
-        monkeypatch.setattr(scoring, "EMBED_PENDING_PASSES", pending_passes)
         model, shapes = self._counted_model(monkeypatch)
         featurized, waiting = [], []
         extract = dsp.extract_lms
@@ -513,7 +509,7 @@ class TestRunTrials:
         monkeypatch.setattr(dsp, "extract_lms", extract)
         want = self._per_ref_taped_scores(model, trials, audio, "csm", None, 0.4, seed=2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert 0 < max(waiting) <= frame_limit * pending_passes
+        assert 0 < max(waiting) <= frame_limit
         assert sum(n * t for n, t, _ in shapes) == sum(featurized)
         assert all(n == 1 or n * t <= frame_limit for n, t, _ in shapes)
         assert any(n > 1 for n, _, _ in shapes)

@@ -6,7 +6,7 @@ import pytest
 from amcrn import training
 from amcrn.autodiff import Parameter, Tensor
 from amcrn.errors import ConfigError, NumericalError
-from amcrn.model import AmcrnModel, by_frame_count, restore_model, tiny_config
+from amcrn.model import AmcrnModel, equal_length_runs, restore_model, tiny_config
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
 from amcrn.audio import AudioBuffer, random_crop
 from amcrn.dsp import featurize
@@ -318,19 +318,17 @@ class TestMinibatch:
             return forward(self, lms, *args, **kwargs)
 
         monkeypatch.setattr(AmcrnModel, "classify_loss", spy)
-        minibatch_backward(got, batch, 0.3, got_rng)
+        have = minibatch_backward(got, batch, 0.3, got_rng)
+        monkeypatch.setattr(AmcrnModel, "classify_loss", forward)
         long_t = featurize(random_crop(batch[0][0], 0.3, np.random.default_rng(0)),
                            cfg.n_mels).shape[0]
         short_t = featurize(batch[1][0], cfg.n_mels).shape[0]
-        assert shapes == [(3, long_t, cfg.n_mels), (2, short_t, cfg.n_mels)]
-        # Reference: draws in crop order, then one crop at a time in group order.
-        rows = []
-        for audio, label in batch:
-            feats = featurize(random_crop(audio, 0.3, ref_rng), cfg.n_mels)
-            rows.append((feats, label, ref.draw_dropout(len(feats), ref_rng)))
+        # Consecutive crops of equal length share a pass, in crop order.
+        assert shapes == [(1, long_t, cfg.n_mels), (1, short_t, cfg.n_mels),
+                          (2, long_t, cfg.n_mels), (1, short_t, cfg.n_mels)]
+        want = per_crop_step(ref, batch, 0.3, ref_rng)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-        for feats, label, draws in (rows[0], rows[2], rows[3], rows[1], rows[4]):
-            forward(ref, feats, label, mode="train", rng=draws).backward()
+        assert abs(have - want) <= 1e-12
         assert_same_state(got, ref)
 
     def test_validation_batches_equal_lengths(self):
@@ -356,7 +354,8 @@ class TestMinibatch:
         rows = [(featurize(u.audio, model.config.n_mels), label_of[u.speaker_id])
                 for u in val_set]
         taped = []
-        for feats, labels in by_frame_count(rows):
+        for run in equal_length_runs(rows):
+            feats, labels = zip(*run)
             loss = model.classify_loss(np.stack(feats), labels, mode="eval")
             assert loss._parents  # the oracle pass builds a tape
             taped.append(float(loss.data))
@@ -370,5 +369,5 @@ class TestMinibatch:
         monkeypatch.setattr(AmcrnModel, "classify_loss", spy)
         got = validation_loss(model, val_set, label_of, TrainConfig())
         assert got == sum(taped) / len(val_set)
-        assert len(losses) == 2
+        assert len(losses) == 3
         assert all(loss._parents == () and loss._backward is None for loss in losses)
