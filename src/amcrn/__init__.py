@@ -3,7 +3,7 @@ recurrent network: LMS front end, from-scratch differentiable network,
 toy-scale training, CSM/PLDA scoring, and complexity profiling."""
 
 from .audio import SAMPLE_RATE, AudioBuffer, read_wav, write_wav
-from .dsp import FrameSpec, LmsFeature, apply_cmvn, extract_lms
+from .dsp import featurize
 from .augment import augment
 from .model import (AmcrnConfig, AmcrnModel, aam_logits, load_checkpoint,
                     save_checkpoint, tiny_config)

@@ -52,12 +52,13 @@ def _parse_toy(arg, seed):
     return toydata.ToySpeakerSpec(**kwargs, seed=seed)
 
 
-def _run_config(args):
-    """(AmcrnConfig kwargs, checked TrainConfig) from `--config`, if given."""
+def _run_config(args, **train_defaults):
+    """(AmcrnConfig kwargs, checked TrainConfig) from `--config`, if given;
+    `train_defaults` fill the trainer keys the file leaves out."""
     model_kv, train_kv = (parse_config(args.config, (AmcrnConfig, training.TrainConfig))
                           if args.config else ({}, {}))
-    train_kv.setdefault("seed", args.seed)
-    return model_kv, build_config(args.config, training.TrainConfig, **train_kv)
+    return model_kv, build_config(args.config, training.TrainConfig,
+                                  **{**train_defaults, **train_kv})
 
 
 def _build_model_config(args, n_classes, model_kv):
@@ -69,7 +70,7 @@ def _build_model_config(args, n_classes, model_kv):
 
 
 def cmd_train(args):
-    model_kv, tcfg = _run_config(args)
+    model_kv, tcfg = _run_config(args, seed=args.seed)
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     if args.toy:
@@ -212,17 +213,21 @@ def cmd_toygen(args):
     return 0
 
 
+def _non_negative_int(text):
+    """argparse type for an integer >= 0, so the error names the option."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="amcrn",
                                      description="Speaker verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", help="flat key=value configuration file")
-
     p = sub.add_parser("train", help="train a model")
-    common(p)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--data", help="directory with one subdirectory per speaker")
     p.add_argument("--toy", help="toy dataset spec, e.g. 'speakers=8 utts=6'")
     p.add_argument("--epochs", type=int)
@@ -231,13 +236,11 @@ def build_parser():
     p.add_argument("--loss-csv")
 
     p = sub.add_parser("embed", help="dump one embedding")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out")
     p.add_argument("wav")
 
     p = sub.add_parser("enroll", help="enroll a speaker into the store")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--id", required=True)
@@ -245,7 +248,6 @@ def build_parser():
     p.add_argument("wavs", nargs="+")
 
     p = sub.add_parser("verify", help="verify a claimed identity")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--id", required=True)
@@ -255,7 +257,7 @@ def build_parser():
     p.add_argument("wav")
 
     p = sub.add_parser("eval", help="score a trial list")
-    common(p)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--audio-root")
@@ -266,15 +268,15 @@ def build_parser():
     p.add_argument("--out-prefix")
 
     p = sub.add_parser("profile", help="parameter/MAC cost report")
-    common(p)
+    p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--durations", default="2,3,5")
     p.add_argument("--include-head", action="store_true")
     p.add_argument("--csv")
 
     p = sub.add_parser("toygen", help="generate a synthetic dataset")
-    common(p)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--spec", default="speakers=8 utts=6")
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--offset", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
 
     return parser

@@ -2,11 +2,10 @@
 
 Pipeline: Hamming windowing, squared-magnitude FFT, mel-scale filtering,
 logarithm, followed by short-time mean/variance normalization with a
-sliding window.
+sliding window. `featurize` runs it; the steps are plain array functions.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,50 +23,16 @@ F_MIN = 20.0
 F_MAX = 7600.0
 
 
-@dataclass
-class FrameSpec:
-    """Front-end setting that varies by model: the number of mel filters."""
-
-    n_mels: int = 80
-
-    def validate(self, sample_rate: int) -> None:
-        if self.n_mels < 1:
-            raise ConfigError("n_mels must be positive")
-        if F_MAX > sample_rate / 2:
-            raise ConfigError(f"f_max {F_MAX:g} Hz exceeds the Nyquist frequency "
-                              f"of {sample_rate} Hz audio")
-        if N_FFT < int(round(FRAME_LEN * sample_rate)):
-            raise ConfigError(f"a {FRAME_LEN:g} s frame of {sample_rate} Hz audio "
-                              f"does not fit in {N_FFT} FFT points")
-
-
-@dataclass
-class LmsFeature:
-    """T x M log-mel feature matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ConfigError("LMS values must be T x n_mels")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-
 def hamming_window(length: int) -> np.ndarray:
     n = np.arange(length)
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
 
 
-def frame_and_window(audio: AudioBuffer, spec: FrameSpec) -> np.ndarray:
+def frame_and_window(audio: AudioBuffer) -> np.ndarray:
     """Split audio into overlapping frames and apply a Hamming window.
 
     Frame t starts at sample t * S; T = floor((N - L) / S) + 1.
     """
-    spec.validate(audio.sample_rate)
     length = int(round(FRAME_LEN * audio.sample_rate))
     shift = int(round(FRAME_SHIFT * audio.sample_rate))
     n = len(audio.samples)
@@ -94,26 +59,29 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(spec: FrameSpec) -> np.ndarray:
+def mel_filter_centers(n_mels: int) -> np.ndarray:
     """Center frequencies (Hz) of the triangular filters, mel-equispaced."""
-    edges = np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), spec.n_mels + 2)
+    edges = np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), n_mels + 2)
     return mel_to_hz(edges[1:-1])
 
 
-def mel_filterbank(spec: FrameSpec, sample_rate: int) -> np.ndarray:
-    """M x (n_fft/2 + 1) triangular mel filterbank matrix.
-
-    Built once per (n_mels, sample rate) and shared, so the returned
-    array is read-only.
-    """
-    return _filterbank(spec.n_mels, sample_rate)
-
-
 @functools.lru_cache(maxsize=16)
-def _filterbank(n_mels, sample_rate):
-    FrameSpec(n_mels).validate(sample_rate)
-    mel_edges = np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), n_mels + 2)
-    hz_edges = mel_to_hz(mel_edges)
+def mel_filterbank(n_mels: int, sample_rate: int) -> np.ndarray:
+    """M x (N_FFT/2 + 1) triangular mel filterbank matrix.
+
+    Refuses n_mels < 1, F_MAX above the Nyquist frequency and a frame
+    longer than N_FFT. Built once per (n_mels, sample rate) and shared,
+    so the returned array is read-only.
+    """
+    if n_mels < 1:
+        raise ConfigError("n_mels must be positive")
+    if F_MAX > sample_rate / 2:
+        raise ConfigError(f"f_max {F_MAX:g} Hz exceeds the Nyquist frequency "
+                          f"of {sample_rate} Hz audio")
+    if N_FFT < int(round(FRAME_LEN * sample_rate)):
+        raise ConfigError(f"a {FRAME_LEN:g} s frame of {sample_rate} Hz audio "
+                          f"does not fit in {N_FFT} FFT points")
+    hz_edges = mel_to_hz(np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), n_mels + 2))
     bin_freqs = np.arange(N_FFT // 2 + 1) * sample_rate / N_FFT
     bank = np.zeros((n_mels, N_FFT // 2 + 1))
     for m in range(n_mels):
@@ -129,28 +97,28 @@ def _filterbank(n_mels, sample_rate):
     return bank
 
 
-def extract_lms(audio: AudioBuffer, spec: FrameSpec = None) -> LmsFeature:
-    """Full LMS extraction: frame/window, power spectrum, mel filter, log."""
-    if spec is None:
-        spec = FrameSpec()
-    frames = frame_and_window(audio, spec)
-    power = power_spectrum(frames, N_FFT)
-    bank = mel_filterbank(spec, audio.sample_rate)
-    mel_energy = power @ bank.T
-    return LmsFeature(np.log(np.maximum(mel_energy, LOG_FLOOR)))
+def featurize(audio: AudioBuffer, n_mels: int) -> np.ndarray:
+    """The network's T x n_mels input: the LMS of `audio` after sliding CMVN."""
+    return _cmvn(_log_mel(audio, n_mels))
 
 
-def apply_cmvn(lms: LmsFeature, window: float = 3.0) -> LmsFeature:
+def _log_mel(audio: AudioBuffer, n_mels: int) -> np.ndarray:
+    """T x n_mels LMS: frame/window, power spectrum, mel filter, log. The
+    filterbank is built first, so a bad n_mels or rate fails before framing."""
+    bank = mel_filterbank(n_mels, audio.sample_rate)
+    power = power_spectrum(frame_and_window(audio), N_FFT)
+    return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
+
+
+def _cmvn(x: np.ndarray, window: float = 3.0) -> np.ndarray:
     """Sliding-window mean/variance normalization per mel dimension.
 
     Each frame is normalized by the statistics of a window of
     W = round(window / FRAME_SHIFT) frames centered on it, clipped at the
     utterance edges. The standard deviation is floored at 1e-8.
     """
-    x = lms.values
     n_frames = x.shape[0]
-    w = int(round(window / FRAME_SHIFT))
-    w = max(w, 1)
+    w = max(int(round(window / FRAME_SHIFT)), 1)
     half = w // 2
     # Prefix sums give O(T) windowed moments.
     csum = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x, axis=0)])
@@ -162,15 +130,10 @@ def apply_cmvn(lms: LmsFeature, window: float = 3.0) -> LmsFeature:
     mean = (csum[hi] - csum[lo]) / count
     var = (csum2[hi] - csum2[lo]) / count - mean**2
     std = np.sqrt(np.maximum(var, 0.0))
-    return LmsFeature((x - mean) / np.maximum(std, STD_FLOOR))
-
-
-def featurize(audio: AudioBuffer, n_mels: int) -> np.ndarray:
-    """The network's T x n_mels input: the LMS of `audio` after sliding CMVN."""
-    return apply_cmvn(extract_lms(audio, FrameSpec(n_mels=n_mels))).values
+    return (x - mean) / np.maximum(std, STD_FLOOR)
 
 
 def cmvn_window_bounds(t: int, n_frames: int, w: int):
-    """Frame range [lo, hi) used by apply_cmvn for frame t."""
+    """Frame range [lo, hi) used by _cmvn for frame t."""
     half = w // 2
     return max(0, t - half), min(n_frames, t + (w - half))

@@ -88,9 +88,12 @@ class EmbeddingStore:
         return rec_id in self.records
 
     def save(self, path=None):
+        path = path or self.path
+        if path is None:
+            raise ConfigError("the store has no path: give save() one")
         lines = []
         for rec_id in sorted(self.records):
             rec = self.records[rec_id]
             values = " ".join(repr(float(v)) for v in rec.vector)
             lines.append(f"{rec_id}\t{rec.n_utterances}\t{values}\n")
-        _atomic_write(path or self.path, "".join(lines).encode("utf-8"))
+        _atomic_write(path, "".join(lines).encode("utf-8"))

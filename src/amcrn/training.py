@@ -37,6 +37,15 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("augment_copies", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.crop_seconds < np.inf:  # NaN fails too
+            raise ConfigError(f"crop_seconds must be a finite number > 0, "
+                              f"got {self.crop_seconds!r}")
+        if not 0.0 <= self.grad_clip < np.inf:
+            raise ConfigError(f"grad_clip must be a finite number >= 0 (0: no clipping), "
+                              f"got {self.grad_clip!r}")
 
 
 class AdamState:
@@ -82,7 +91,8 @@ def lr_schedule(epoch: int, total_epochs: int, cfg: TrainConfig) -> float:
 
 
 def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm;
+    a max_norm of 0 leaves them as they are. Returns the norm before."""
     total = 0.0
     for p in params:
         if p.grad is not None:

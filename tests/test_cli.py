@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving `amcrn.cli.main` in process."""
 
+import argparse
 import io
 import os
 import re
@@ -12,8 +13,8 @@ import pytest
 
 from amcrn import cli
 from amcrn.audio import AudioBuffer, read_wav, write_wav
-from amcrn.cli import main
-from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms, featurize
+from amcrn.cli import build_parser, main
+from amcrn.dsp import featurize
 from amcrn.errors import AmcrnError, ConfigError, NumericalError
 from amcrn.model import AmcrnConfig, AmcrnModel, load_checkpoint, parse_config
 from amcrn.scoring import load_plda, plda_score, plda_train, read_trial_list, save_plda
@@ -163,6 +164,19 @@ INVALID_CONFIGS = {
     "batch_size": ("batch_size = 0", ("train", "profile"),
                    "batch_size must be at least 1, got 0"),
     "lr_end": ("lr_end = 5", ("train", "profile"), "need 0 < lr_end <= lr_start"),
+    "crop_nan": ("crop_seconds = nan", ("train", "profile"),
+                 "crop_seconds must be a finite number > 0, got nan"),
+    "crop_zero": ("crop_seconds = 0", ("train", "profile"),
+                  "crop_seconds must be a finite number > 0, got 0.0"),
+    "crop_negative": ("crop_seconds = -1", ("train", "profile"),
+                      "crop_seconds must be a finite number > 0, got -1.0"),
+    "augment_negative": ("augment_copies = -1", ("train", "profile"),
+                         "augment_copies must be >= 0, got -1"),
+    "grad_clip_negative": ("grad_clip = -1", ("train", "profile"),
+                           "grad_clip must be a finite number >= 0 (0: no clipping), got -1.0"),
+    "grad_clip_nan": ("grad_clip = nan", ("train", "profile"),
+                      "grad_clip must be a finite number >= 0 (0: no clipping), got nan"),
+    "seed_negative": ("seed = -1", ("train", "profile"), "seed must be >= 0, got -1"),
 }
 
 
@@ -191,6 +205,45 @@ def test_training_counts_below_one_are_usage_errors(tmp_path, capsys, flag, fiel
     assert main(argv) == 2
     assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+# Each subcommand's options: the ones it reads, and no others.
+COMMAND_OPTIONS = {
+    "train": {"--seed", "--config", "--data", "--toy", "--epochs", "--preset", "--out",
+              "--loss-csv"},
+    "embed": {"--checkpoint", "--out"},
+    "enroll": {"--checkpoint", "--store", "--id", "--overwrite"},
+    "verify": {"--checkpoint", "--store", "--id", "--backend", "--plda-file", "--threshold"},
+    "eval": {"--seed", "--checkpoint", "--trials", "--audio-root", "--backend", "--plda-file",
+             "--plda-train-dir", "--truncate", "--out-prefix"},
+    "profile": {"--config", "--durations", "--include-head", "--csv"},
+    "toygen": {"--seed", "--spec", "--offset", "--out"},
+}
+
+
+def test_each_command_offers_exactly_its_options():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands) == set(COMMAND_OPTIONS)
+    for name, sub in commands.items():
+        offered = {opt for action in sub._actions for opt in action.option_strings}
+        assert offered - {"-h", "--help"} == COMMAND_OPTIONS[name], name
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["train", "--toy", "speakers=2 utts=2 seconds=0.5", "--seed", "-1"], "--seed"),
+    (["eval", "--checkpoint", "m.ckpt", "--trials", "t.txt", "--seed", "-1"], "--seed"),
+    (["toygen", "--seed", "-1"], "--seed"),
+    (["toygen", "--offset", "-1"], "--offset"),
+], ids=["train_seed", "eval_seed", "toygen_seed", "toygen_offset"])
+def test_negative_count_names_the_option(tmp_path, capsys, argv, option):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--out-prefix" if argv[0] == "eval" else "--out", str(out)])
+    assert exited.value.code == 2
+    assert (f"argument {option}: expected a non-negative integer, got '-1'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # A bad toy spec -> the start of its error: the item that does not parse,
@@ -543,9 +596,8 @@ class TestEnrollVerify:
         assert main(["enroll", "--checkpoint", str(ckpt), "--store", str(path),
                      "--id", "alice", *wavs]) == 0
         model = load_checkpoint(ckpt)
-        spec = FrameSpec(n_mels=model.config.n_mels)
         # Oracle: each file embedded on its own by the taped eval-mode pass.
-        vecs = [model.embed_tensor(apply_cmvn(extract_lms(read_wav(wav), spec)).values,
+        vecs = [model.embed_tensor(featurize(read_wav(wav), model.config.n_mels),
                                    mode="eval").data for wav in wavs]
         got = EmbeddingStore(path).get("alice").vector
         np.testing.assert_allclose(got, np.mean(vecs, axis=0), rtol=0, atol=1e-12)

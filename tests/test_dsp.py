@@ -5,9 +5,8 @@ import pytest
 
 from amcrn import dsp
 from amcrn.audio import SAMPLE_RATE, AudioBuffer
-from amcrn.dsp import (FrameSpec, LmsFeature, apply_cmvn, cmvn_window_bounds,
-                       extract_lms, frame_and_window, hamming_window, hz_to_mel,
-                       mel_filter_centers, mel_filterbank, mel_to_hz,
+from amcrn.dsp import (cmvn_window_bounds, featurize, frame_and_window, hamming_window,
+                       hz_to_mel, mel_filter_centers, mel_filterbank, mel_to_hz,
                        power_spectrum)
 from amcrn.errors import ConfigError, InputTooShort
 
@@ -20,17 +19,17 @@ def tone(freq, seconds=1.0, amp=0.5):
 class TestFraming:
     def test_one_second_gives_98_frames(self):
         # T = floor((16000 - 400) / 160) + 1
-        frames = frame_and_window(tone(440.0), FrameSpec())
+        frames = frame_and_window(tone(440.0))
         assert frames.shape == (98, 400)
 
     def test_constant_input_yields_window(self):
         audio = AudioBuffer(np.ones(SAMPLE_RATE))
-        frames = frame_and_window(audio, FrameSpec())
+        frames = frame_and_window(audio)
         np.testing.assert_allclose(frames, np.tile(hamming_window(400), (98, 1)))
 
     def test_frame_offsets(self):
         audio = AudioBuffer(np.arange(SAMPLE_RATE) / SAMPLE_RATE)
-        frames = frame_and_window(audio, FrameSpec())
+        frames = frame_and_window(audio)
         w = hamming_window(400)
         for t in (0, 1, 50):
             np.testing.assert_allclose(frames[t], audio.samples[160 * t : 160 * t + 400] * w)
@@ -38,14 +37,14 @@ class TestFraming:
     @pytest.mark.parametrize("n", [400, 401, 8000, 32000, 48000, 80000])
     def test_frames_equal_the_index_gather(self, n):
         samples = np.random.default_rng(n).standard_normal(n)
-        frames = frame_and_window(AudioBuffer(samples), FrameSpec())
+        frames = frame_and_window(AudioBuffer(samples))
         idx = np.arange(400)[None, :] + 160 * np.arange((n - 400) // 160 + 1)[:, None]
         want = samples[idx] * hamming_window(400)[None, :]
         assert frames.shape == want.shape and np.array_equal(frames, want)
 
     def test_too_short_raises(self):
         with pytest.raises(InputTooShort):
-            frame_and_window(AudioBuffer(np.zeros(100)), FrameSpec())
+            frame_and_window(AudioBuffer(np.zeros(100)))
 
     @pytest.mark.parametrize("n_mels, rate, message", [
         (0, SAMPLE_RATE, "n_mels must be positive"),
@@ -54,7 +53,7 @@ class TestFraming:
     ])
     def test_spec_refused_for_the_audio(self, n_mels, rate, message):
         with pytest.raises(ConfigError, match=message):
-            frame_and_window(AudioBuffer(np.zeros(rate), rate), FrameSpec(n_mels))
+            featurize(AudioBuffer(np.zeros(rate), rate), n_mels)
 
 
 class TestPowerSpectrum:
@@ -90,37 +89,33 @@ class TestPowerSpectrum:
 
 class TestMelFilterbank:
     def test_shape_and_nonnegative(self):
-        bank = mel_filterbank(FrameSpec(), SAMPLE_RATE)
+        bank = mel_filterbank(80, SAMPLE_RATE)
         assert bank.shape == (80, 257)
         assert np.all(bank >= 0.0)
         assert np.all(bank.sum(axis=1) > 0.0)
 
     def test_centers_match_mel_oracle(self):
-        spec = FrameSpec()
         # Oracle: recompute centers from the hz->mel->hz round trip.
         lo, hi = hz_to_mel(dsp.F_MIN), hz_to_mel(dsp.F_MAX)
         expected = mel_to_hz(lo + (hi - lo) * np.arange(1, 81) / 81.0)
-        np.testing.assert_allclose(mel_filter_centers(spec), expected, rtol=1e-12)
+        np.testing.assert_allclose(mel_filter_centers(80), expected, rtol=1e-12)
 
     def test_peak_near_center_bin(self):
-        spec = FrameSpec()
-        bank = mel_filterbank(spec, SAMPLE_RATE)
-        centers = mel_filter_centers(spec)
+        bank = mel_filterbank(80, SAMPLE_RATE)
+        centers = mel_filter_centers(80)
         bin_freqs = np.arange(257) * SAMPLE_RATE / 512
         for m in range(80):
             nearest = int(np.argmin(np.abs(bin_freqs - centers[m])))
             assert abs(int(np.argmax(bank[m])) - nearest) <= 1
 
     def test_interior_coverage(self):
-        spec = FrameSpec()
-        bank = mel_filterbank(spec, SAMPLE_RATE)
+        bank = mel_filterbank(80, SAMPLE_RATE)
         bin_freqs = np.arange(257) * SAMPLE_RATE / 512
         interior = (bin_freqs > dsp.F_MIN + 60) & (bin_freqs < dsp.F_MAX - 60)
         assert np.all(bank.sum(axis=0)[interior] > 0.0)
 
     def test_compact_support(self):
-        spec = FrameSpec()
-        bank = mel_filterbank(spec, SAMPLE_RATE)
+        bank = mel_filterbank(80, SAMPLE_RATE)
         lo_m = hz_to_mel(dsp.F_MIN)
         hi_m = hz_to_mel(dsp.F_MAX)
         edges = mel_to_hz(np.linspace(lo_m, hi_m, 82))
@@ -132,75 +127,71 @@ class TestMelFilterbank:
     def test_fmax_above_nyquist_rejected(self):
         # 8 kHz audio has its Nyquist frequency (4 kHz) below F_MAX.
         with pytest.raises(ConfigError, match="exceeds the Nyquist frequency of 8000 Hz"):
-            mel_filterbank(FrameSpec(), 8000)
+            mel_filterbank(80, 8000)
 
     def test_cached_bank_is_shared_and_read_only(self):
-        bank = mel_filterbank(FrameSpec(n_mels=24), SAMPLE_RATE)
-        assert mel_filterbank(FrameSpec(n_mels=24), SAMPLE_RATE) is bank
-        assert mel_filterbank(FrameSpec(n_mels=40), SAMPLE_RATE).shape == (40, 257)
+        bank = mel_filterbank(24, SAMPLE_RATE)
+        assert mel_filterbank(24, SAMPLE_RATE) is bank
+        assert mel_filterbank(40, SAMPLE_RATE).shape == (40, 257)
         with pytest.raises(ValueError):
             bank[0, 0] = 1.0
         assert not bank.flags.writeable
 
     @pytest.mark.parametrize("n_mels", [24, 80])
     def test_extraction_with_cached_bank_is_bit_identical(self, n_mels):
-        spec = FrameSpec(n_mels=n_mels)
         audio = tone(440.0, seconds=0.5)
-        fresh = dsp._filterbank.__wrapped__(n_mels, SAMPLE_RATE)
-        power = power_spectrum(frame_and_window(audio, spec), dsp.N_FFT)
+        fresh = dsp.mel_filterbank.__wrapped__(n_mels, SAMPLE_RATE)
+        power = power_spectrum(frame_and_window(audio), dsp.N_FFT)
         want = np.log(np.maximum(power @ fresh.T, dsp.LOG_FLOOR))
         for _ in range(2):  # the first call may fill the cache, the second reads it
-            np.testing.assert_array_equal(extract_lms(audio, spec).values, want)
+            np.testing.assert_array_equal(dsp._log_mel(audio, n_mels), want)
 
 
 class TestExtractLms:
     def test_silence_hits_log_floor(self):
         audio = AudioBuffer(np.zeros(SAMPLE_RATE))
-        lms = extract_lms(audio, FrameSpec())
-        np.testing.assert_allclose(lms.values, np.log(1e-10))
+        lms = dsp._log_mel(audio, 80)
+        np.testing.assert_allclose(lms, np.log(1e-10))
 
     def test_output_is_80_dim(self):
-        lms = extract_lms(tone(440.0), FrameSpec())
-        assert lms.values.shape == (98, 80)
+        lms = dsp._log_mel(tone(440.0), 80)
+        assert lms.shape == (98, 80)
 
     def test_1khz_tone_peaks_at_matching_filter(self):
-        spec = FrameSpec()
-        lms = extract_lms(tone(1000.0), spec)
-        centers = mel_filter_centers(spec)
+        lms = dsp._log_mel(tone(1000.0), 80)
+        centers = mel_filter_centers(80)
         expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
-        peak_bins = np.argmax(lms.values, axis=1)
+        peak_bins = np.argmax(lms, axis=1)
         # Interior frames; allow the neighbor filter (overlapping triangles).
         assert np.all(np.abs(peak_bins[2:-2] - expected_bin) <= 1)
 
     def test_deterministic(self):
         audio = tone(523.0)
-        a = extract_lms(audio, FrameSpec()).values
-        b = extract_lms(audio, FrameSpec()).values
+        a = dsp._log_mel(audio, 80)
+        b = dsp._log_mel(audio, 80)
         assert np.array_equal(a, b)
 
     def test_time_shift_covariance(self):
         rng = np.random.default_rng(1)
         base = rng.uniform(-0.5, 0.5, SAMPLE_RATE)
         shifted = np.concatenate([rng.uniform(-0.5, 0.5, 160 * 3), base])
-        a = extract_lms(AudioBuffer(base), FrameSpec()).values
-        b = extract_lms(AudioBuffer(shifted), FrameSpec()).values
+        a = dsp._log_mel(AudioBuffer(base), 80)
+        b = dsp._log_mel(AudioBuffer(shifted), 80)
         np.testing.assert_allclose(b[3 : 3 + a.shape[0]], a, atol=1e-9)
 
 
 class TestCmvn:
     def test_constant_feature_maps_to_zero(self):
-        lms = LmsFeature(np.full((50, 80), 3.7))
-        out = apply_cmvn(lms)
+        out = dsp._cmvn(np.full((50, 80), 3.7))
         # Rounding residue divided by the floored std stays tiny.
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-6)
+        np.testing.assert_allclose(out, 0.0, atol=1e-6)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
         for trial in range(50):
             t_len = int(rng.integers(5, 400))
             x = rng.standard_normal((t_len, 4))
-            lms = LmsFeature(x)
-            out = apply_cmvn(lms, window=1.0).values
+            out = dsp._cmvn(x, 1.0)
             w = int(round(1.0 / 0.010))
             for t in (0, t_len // 2, t_len - 1):
                 lo, hi = cmvn_window_bounds(t, t_len, w)
@@ -217,7 +208,7 @@ class TestCmvn:
     def test_interior_window_mean_near_zero(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((80, 3))
-        out = apply_cmvn(LmsFeature(x), window=0.2).values
+        out = dsp._cmvn(x, 0.2)
         # A frame whose window is fully interior has exactly the window stats.
         w = 20
         t = 40

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from amcrn import dsp, scoring
+from amcrn import scoring
 from amcrn.audio import SAMPLE_RATE, AudioBuffer
-from amcrn.dsp import FrameSpec, apply_cmvn, extract_lms
+from amcrn.dsp import featurize
 from amcrn.errors import (ConfigError, DegenerateInput, InputTooShort,
                           InsufficientTrials, MissingUtterance, NumericalError)
 from amcrn.model import AmcrnModel, tiny_config
@@ -495,18 +495,18 @@ class TestRunTrials:
         monkeypatch.setattr(scoring, "EMBED_FRAME_LIMIT", frame_limit)
         model, shapes = self._counted_model(monkeypatch)
         featurized, waiting = [], []
-        extract = dsp.extract_lms
+        extract = scoring.featurize
 
-        def recording(segment, spec):
+        def recording(segment, n_mels):
             # Frames featurized and not yet embedded, before this one.
             waiting.append(sum(featurized) - sum(n * t for n, t, _ in shapes))
-            feats = extract(segment, spec)
-            featurized.append(len(feats.values))
+            feats = extract(segment, n_mels)
+            featurized.append(len(feats))
             return feats
 
-        monkeypatch.setattr(dsp, "extract_lms", recording)
+        monkeypatch.setattr(scoring, "featurize", recording)
         got, _ = run_trials(model, trials, audio.__getitem__, truncation=0.4, seed=2)
-        monkeypatch.setattr(dsp, "extract_lms", extract)
+        monkeypatch.setattr(scoring, "featurize", extract)
         want = self._per_ref_taped_scores(model, trials, audio, "csm", None, 0.4, seed=2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert 0 < max(waiting) <= frame_limit
@@ -518,14 +518,12 @@ class TestRunTrials:
     def _per_ref_taped_scores(model, trials, audio, backend, plda, truncation, seed):
         """Oracle: each trial side embedded on its own by the taped
         eval-mode pass, then scored pair by pair."""
-        spec = FrameSpec(n_mels=model.config.n_mels)
-
         def embedding(ref, trunc):
             segment = audio[ref]
             if trunc is not None:
                 segment, _ = truncate_segment(segment, trunc,
                                               (seed, zlib.crc32(ref.encode())))
-            feats = apply_cmvn(extract_lms(segment, spec)).values
+            feats = featurize(segment, model.config.n_mels)
             return model.embed_tensor(feats, mode="eval").data
 
         score = csm if backend == "csm" else (lambda a, b: plda_score(plda, a, b))
@@ -574,14 +572,14 @@ class TestRunTrials:
         refs = [f"u{i}" for i in range(6)]
         trials = [Trial(int(i % 2 == 0), "u0", ref) for i, ref in enumerate(refs)]
         offsets = []
-        extract = dsp.extract_lms
+        extract = scoring.featurize
 
-        def recording(audio, spec):
+        def recording(audio, n_mels):
             if len(audio) == SAMPLE_RATE // 4:
                 offsets.append(int(round(audio.samples[0] * 2.0 * SAMPLE_RATE)))
-            return extract(audio, spec)
+            return extract(audio, n_mels)
 
-        monkeypatch.setattr(dsp, "extract_lms", recording)
+        monkeypatch.setattr(scoring, "featurize", recording)
         model = AmcrnModel(tiny_config(), seed=0)
         run_trials(model, trials, lambda ref: ramp, truncation=0.25, seed=3)
         first = list(offsets)

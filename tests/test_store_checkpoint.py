@@ -224,6 +224,14 @@ class TestEmbeddingStore:
             store.add("a", np.array([0.5, bad, 1.0]))
         assert "a" not in store
 
+    def test_save_without_a_path_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = EmbeddingStore()
+        store.add("a", np.ones(2))
+        with pytest.raises(ConfigError, match="the store has no path"):
+            store.save()
+        assert list(tmp_path.iterdir()) == []
+
     def test_contains(self):
         store = EmbeddingStore()
         store.add("a", np.ones(2))
