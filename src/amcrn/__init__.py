@@ -2,7 +2,7 @@
 recurrent network: LMS front end, from-scratch differentiable network,
 toy-scale training, CSM/PLDA scoring, and complexity profiling."""
 
-from .audio import SAMPLE_RATE, AudioBuffer, read_wav, write_wav
+from .audio import SAMPLE_RATE, read_wav, write_wav
 from .dsp import featurize
 from .augment import augment
 from .model import (AmcrnConfig, AmcrnModel, aam_logits, load_checkpoint,

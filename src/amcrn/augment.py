@@ -12,14 +12,14 @@ module through the package.
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import SAMPLE_RATE
 from .errors import ConfigError
 
 ADDITIVE_KINDS = ("noise", "music-like", "babble-like")
 KINDS = ADDITIVE_KINDS + ("reverb",)
 
 
-def _colored_noise(rng, n, sample_rate):
+def _colored_noise(rng, n):
     """Gaussian noise shaped by a random one-pole lowpass."""
     from scipy import signal as sp_signal
 
@@ -28,9 +28,9 @@ def _colored_noise(rng, n, sample_rate):
     return sp_signal.lfilter([1.0 - pole], [1.0, -pole], white)
 
 
-def _tone_mixture(rng, n, sample_rate):
+def _tone_mixture(rng, n):
     """Sum of a few slowly amplitude-modulated sinusoids."""
-    t = np.arange(n) / sample_rate
+    t = np.arange(n) / SAMPLE_RATE
     out = np.zeros(n)
     for _ in range(rng.integers(3, 6)):
         freq = rng.uniform(100.0, 2000.0)
@@ -41,7 +41,7 @@ def _tone_mixture(rng, n, sample_rate):
     return out
 
 
-def _babble(rng, n, sample_rate):
+def _babble(rng, n):
     """Sum of band-limited noise bursts with random on/off envelopes."""
     from scipy import signal as sp_signal
 
@@ -49,12 +49,12 @@ def _babble(rng, n, sample_rate):
     for _ in range(6):
         low = rng.uniform(100.0, 1500.0)
         high = low + rng.uniform(200.0, 2000.0)
-        high = min(high, 0.45 * sample_rate)
-        sos = sp_signal.butter(2, [low, high], btype="band", fs=sample_rate, output="sos")
+        high = min(high, 0.45 * SAMPLE_RATE)
+        sos = sp_signal.butter(2, [low, high], btype="band", fs=SAMPLE_RATE, output="sos")
         band = sp_signal.sosfilt(sos, rng.standard_normal(n))
         # Random bursts: smooth on/off gate.
-        gate = rng.random(max(1, n // (sample_rate // 4) + 1)) > 0.4
-        env = np.repeat(gate.astype(float), sample_rate // 4)[:n]
+        gate = rng.random(max(1, n // (SAMPLE_RATE // 4) + 1)) > 0.4
+        env = np.repeat(gate.astype(float), SAMPLE_RATE // 4)[:n]
         if len(env) < n:
             env = np.pad(env, (0, n - len(env)), constant_values=env[-1] if len(env) else 1.0)
         out += band * env
@@ -77,29 +77,28 @@ def _mix_at_snr(clean, interferer, snr_db):
     return clean + scale * interferer
 
 
-def augment(audio: AudioBuffer, kind: str, snr_db: float, seed: int) -> AudioBuffer:
-    """Return a corrupted copy of the audio; deterministic given seed.
+def augment(audio: np.ndarray, kind: str, snr_db: float, seed: int) -> np.ndarray:
+    """Return a corrupted copy of `audio`; deterministic given seed.
 
     `snr_db = inf` is a no-op for the additive kinds.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown augmentation kind: {kind!r}")
     rng = np.random.default_rng(seed)
-    x = audio.samples
     if kind == "reverb":
         from scipy import signal as sp_signal
 
-        ir_len = min(len(x), int(0.25 * audio.sample_rate))
+        ir_len = min(len(audio), int(0.25 * SAMPLE_RATE))
         decay = rng.uniform(0.02, 0.08)  # seconds to 1/e
-        t = np.arange(ir_len) / audio.sample_rate
+        t = np.arange(ir_len) / SAMPLE_RATE
         ir = rng.standard_normal(ir_len) * np.exp(-t / decay)
         ir[0] = 1.0
         ir /= np.sqrt(np.sum(ir**2))
-        wet = sp_signal.fftconvolve(x, ir)[: len(x)]
+        wet = sp_signal.fftconvolve(audio, ir)[: len(audio)]
         out = wet
     else:
         if not np.isfinite(snr_db):
-            return AudioBuffer(x.copy(), audio.sample_rate)
-        noise = _GENERATORS[kind](rng, len(x), audio.sample_rate)
-        out = _mix_at_snr(x, noise, snr_db)
-    return AudioBuffer(np.clip(out, -1.0, 1.0), audio.sample_rate)
+            return audio.copy()
+        noise = _GENERATORS[kind](rng, len(audio))
+        out = _mix_at_snr(audio, noise, snr_db)
+    return np.clip(out, -1.0, 1.0)

@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import SAMPLE_RATE
 from .errors import ConfigError, InputTooShort
 
 LOG_FLOOR = 1e-10
@@ -21,6 +21,8 @@ FRAME_SHIFT = 0.010
 N_FFT = 512
 F_MIN = 20.0
 F_MAX = 7600.0
+FRAME_SAMPLES = int(round(FRAME_LEN * SAMPLE_RATE))  # 400
+SHIFT_SAMPLES = int(round(FRAME_SHIFT * SAMPLE_RATE))  # 160
 
 
 def hamming_window(length: int) -> np.ndarray:
@@ -28,18 +30,15 @@ def hamming_window(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
 
 
-def frame_and_window(audio: AudioBuffer) -> np.ndarray:
+def frame_and_window(audio: np.ndarray) -> np.ndarray:
     """Split audio into overlapping frames and apply a Hamming window.
 
     Frame t starts at sample t * S; T = floor((N - L) / S) + 1.
     """
-    length = int(round(FRAME_LEN * audio.sample_rate))
-    shift = int(round(FRAME_SHIFT * audio.sample_rate))
-    n = len(audio.samples)
-    if n < length:
-        raise InputTooShort(f"audio has {n} samples, need at least {length}")
-    frames = np.lib.stride_tricks.sliding_window_view(audio.samples, length)[::shift]
-    return frames * hamming_window(length)
+    if len(audio) < FRAME_SAMPLES:
+        raise InputTooShort(f"audio has {len(audio)} samples, need at least {FRAME_SAMPLES}")
+    frames = np.lib.stride_tricks.sliding_window_view(audio, FRAME_SAMPLES)[::SHIFT_SAMPLES]
+    return frames * hamming_window(FRAME_SAMPLES)
 
 
 def power_spectrum(frames: np.ndarray, n_fft: int) -> np.ndarray:
@@ -66,23 +65,16 @@ def mel_filter_centers(n_mels: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(n_mels: int, sample_rate: int) -> np.ndarray:
-    """M x (N_FFT/2 + 1) triangular mel filterbank matrix.
+def mel_filterbank(n_mels: int) -> np.ndarray:
+    """M x (N_FFT/2 + 1) triangular mel filterbank matrix for 16 kHz audio.
 
-    Refuses n_mels < 1, F_MAX above the Nyquist frequency and a frame
-    longer than N_FFT. Built once per (n_mels, sample rate) and shared,
-    so the returned array is read-only.
+    Refuses n_mels < 1. Built once per n_mels and shared, so the returned
+    array is read-only.
     """
     if n_mels < 1:
         raise ConfigError("n_mels must be positive")
-    if F_MAX > sample_rate / 2:
-        raise ConfigError(f"f_max {F_MAX:g} Hz exceeds the Nyquist frequency "
-                          f"of {sample_rate} Hz audio")
-    if N_FFT < int(round(FRAME_LEN * sample_rate)):
-        raise ConfigError(f"a {FRAME_LEN:g} s frame of {sample_rate} Hz audio "
-                          f"does not fit in {N_FFT} FFT points")
     hz_edges = mel_to_hz(np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), n_mels + 2))
-    bin_freqs = np.arange(N_FFT // 2 + 1) * sample_rate / N_FFT
+    bin_freqs = np.arange(N_FFT // 2 + 1) * SAMPLE_RATE / N_FFT
     bank = np.zeros((n_mels, N_FFT // 2 + 1))
     for m in range(n_mels):
         lo, center, hi = hz_edges[m], hz_edges[m + 1], hz_edges[m + 2]
@@ -97,15 +89,18 @@ def mel_filterbank(n_mels: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
-def featurize(audio: AudioBuffer, n_mels: int) -> np.ndarray:
-    """The network's T x n_mels input: the LMS of `audio` after sliding CMVN."""
+def featurize(audio: np.ndarray, n_mels: int) -> np.ndarray:
+    """The network's T x n_mels input: the LMS of 1-D 16 kHz `audio` after
+    sliding CMVN. Audio that is not 1-D or not finite is a ConfigError."""
+    if np.ndim(audio) != 1 or not np.all(np.isfinite(audio)):
+        raise ConfigError("audio must be a 1-D array of finite samples")
     return _cmvn(_log_mel(audio, n_mels))
 
 
-def _log_mel(audio: AudioBuffer, n_mels: int) -> np.ndarray:
+def _log_mel(audio: np.ndarray, n_mels: int) -> np.ndarray:
     """T x n_mels LMS: frame/window, power spectrum, mel filter, log. The
-    filterbank is built first, so a bad n_mels or rate fails before framing."""
-    bank = mel_filterbank(n_mels, audio.sample_rate)
+    filterbank is built first, so a bad n_mels fails before framing."""
+    bank = mel_filterbank(n_mels)
     power = power_spectrum(frame_and_window(audio), N_FFT)
     return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
 

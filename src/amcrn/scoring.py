@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, random_crop
+from .audio import random_crop
 from .dsp import featurize
 from .errors import (ConfigError, DegenerateInput, InputTooShort, InsufficientTrials,
                      MissingUtterance, NumericalError)
@@ -335,7 +335,7 @@ def det_sweep(labels, scores):
 # ----------------------------------------------------------------------
 
 
-def truncate_segment(audio: AudioBuffer, duration: float, seed):
+def truncate_segment(audio: np.ndarray, duration: float, seed):
     """Uniformly random contiguous segment of the requested duration.
 
     Returns (segment, truncated_flag); audio shorter than the request is
@@ -380,7 +380,7 @@ EMBED_FRAME_LIMIT = 2048
 
 
 def embed_audio(model, named_audio):
-    """Eval-mode embeddings of (name, AudioBuffer) pairs as an N x D array,
+    """Eval-mode embeddings of (name, audio) pairs as an N x D array,
     row i for the i-th pair.
 
     The pairs are featurized in order, as they are drawn from
@@ -415,7 +415,7 @@ def run_trials(model, trials, resolve_audio, plda=None, truncation=None, seed=0,
     """Score a trial list and compute EER/minDCF, by cosine similarity or,
     given a PldaModel `plda`, by `plda_score`.
 
-    `resolve_audio(ref)` returns an AudioBuffer or raises KeyError.
+    `resolve_audio(ref)` returns the ref's audio or raises KeyError.
     Truncation (in seconds) applies to the test side only; each ref's
     offset is drawn from `seed` mixed with the CRC-32 of the ref, so
     equal-length utterances are cut at different offsets and a rerun

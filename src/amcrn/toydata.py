@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, AudioBuffer
+from .audio import SAMPLE_RATE
 from .errors import ConfigError
 
 
@@ -38,7 +38,7 @@ class ToySpeakerSpec:
 class ToyUtterance:
     speaker_id: str
     utterance_id: str
-    audio: AudioBuffer
+    audio: np.ndarray  # 16 kHz samples
 
 
 def _speaker_voice(spec: ToySpeakerSpec, spk: int):
@@ -82,6 +82,5 @@ def make_toy_dataset(spec: ToySpeakerSpec, utterance_offset: int = 0):
         sid = f"spk{spk:03d}"
         for utt in range(spec.utterances_per_speaker):
             idx = utt + utterance_offset
-            audio = AudioBuffer(_utterance(spec, spk, idx), SAMPLE_RATE)
-            out.append(ToyUtterance(sid, f"{sid}_utt{idx:03d}", audio))
+            out.append(ToyUtterance(sid, f"{sid}_utt{idx:03d}", _utterance(spec, spk, idx)))
     return out

@@ -10,8 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from .augment import KINDS as AUGMENT_KINDS
 from .augment import augment
-from .audio import random_crop
-from .dsp import featurize
+from .audio import SAMPLE_RATE, random_crop
+from .dsp import FRAME_SAMPLES, SHIFT_SAMPLES, featurize
 from .errors import ConfigError, NumericalError
 from .model import (AmcrnModel, _atomic_write, checkpoint_bytes, equal_length_runs,
                     restore_model)
@@ -32,6 +32,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.lr_end <= self.lr_start):
             raise ConfigError("need 0 < lr_end <= lr_start")
+        if not self.lr_start < np.inf:
+            raise ConfigError(f"lr_start must be finite, got {self.lr_start!r}")
         if not (0.0 < self.val_fraction < 1.0):
             raise ConfigError("val_fraction must be in (0, 1)")
         for name in ("epochs", "batch_size"):
@@ -40,9 +42,11 @@ class TrainConfig:
         for name in ("augment_copies", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 < self.crop_seconds < np.inf:  # NaN fails too
-            raise ConfigError(f"crop_seconds must be a finite number > 0, "
-                              f"got {self.crop_seconds!r}")
+        two_frames = FRAME_SAMPLES + SHIFT_SAMPLES  # the fewest attentive pooling takes
+        if not (0.0 < self.crop_seconds < np.inf  # NaN fails too
+                and round(self.crop_seconds * SAMPLE_RATE) >= two_frames):
+            raise ConfigError(f"crop_seconds must be a finite number >= {two_frames / SAMPLE_RATE:g}"
+                              f" (two frames), got {self.crop_seconds!r}")
         if not 0.0 <= self.grad_clip < np.inf:
             raise ConfigError(f"grad_clip must be a finite number >= 0 (0: no clipping), "
                               f"got {self.grad_clip!r}")
@@ -154,7 +158,8 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     `dataset` is a list of objects with `.speaker_id` and `.audio`. Each
     epoch sees every training utterance plus `augment_copies` freshly
     augmented views of it, randomly cropped to `crop_seconds`. Each
-    minibatch of `batch_size` views is one `minibatch_backward` call.
+    minibatch of `batch_size` views is one `minibatch_backward` call. A
+    validation loss that is not finite raises NumericalError naming the epoch.
     """
     speakers = sorted({u.speaker_id for u in dataset})
     if len(speakers) < 2:
@@ -203,6 +208,8 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
         # reproduces the reported loss bit for bit.
         blob = checkpoint_bytes(model)
         val_loss = validation_loss(restore_model(blob), val_set, label_of, cfg)
+        if not np.isfinite(val_loss):
+            raise NumericalError(f"epoch {epoch}: validation loss is {val_loss!r}")
         record = EpochRecord(epoch, loss_sum / len(views), val_loss, lr, len(views))
         history.append(record)
         if best is None or val_loss < best[1]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcrn.audio import AudioBuffer, read_wav, write_wav
+from amcrn.audio import read_wav, write_wav
 from amcrn.errors import AmcrnError, ConfigError
 
 # A valid 0.1 s file: 44 header bytes, then 3200 bytes of samples.
@@ -16,7 +16,7 @@ SAMPLES = 0.5 * np.sin(np.arange(1600) / 5.0)
 @pytest.fixture(scope="module")
 def wav_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("wav") / "ok.wav"
-    write_wav(path, AudioBuffer(SAMPLES))
+    write_wav(path, SAMPLES)
     return path.read_bytes()
 
 
@@ -27,7 +27,7 @@ def read_bytes_as_wav(path, blob):
 
 def test_round_trip(tmp_path, wav_bytes):
     audio = read_bytes_as_wav(tmp_path / "a.wav", wav_bytes)
-    np.testing.assert_allclose(audio.samples, SAMPLES, atol=1 / 32768)
+    np.testing.assert_allclose(audio, SAMPLES, atol=1 / 32768)
 
 
 # A damaged copy of the valid file -> how the error after "<path>: " begins.
@@ -43,6 +43,10 @@ DAMAGED = {
     "data_cut_even": (lambda b: b[:100], "the data chunk holds 56 of 3200 declared bytes"),
     "stereo": (lambda b: b[:22] + (2).to_bytes(2, "little") + b[24:],
                "expected mono audio, got 2 channels"),
+    "rate_8k": (lambda b: b[:24] + (8000).to_bytes(4, "little") + b[28:],
+                "expected 16000 Hz, got 8000 Hz"),
+    "width_8bit": (lambda b: b[:34] + (8).to_bytes(2, "little") + b[36:],
+                   "expected 16-bit PCM, got 8-bit"),
 }
 
 
@@ -75,4 +79,4 @@ def test_any_mutation_reads_or_raises_amcrn_error(scratch_wav, wav_bytes, data):
         audio = read_bytes_as_wav(scratch_wav, bytes(blob))
     except AmcrnError:
         return
-    assert isinstance(audio, AudioBuffer)
+    assert isinstance(audio, np.ndarray) and audio.ndim == 1 and audio.dtype == np.float64

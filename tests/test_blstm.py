@@ -19,7 +19,6 @@ import pytest
 
 from amcrn import autodiff as ad
 from amcrn import model
-from amcrn.audio import AudioBuffer
 from amcrn.autodiff import Parameter, Tensor
 from amcrn.model import (AmcrnModel, BlstmLayer, LstmDirection, checkpoint_bytes,
                          restore_model, tiny_config)
@@ -177,7 +176,7 @@ def test_acceptance_preset_never_submits(monkeypatch, executor):
     net.embed(lms)
     restore_model(checkpoint_bytes(net), np.float32).embed(lms.astype(np.float32))
     rng = np.random.default_rng(2)
-    batch = [(AudioBuffer(0.1 * rng.standard_normal(40000)), label) for label in (0, 1, 2)]
+    batch = [(0.1 * rng.standard_normal(40000), label) for label in (0, 1, 2)]
     minibatch_backward(net, batch, 2.0, rng)
     assert executor.submitted == 0
 

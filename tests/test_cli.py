@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from amcrn import cli
-from amcrn.audio import AudioBuffer, read_wav, write_wav
+from amcrn.audio import read_wav, write_wav
 from amcrn.cli import build_parser, main
 from amcrn.dsp import featurize
 from amcrn.errors import AmcrnError, ConfigError, NumericalError
@@ -66,7 +66,7 @@ class TestToygen:
                      "--offset", "100", "--out", str(held)]) == 0
         a = read_wav(data_dir / "spk000" / "utt000.wav")
         b = read_wav(held / "spk000" / "utt100.wav")
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(a, b)
 
 
 class TestTrain:
@@ -91,6 +91,19 @@ class TestTrain:
 
     def test_missing_data_is_usage_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "m.ckpt")]) == 2
+
+    def test_non_finite_validation_loss_is_a_numerical_error(self, tmp_path, capsys):
+        """A finite but huge learning rate drives the weights to NaN: the
+        run exits 3 naming the epoch and writes no checkpoint or loss CSV."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr_start = 1e300\nlr_end = 1e300\n")
+        out = tmp_path / "m.ckpt"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--toy", "speakers=2 utts=3 seconds=0.5", "--config", str(cfg),
+                         "--epochs", "1", "--out", str(out)])
+        assert code == 3
+        assert "numerical error: epoch 0: validation loss is nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 # A bad config line -> what stderr says after `<path>:<line>: `.
@@ -164,12 +177,17 @@ INVALID_CONFIGS = {
     "batch_size": ("batch_size = 0", ("train", "profile"),
                    "batch_size must be at least 1, got 0"),
     "lr_end": ("lr_end = 5", ("train", "profile"), "need 0 < lr_end <= lr_start"),
+    "lr_start_inf": ("lr_start = inf", ("train", "profile"), "lr_start must be finite, got inf"),
     "crop_nan": ("crop_seconds = nan", ("train", "profile"),
-                 "crop_seconds must be a finite number > 0, got nan"),
+                 "crop_seconds must be a finite number >= 0.035 (two frames), got nan"),
     "crop_zero": ("crop_seconds = 0", ("train", "profile"),
-                  "crop_seconds must be a finite number > 0, got 0.0"),
+                  "crop_seconds must be a finite number >= 0.035 (two frames), got 0.0"),
     "crop_negative": ("crop_seconds = -1", ("train", "profile"),
-                      "crop_seconds must be a finite number > 0, got -1.0"),
+                      "crop_seconds must be a finite number >= 0.035 (two frames), got -1.0"),
+    "crop_one_shift": ("crop_seconds = 0.01", ("train", "profile"),
+                       "crop_seconds must be a finite number >= 0.035 (two frames), got 0.01"),
+    "crop_one_frame": ("crop_seconds = 0.03", ("train", "profile"),
+                       "crop_seconds must be a finite number >= 0.035 (two frames), got 0.03"),
     "augment_negative": ("augment_copies = -1", ("train", "profile"),
                          "augment_copies must be >= 0, got -1"),
     "grad_clip_negative": ("grad_clip = -1", ("train", "profile"),
@@ -679,7 +697,7 @@ class TestEval:
     def test_too_short_ref_is_named(self, workspace, tmp_path, capsys, samples):
         # 320 samples make no frame; 400 make one, too few to pool.
         _, data_dir, ckpt = workspace
-        write_wav(str(tmp_path / "blip.wav"), AudioBuffer(np.full(samples, 0.01)))
+        write_wav(str(tmp_path / "blip.wav"), np.full(samples, 0.01))
         good = data_dir / "spk000" / "utt000.wav"
         bad = tmp_path / "bad.txt"
         bad.write_text(f"1 {good} {good}\n0 {good} blip.wav\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amcrn import dsp
-from amcrn.audio import SAMPLE_RATE, AudioBuffer
+from amcrn.audio import SAMPLE_RATE
 from amcrn.dsp import (cmvn_window_bounds, featurize, frame_and_window, hamming_window,
                        hz_to_mel, mel_filter_centers, mel_filterbank, mel_to_hz,
                        power_spectrum)
@@ -13,7 +13,7 @@ from amcrn.errors import ConfigError, InputTooShort
 
 def tone(freq, seconds=1.0, amp=0.5):
     t = np.arange(int(seconds * SAMPLE_RATE)) / SAMPLE_RATE
-    return AudioBuffer(amp * np.sin(2 * np.pi * freq * t))
+    return amp * np.sin(2 * np.pi * freq * t)
 
 
 class TestFraming:
@@ -23,37 +23,44 @@ class TestFraming:
         assert frames.shape == (98, 400)
 
     def test_constant_input_yields_window(self):
-        audio = AudioBuffer(np.ones(SAMPLE_RATE))
+        audio = np.ones(SAMPLE_RATE)
         frames = frame_and_window(audio)
         np.testing.assert_allclose(frames, np.tile(hamming_window(400), (98, 1)))
 
     def test_frame_offsets(self):
-        audio = AudioBuffer(np.arange(SAMPLE_RATE) / SAMPLE_RATE)
+        audio = np.arange(SAMPLE_RATE) / SAMPLE_RATE
         frames = frame_and_window(audio)
         w = hamming_window(400)
         for t in (0, 1, 50):
-            np.testing.assert_allclose(frames[t], audio.samples[160 * t : 160 * t + 400] * w)
+            np.testing.assert_allclose(frames[t], audio[160 * t : 160 * t + 400] * w)
 
     @pytest.mark.parametrize("n", [400, 401, 8000, 32000, 48000, 80000])
     def test_frames_equal_the_index_gather(self, n):
         samples = np.random.default_rng(n).standard_normal(n)
-        frames = frame_and_window(AudioBuffer(samples))
+        frames = frame_and_window(samples)
         idx = np.arange(400)[None, :] + 160 * np.arange((n - 400) // 160 + 1)[:, None]
         want = samples[idx] * hamming_window(400)[None, :]
         assert frames.shape == want.shape and np.array_equal(frames, want)
 
     def test_too_short_raises(self):
         with pytest.raises(InputTooShort):
-            frame_and_window(AudioBuffer(np.zeros(100)))
+            frame_and_window(np.zeros(100))
 
     @pytest.mark.parametrize("n_mels, rate, message", [
         (0, SAMPLE_RATE, "n_mels must be positive"),
-        (80, 8000, "exceeds the Nyquist frequency"),
-        (80, 48000, "does not fit in 512 FFT points"),  # a 1200-sample frame
     ])
     def test_spec_refused_for_the_audio(self, n_mels, rate, message):
         with pytest.raises(ConfigError, match=message):
-            featurize(AudioBuffer(np.zeros(rate), rate), n_mels)
+            featurize(np.zeros(rate), n_mels)
+
+    @pytest.mark.parametrize("audio", [
+        np.where(np.arange(SAMPLE_RATE) == 100, np.nan, 0.0),
+        np.where(np.arange(SAMPLE_RATE) == 100, -np.inf, 0.0),
+        np.zeros((2, SAMPLE_RATE)),
+    ], ids=["nan", "inf", "2-D"])
+    def test_featurize_refuses_audio_that_is_not_finite_1d(self, audio):
+        with pytest.raises(ConfigError, match="1-D array of finite samples"):
+            featurize(audio, 24)
 
 
 class TestPowerSpectrum:
@@ -89,7 +96,7 @@ class TestPowerSpectrum:
 
 class TestMelFilterbank:
     def test_shape_and_nonnegative(self):
-        bank = mel_filterbank(80, SAMPLE_RATE)
+        bank = mel_filterbank(80)
         assert bank.shape == (80, 257)
         assert np.all(bank >= 0.0)
         assert np.all(bank.sum(axis=1) > 0.0)
@@ -101,7 +108,7 @@ class TestMelFilterbank:
         np.testing.assert_allclose(mel_filter_centers(80), expected, rtol=1e-12)
 
     def test_peak_near_center_bin(self):
-        bank = mel_filterbank(80, SAMPLE_RATE)
+        bank = mel_filterbank(80)
         centers = mel_filter_centers(80)
         bin_freqs = np.arange(257) * SAMPLE_RATE / 512
         for m in range(80):
@@ -109,13 +116,13 @@ class TestMelFilterbank:
             assert abs(int(np.argmax(bank[m])) - nearest) <= 1
 
     def test_interior_coverage(self):
-        bank = mel_filterbank(80, SAMPLE_RATE)
+        bank = mel_filterbank(80)
         bin_freqs = np.arange(257) * SAMPLE_RATE / 512
         interior = (bin_freqs > dsp.F_MIN + 60) & (bin_freqs < dsp.F_MAX - 60)
         assert np.all(bank.sum(axis=0)[interior] > 0.0)
 
     def test_compact_support(self):
-        bank = mel_filterbank(80, SAMPLE_RATE)
+        bank = mel_filterbank(80)
         lo_m = hz_to_mel(dsp.F_MIN)
         hi_m = hz_to_mel(dsp.F_MAX)
         edges = mel_to_hz(np.linspace(lo_m, hi_m, 82))
@@ -124,15 +131,10 @@ class TestMelFilterbank:
             outside = (bin_freqs < edges[m] - 1e-9) | (bin_freqs > edges[m + 2] + 1e-9)
             assert np.all(bank[m][outside] == 0.0)
 
-    def test_fmax_above_nyquist_rejected(self):
-        # 8 kHz audio has its Nyquist frequency (4 kHz) below F_MAX.
-        with pytest.raises(ConfigError, match="exceeds the Nyquist frequency of 8000 Hz"):
-            mel_filterbank(80, 8000)
-
     def test_cached_bank_is_shared_and_read_only(self):
-        bank = mel_filterbank(24, SAMPLE_RATE)
-        assert mel_filterbank(24, SAMPLE_RATE) is bank
-        assert mel_filterbank(40, SAMPLE_RATE).shape == (40, 257)
+        bank = mel_filterbank(24)
+        assert mel_filterbank(24) is bank
+        assert mel_filterbank(40).shape == (40, 257)
         with pytest.raises(ValueError):
             bank[0, 0] = 1.0
         assert not bank.flags.writeable
@@ -140,7 +142,7 @@ class TestMelFilterbank:
     @pytest.mark.parametrize("n_mels", [24, 80])
     def test_extraction_with_cached_bank_is_bit_identical(self, n_mels):
         audio = tone(440.0, seconds=0.5)
-        fresh = dsp.mel_filterbank.__wrapped__(n_mels, SAMPLE_RATE)
+        fresh = dsp.mel_filterbank.__wrapped__(n_mels)
         power = power_spectrum(frame_and_window(audio), dsp.N_FFT)
         want = np.log(np.maximum(power @ fresh.T, dsp.LOG_FLOOR))
         for _ in range(2):  # the first call may fill the cache, the second reads it
@@ -149,7 +151,7 @@ class TestMelFilterbank:
 
 class TestExtractLms:
     def test_silence_hits_log_floor(self):
-        audio = AudioBuffer(np.zeros(SAMPLE_RATE))
+        audio = np.zeros(SAMPLE_RATE)
         lms = dsp._log_mel(audio, 80)
         np.testing.assert_allclose(lms, np.log(1e-10))
 
@@ -175,8 +177,8 @@ class TestExtractLms:
         rng = np.random.default_rng(1)
         base = rng.uniform(-0.5, 0.5, SAMPLE_RATE)
         shifted = np.concatenate([rng.uniform(-0.5, 0.5, 160 * 3), base])
-        a = dsp._log_mel(AudioBuffer(base), 80)
-        b = dsp._log_mel(AudioBuffer(shifted), 80)
+        a = dsp._log_mel(base, 80)
+        b = dsp._log_mel(shifted, 80)
         np.testing.assert_allclose(b[3 : 3 + a.shape[0]], a, atol=1e-9)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from amcrn import scoring
-from amcrn.audio import SAMPLE_RATE, AudioBuffer
+from amcrn.audio import SAMPLE_RATE
 from amcrn.dsp import featurize
 from amcrn.errors import (ConfigError, DegenerateInput, InputTooShort,
                           InsufficientTrials, MissingUtterance, NumericalError)
@@ -363,24 +363,24 @@ class TestMetrics:
 
 class TestTrials:
     def test_truncate_returns_requested_length(self):
-        audio = AudioBuffer(np.random.default_rng(9).standard_normal(3 * SAMPLE_RATE) * 0.1)
+        audio = np.random.default_rng(9).standard_normal(3 * SAMPLE_RATE) * 0.1
         seg, truncated = truncate_segment(audio, 2.0, seed=0)
         assert truncated and len(seg) == 2 * SAMPLE_RATE
 
     def test_truncate_is_contiguous_slice(self):
-        audio = AudioBuffer(np.arange(3 * SAMPLE_RATE, dtype=np.float64) / (4 * SAMPLE_RATE))
+        audio = np.arange(3 * SAMPLE_RATE, dtype=np.float64) / (4 * SAMPLE_RATE)
         seg, _ = truncate_segment(audio, 1.0, seed=1)
-        start = int(round(seg.samples[0] * 4 * SAMPLE_RATE))
-        np.testing.assert_array_equal(seg.samples, audio.samples[start : start + SAMPLE_RATE])
+        start = int(round(seg[0] * 4 * SAMPLE_RATE))
+        np.testing.assert_array_equal(seg, audio[start : start + SAMPLE_RATE])
 
     def test_truncate_deterministic_per_seed(self):
-        audio = AudioBuffer(np.random.default_rng(10).standard_normal(3 * SAMPLE_RATE) * 0.1)
+        audio = np.random.default_rng(10).standard_normal(3 * SAMPLE_RATE) * 0.1
         a, _ = truncate_segment(audio, 2.0, seed=5)
         b, _ = truncate_segment(audio, 2.0, seed=5)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_short_audio_passed_whole(self):
-        audio = AudioBuffer(np.zeros(SAMPLE_RATE))
+        audio = np.zeros(SAMPLE_RATE)
         seg, truncated = truncate_segment(audio, 2.0, seed=0)
         assert not truncated and seg is audio
 
@@ -486,7 +486,7 @@ class TestRunTrials:
         data = make_toy_dataset(ToySpeakerSpec(n_speakers=4, utterances_per_speaker=5,
                                                utterance_seconds=1.0, seed=1))
         seconds = [0.3 + 0.04 * i for i in range(10)]
-        audio = {u.utterance_id: AudioBuffer(u.audio.samples[:int(SAMPLE_RATE * s)])
+        audio = {u.utterance_id: u.audio[:int(SAMPLE_RATE * s)]
                  for u, s in zip(data, seconds * 2)}
         speaker = {u.utterance_id: u.speaker_id for u in data}
         refs = list(audio)
@@ -561,14 +561,14 @@ class TestRunTrials:
     def test_too_short_ref_is_named(self, dataset, samples):
         # 320 samples make no frame; 400 make one, too few to pool.
         audio, trials = dataset
-        audio = dict(audio, tiny=AudioBuffer(np.ones(samples) * 0.01))
+        audio = dict(audio, tiny=np.ones(samples) * 0.01)
         trials = trials + [Trial(0, trials[0].enroll_ref, "tiny")]
         with pytest.raises(InputTooShort, match="'tiny'"):
             run_trials(AmcrnModel(tiny_config(), seed=0), trials, audio.__getitem__)
 
     def test_truncation_offset_differs_per_ref_and_repeats(self, monkeypatch):
         # Six identical ramps: a segment's first sample gives its offset.
-        ramp = AudioBuffer(np.arange(SAMPLE_RATE // 2) / (2.0 * SAMPLE_RATE))
+        ramp = np.arange(SAMPLE_RATE // 2) / (2.0 * SAMPLE_RATE)
         refs = [f"u{i}" for i in range(6)]
         trials = [Trial(int(i % 2 == 0), "u0", ref) for i, ref in enumerate(refs)]
         offsets = []
@@ -576,7 +576,7 @@ class TestRunTrials:
 
         def recording(audio, n_mels):
             if len(audio) == SAMPLE_RATE // 4:
-                offsets.append(int(round(audio.samples[0] * 2.0 * SAMPLE_RATE)))
+                offsets.append(int(round(audio[0] * 2.0 * SAMPLE_RATE)))
             return extract(audio, n_mels)
 
         monkeypatch.setattr(scoring, "featurize", recording)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from amcrn.audio import AudioBuffer, write_wav
+from amcrn.audio import write_wav
 from amcrn.errors import AmcrnError, ConfigError, DuplicateId
 from amcrn.model import (AmcrnConfig, AmcrnModel, _atomic_write, _stored_values,
                          checkpoint_bytes, config_text, load_checkpoint, restore_model,
@@ -24,7 +24,7 @@ from amcrn.training import EpochRecord, write_history_csv
 
 def _write_fixed_wav(path):
     t = np.arange(1600)
-    write_wav(path, AudioBuffer(0.5 * np.sin(2 * np.pi * 440 * t / 16000) + 0.7 * np.cos(t / 7.0)))
+    write_wav(path, 0.5 * np.sin(2 * np.pi * 440 * t / 16000) + 0.7 * np.cos(t / 7.0))
 
 
 def _write_fixed_store(path):
@@ -541,7 +541,7 @@ class TestStreamedCheckpoint:
             restore_model(blob[:keep])
         path.write_bytes(blob[:keep])
         wav = tmp_path / "a.wav"
-        write_wav(wav, AudioBuffer(0.1 * np.sin(np.arange(8000) / 3.0)))
+        write_wav(wav, 0.1 * np.sin(np.arange(8000) / 3.0))
         assert main(["embed", "--checkpoint", str(path), str(wav)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: {expected.value}\n"

@@ -8,7 +8,7 @@ from amcrn.autodiff import Parameter, Tensor
 from amcrn.errors import ConfigError, NumericalError
 from amcrn.model import AmcrnModel, equal_length_runs, restore_model, tiny_config
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
-from amcrn.audio import AudioBuffer, random_crop
+from amcrn.audio import SAMPLE_RATE, random_crop
 from amcrn.dsp import featurize
 from amcrn.training import (AdamState, TrainConfig, adam_step, clip_gradients,
                             lr_schedule, minibatch_backward, train, validation_loss,
@@ -126,7 +126,7 @@ class TestToyDataset:
         a = make_toy_dataset(spec)
         b = make_toy_dataset(spec)
         for ua, ub in zip(a, b):
-            assert np.array_equal(ua.audio.samples, ub.audio.samples)
+            assert np.array_equal(ua.audio, ub.audio)
 
     def test_offset_yields_fresh_utterances(self):
         spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=2,
@@ -134,7 +134,7 @@ class TestToyDataset:
         base = make_toy_dataset(spec)
         held = make_toy_dataset(spec, utterance_offset=2)
         assert {u.utterance_id for u in base}.isdisjoint({u.utterance_id for u in held})
-        assert not np.array_equal(base[0].audio.samples, held[0].audio.samples)
+        assert not np.array_equal(base[0].audio, held[0].audio)
 
     def test_within_speaker_closer_than_across(self):
         """Spectral distance (proxy for separability) must be smaller
@@ -144,7 +144,7 @@ class TestToyDataset:
         data = make_toy_dataset(spec)
 
         def spectrum(u):
-            mag = np.abs(np.fft.rfft(u.audio.samples, n=4096))
+            mag = np.abs(np.fft.rfft(u.audio, n=4096))
             return np.log(mag[:1200] + 1e-6)
 
         specs = {u.utterance_id: spectrum(u) for u in data}
@@ -287,7 +287,7 @@ class TestMinibatch:
         spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=3,
                               utterance_seconds=0.5, seed=5)
         data = make_toy_dataset(spec)
-        return [(AudioBuffer(u.audio.samples[: int(s * u.audio.sample_rate)]), i % 2)
+        return [(u.audio[: int(s * SAMPLE_RATE)], i % 2)
                 for i, (u, s) in enumerate(zip(data, seconds))]
 
     def test_equal_lengths_match_the_per_crop_step(self):
@@ -335,7 +335,7 @@ class TestMinibatch:
         spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=2,
                               utterance_seconds=0.5, seed=6)
         val_set = make_toy_dataset(spec)
-        val_set[1].audio = AudioBuffer(val_set[1].audio.samples[:4000])
+        val_set[1].audio = val_set[1].audio[:4000]
         model = AmcrnModel(tiny_config(n_classes=2), seed=5)
         label_of = {"spk000": 0, "spk001": 1}
         per_utt = [float(model.classify_loss(featurize(u.audio, model.config.n_mels),
@@ -348,7 +348,7 @@ class TestMinibatch:
         spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=3,
                               utterance_seconds=0.5, seed=7)
         val_set = make_toy_dataset(spec)
-        val_set[2].audio = AudioBuffer(val_set[2].audio.samples[:4000])
+        val_set[2].audio = val_set[2].audio[:4000]
         model = AmcrnModel(tiny_config(n_classes=2), seed=6)
         label_of = {"spk000": 0, "spk001": 1}
         rows = [(featurize(u.audio, model.config.n_mels), label_of[u.speaker_id])
