@@ -4,8 +4,15 @@ A Tensor wraps an ndarray and records the operations that produced it;
 `backward` on a scalar loss accumulates gradients into every reachable
 tensor with `requires_grad`. Only the operations the network needs are
 provided: elementwise arithmetic and activations, matmul by a matrix,
-reductions, concatenation/slicing, dilated 1-D convolution, a fused LSTM
-direction, dropout, and the losses.
+reductions, concatenation/slicing, dilated 1-D convolution, a fused
+convolution + BatchNorm (+ ReLU) node, a fused LSTM direction, dropout,
+and the losses.
+
+A taped pass keeps only what backward reads: the fused nodes work in
+their own buffers, the LSTM writes its gates over its input projection
+and its gradient over its gates, and an interior node keeps the first
+gradient it is given without a copy. Leaf gradients are copies, which
+the trainer may scale in place.
 
 Sequence ops read axis -2 as time and axis -1 as channels; any axes in
 front of them are batch axes. A T x C sequence is therefore the
@@ -95,11 +102,19 @@ class Tensor:
     # -- graph construction helpers ------------------------------------
 
     def _accum(self, grad):
-        if self.grad is None:
-            # A copy: later accumulations add into it in place.
-            self.grad = np.array(grad, dtype=np.float64)
+        if self._backward is None:
+            # A leaf copies its first gradient and adds later ones in place:
+            # the trainer scales leaf gradients in place after backward.
+            if self.grad is None:
+                self.grad = np.array(grad, dtype=np.float64)
+            else:
+                self.grad += grad
+        elif self.grad is None:
+            # An interior node keeps the array it is given, which may also
+            # reach another node, so a later gradient is added out of place.
+            self.grad = grad
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     def backward(self):
         """Reverse accumulation from a scalar loss.
@@ -346,11 +361,11 @@ def tmax(x, axis, keepdims=False):
     """Max over one axis; ties split the gradient equally."""
     x = as_tensor(x)
     y = x.data.max(axis=axis, keepdims=True)
-    mask = (x.data == y).astype(x.data.dtype)
-    mask /= mask.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         if x.requires_grad:
+            mask = (x.data == y).astype(x.data.dtype)
+            mask /= mask.sum(axis=axis, keepdims=True)
             gg = g if keepdims else np.expand_dims(g, axis)
             x._accum(gg * mask)
 
@@ -439,6 +454,35 @@ def linear(x, weight, bias=None):
     return out
 
 
+def _standardize(data, eps, out=None):
+    """(xhat, mean, var, std) of each sequence of a (B x) T x C array over
+    time: xhat = (data - mean) / std with std = sqrt(var + eps), written
+    into `out` when given (which may be `data` itself)."""
+    scale = 1.0 / data.shape[-2]
+    mean = data.sum(axis=-2, keepdims=True) * scale
+    xhat = np.subtract(data, mean, out=out)
+    var = (xhat**2).sum(axis=-2, keepdims=True) * scale
+    std = np.sqrt(var + eps)
+    xhat /= std
+    return xhat, mean, var, std
+
+
+def _standardize_backward(g, xhat, std, gamma, beta, need_x):
+    """Accumulate the gradients of gamma and beta for the output gradient
+    `g` of gamma * xhat + beta; return the input's gradient if `need_x`."""
+    channels = g.shape[-1]
+    if gamma.requires_grad:
+        gamma._accum((g * xhat).reshape(-1, channels).sum(axis=0))
+    if beta.requires_grad:
+        beta._accum(g.reshape(-1, channels).sum(axis=0))
+    if need_x:
+        scale = 1.0 / g.shape[-2]
+        gx = g * gamma.data
+        proj = (gx * xhat).sum(axis=-2, keepdims=True) * scale
+        return (gx - gx.sum(axis=-2, keepdims=True) * scale - xhat * proj) / std
+    return None
+
+
 def batch_norm(x, gamma, beta, eps):
     """Per-channel normalization of each sequence by its own statistics
     over time, as one graph node: gamma * (x - mean) / sqrt(var + eps) + beta.
@@ -448,23 +492,12 @@ def batch_norm(x, gamma, beta, eps):
     only the normalized input and the standard deviation.
     """
     x, gamma, beta = (as_tensor(v) for v in (x, gamma, beta))
-    scale = 1.0 / x.data.shape[-2]
-    mean = x.data.sum(axis=-2, keepdims=True) * scale
-    centered = x.data - mean
-    var = (centered**2).sum(axis=-2, keepdims=True) * scale
-    std = np.sqrt(var + eps)
-    xhat = centered / std
+    xhat, mean, var, std = _standardize(x.data, eps)
 
     def bwd(g):
-        channels = g.shape[-1]
-        if gamma.requires_grad:
-            gamma._accum((g * xhat).reshape(-1, channels).sum(axis=0))
-        if beta.requires_grad:
-            beta._accum(g.reshape(-1, channels).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gamma.data
-            proj = (gx * xhat).sum(axis=-2, keepdims=True) * scale
-            x._accum((gx - gx.sum(axis=-2, keepdims=True) * scale - xhat * proj) / std)
+        gx = _standardize_backward(g, xhat, std, gamma, beta, x.requires_grad)
+        if gx is not None:
+            x._accum(gx)
 
     out = Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta), _backward=bwd)
     return out, mean, var
@@ -478,16 +511,10 @@ def _pad_time(data, pad):
     return out
 
 
-def conv1d_dilated(x, kernel, bias=None, dilation=1):
-    """1-D dilated convolution over time with "same" zero padding.
-
-    x: (... x) T x Cin, kernel: k x Cin x Cout with k odd, output:
-    (... x) T x Cout. out[q] = sum_t x[q - dilation * t] K[t] for tap
-    index t in [-n, n], where the kernel array index i corresponds to
-    t = i - n. Each sequence of a batch is padded on its own.
-    """
-    x = as_tensor(x)
-    kernel = as_tensor(kernel)
+def _conv(x, kernel, bias, dilation):
+    """The forward sum of `conv1d_dilated`, as (output array, parent
+    Tensors, backward), where backward takes the output's gradient."""
+    x, kernel = as_tensor(x), as_tensor(kernel)
     k = kernel.data.shape[0]
     if k % 2 == 0:
         raise ConfigError("convolution kernel size must be odd")
@@ -527,7 +554,48 @@ def conv1d_dilated(x, kernel, bias=None, dilation=1):
         if bias is not None and bias.requires_grad:
             bias._accum(_unbroadcast(g_rows.sum(axis=0), bias.data.shape))
 
+    return acc, parents, bwd
+
+
+def conv1d_dilated(x, kernel, bias=None, dilation=1):
+    """1-D dilated convolution over time with "same" zero padding.
+
+    x: (... x) T x Cin, kernel: k x Cin x Cout with k odd, output:
+    (... x) T x Cout. out[q] = sum_t x[q - dilation * t] K[t] for tap
+    index t in [-n, n], where the kernel array index i corresponds to
+    t = i - n. Each sequence of a batch is padded on its own.
+    """
+    acc, parents, bwd = _conv(x, kernel, bias, dilation)
     return Tensor(acc, _parents=parents, _backward=bwd)
+
+
+def conv_batch_norm(x, kernel, bias, dilation, gamma, beta, eps, relu=False):
+    """`batch_norm(conv1d_dilated(x, kernel, bias, dilation), gamma, beta,
+    eps)`, then a ReLU if `relu`, as one graph node with the same bits.
+
+    Returns (out, mean, var) as `batch_norm` does. The normalization runs
+    in the convolution's own output buffer, which backward keeps as the
+    normalized input, and the ReLU in the output's, whose sign masks its
+    gradient. The node keeps those two (B x) T x C arrays, where the
+    composition keeps four (three without the ReLU).
+    """
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    acc, conv_parents, conv_bwd = _conv(x, kernel, bias, dilation)
+    xhat, mean, var, std = _standardize(acc, eps, out=acc)
+    out = gamma.data * xhat
+    out += beta.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    need_conv = any(p.requires_grad for p in conv_parents)
+
+    def bwd(g):
+        if relu:
+            g = g * (out > 0.0)
+        gx = _standardize_backward(g, xhat, std, gamma, beta, need_conv)
+        if gx is not None:
+            conv_bwd(gx)
+
+    return Tensor(out, _parents=conv_parents + (gamma, beta), _backward=bwd), mean, var
 
 
 def lstm(x, w_x, w_h, bias, reverse=False):
@@ -544,19 +612,21 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     never copied. The input projection is negated once per call, and a
     step writes the negated pre-activation pre_x[t] - h w_h into the
     buffer of the product, which is exact (-a - b = -(a + b)). It then
-    evaluates 1 / (1 + exp(pre)) over the whole B x 4H block in place,
-    the sigmoid of every gate, and overwrites the cell columns with tanh,
-    which is the cell candidate negated (tanh(-x) = -tanh(x)): the cell
-    update subtracts its product, and backward flips its sign. The
-    per-step gate activations, cell states and their tanh are kept only
-    when a backward pass can follow, that is when graph recording is on
-    and an input requires grad; otherwise every step writes them into
-    one reused slot, and only the T x B x H hidden states are stored.
-    Backward first forms, for all t at once, every factor of the
-    pre-activation gradient that does not depend on the recurrence; the
-    BPTT loop then carries only dh and dc and fills the T x B x 4H
-    pre-activation gradient, from which the four parameter/input
-    gradients are whole-batch products.
+    evaluates 1 / (1 + exp(pre)) over the whole B x 4H block into the
+    step's row of the projection, which it no longer needs: the sigmoid
+    of every gate. It overwrites the cell columns with tanh, which is the
+    cell candidate negated (tanh(-x) = -tanh(x)): the cell update
+    subtracts its product, and backward flips its sign. The per-step cell
+    states are kept only when a backward pass can follow, that is when
+    graph recording is on and an input requires grad; otherwise every
+    step writes them into one reused slot. A taped call thus keeps the
+    projection (as the gates), the cell states and the hidden states;
+    tanh of the cell states is recomputed in backward. Backward first
+    forms, for all t at once, every factor of the pre-activation gradient
+    that does not depend on the recurrence; the BPTT loop then carries
+    only dh and dc, and writes the pre-activation gradient of step t over
+    that step's gates once it has read the forget gate. The four
+    parameter/input gradients are whole-batch products of it.
     """
     x, w_x, w_h, bias = (as_tensor(v) for v in (x, w_x, w_h, bias))
     if x.data.ndim < 2 or x.data.shape[-1] != w_x.data.shape[0]:
@@ -570,16 +640,13 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     i_sl, f_sl, c_sl, o_sl = (slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
     # Work in processing order; a reversed direction is a flipped sequence.
     xs = x.data[..., ::-1, :] if reverse else x.data
-    pre_x = (xs.reshape(n, t_len, d_in).swapaxes(0, 1).reshape(t_len * n, d_in)
+    gates = (xs.reshape(n, t_len, d_in).swapaxes(0, 1).reshape(t_len * n, d_in)
              @ w_x.data).reshape(t_len, n, 4 * h_dim)
-    pre_x += bias.data
-    np.negative(pre_x, out=pre_x)
+    gates += bias.data
+    np.negative(gates, out=gates)  # the negated projection until a step overwrites it
     keep = _grad_enabled and any(v.requires_grad for v in (x, w_x, w_h, bias))
-    slots = t_len if keep else 1
-    dtype = pre_x.dtype
-    gates = np.empty((slots, n, 4 * h_dim), dtype)
-    cells = np.empty((slots, n, h_dim), dtype)
-    tanh_c = np.empty((slots, n, h_dim), dtype)
+    dtype = gates.dtype
+    cells = np.empty((t_len if keep else 1, n, h_dim), dtype)
     hs = np.empty((t_len, n, h_dim), dtype)
     h = c = np.zeros((n, h_dim), dtype)
     w_rec = w_h.data
@@ -587,17 +654,17 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     # columns are overwritten by tanh, and a sigmoid gate reads 1 / inf = 0.
     with np.errstate(over="ignore"):
         for t in range(t_len):
-            s = t if keep else 0
             pre = h @ w_rec
-            np.subtract(pre_x[t], pre, out=pre)
-            g = gates[s]
+            g = gates[t]
+            np.subtract(g, pre, out=pre)
             np.exp(pre, out=g)
             g += 1.0
             np.divide(1.0, g, out=g)
             np.tanh(pre[:, c_sl], out=g[:, c_sl])
-            c = np.multiply(g[:, f_sl], c, out=cells[s])
+            c = np.multiply(g[:, f_sl], c, out=cells[t if keep else 0])
             c -= g[:, i_sl] * g[:, c_sl]
-            h = np.multiply(g[:, o_sl], np.tanh(c, out=tanh_c[s]), out=hs[t])
+            h = np.tanh(c, out=hs[t])
+            h *= g[:, o_sl]
     out_data = (hs[::-1] if reverse else hs).swapaxes(0, 1)
 
     def bwd(grad):
@@ -609,6 +676,7 @@ def lstm(x, w_x, w_h, bias, reverse=False):
         # The factors that do not depend on the recurrence, for all t:
         # dc gains dh * dc_dh, the i/f/c columns of dpre are dc * from_dc
         # and the o columns are dh * from_dh.
+        tanh_c = np.tanh(cells)
         dc_dh = go * (1.0 - tanh_c * tanh_c)
         from_dc = np.empty((t_len, n, 3, h_dim))
         from_dc[:, :, 0] = gc * gi * (gi - 1.0)
@@ -616,18 +684,19 @@ def lstm(x, w_x, w_h, bias, reverse=False):
         from_dc[1:, :, 1] = cells[:-1] * gf[1:] * (1.0 - gf[1:])
         from_dc[:, :, 2] = gi * (1.0 - gc * gc)
         from_dh = tanh_c * go * (1.0 - go)
+        del tanh_c
         w_h_t = w_h.data.T
-        dpre = np.empty((t_len, n, 4 * h_dim))
+        dpre = gates  # row t is overwritten once step t has read gf[t]
         dpre_by_gate = dpre.reshape(t_len, n, 4, h_dim)
         dh_next = dc_next = np.zeros((n, h_dim))
         for t in range(t_len - 1, -1, -1):
             dh = gs[t] + dh_next
             dc = dh * dc_dh[t]
             dc += dc_next
+            dc_next = dc * gf[t]
             d = dpre_by_gate[t]
             np.multiply(dc[:, None], from_dc[t], out=d[:, :3])
             np.multiply(dh, from_dh[t], out=d[:, 3])
-            dc_next = dc * gf[t]
             dh_next = dpre[t] @ w_h_t
         # Batch-major rows in processing order.
         d_rows = dpre.swapaxes(0, 1).reshape(n * t_len, 4 * h_dim)

@@ -224,17 +224,29 @@ class BatchNorm(_RunningNorm):
     Train mode normalizes each utterance with its own statistics over
     time and updates the running statistics once per utterance in batch
     order; eval mode uses the running statistics.
+
+    Given a `conv`, the layer normalizes `conv(x)`, and with `relu` it
+    applies a ReLU after; in train mode both run inside one
+    `autodiff.conv_batch_norm` node, which keeps fewer arrays for
+    backward than the three ops do.
     """
 
-    def __call__(self, x, mode):
-        if mode == "train":
+    def __call__(self, x, mode, conv=None, relu=False):
+        if mode != "train":
+            out = self._normalize(x if conv is None else conv(x), self.running_mean,
+                                  self.running_var)
+            return ad.relu(out) if relu else out
+        if conv is None:
             out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.EPS)
-            channels = self.running_mean.shape[0]
-            for m, v in zip(mean.reshape(-1, channels), var.reshape(-1, channels)):
-                self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * m
-                self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * v
-            return out
-        return self._normalize(x, self.running_mean, self.running_var)
+            out = ad.relu(out) if relu else out
+        else:
+            out, mean, var = ad.conv_batch_norm(x, conv.kernel, conv.bias, conv.dilation,
+                                                self.gamma, self.beta, self.EPS, relu)
+        channels = self.running_mean.shape[0]
+        for m, v in zip(mean.reshape(-1, channels), var.reshape(-1, channels)):
+            self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * m
+            self.running_var = (1 - self.MOMENTUM) * self.running_var + self.MOMENTUM * v
+        return out
 
 
 class VectorNorm(_RunningNorm):
@@ -313,7 +325,7 @@ class McbBlock:
             if config.use_temporal_attention else None
 
     def __call__(self, s, mode):
-        p = ad.relu(self.bn_pre(self.conv_pre(s), mode))
+        p = self.bn_pre(s, mode, conv=self.conv_pre, relu=True)
         subsets = ad.split(p, self.n_scales, axis=-1)
         fused = [subsets[0]]
         prev = None
@@ -321,7 +333,8 @@ class McbBlock:
             inp = subsets[j] if prev is None else subsets[j] + prev
             prev = self.scale_convs[j - 1](inp)
             fused.append(prev)
-        x = self.bn_post(self.conv_post(ad.concat(fused, axis=-1) if len(fused) > 1 else fused[0]), mode)
+        x = self.bn_post(ad.concat(fused, axis=-1) if len(fused) > 1 else fused[0], mode,
+                         conv=self.conv_post)
         if self.attention is not None:
             _, x = self.attention(x)
         return ad.relu(s + x)
@@ -588,7 +601,7 @@ class AmcrnModel:
         if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.n_mels:
             raise ShapeError(f"expected (B x) T x {self.config.n_mels} features")
         batch = x.shape[:-2]
-        x = ad.relu(self.initial_bn(self.initial_conv(x), mode))
+        x = self.initial_bn(x, mode, conv=self.initial_conv, relu=True)
         for block in self.blocks:
             x = block(x, mode)
         if self.rblstm is not None:

@@ -12,9 +12,13 @@ from .augment import KINDS as AUGMENT_KINDS
 from .augment import augment
 from .audio import SAMPLE_RATE, random_crop
 from .dsp import FRAME_SAMPLES, SHIFT_SAMPLES, featurize
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, InputTooShort, NumericalError
 from .model import (AmcrnModel, _atomic_write, checkpoint_bytes, equal_length_runs,
                     restore_model)
+
+# The fewest samples a crop or a training utterance may have: two frames,
+# the fewest that attentive pooling takes.
+TWO_FRAMES = FRAME_SAMPLES + SHIFT_SAMPLES
 
 
 @dataclass
@@ -42,10 +46,9 @@ class TrainConfig:
         for name in ("augment_copies", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        two_frames = FRAME_SAMPLES + SHIFT_SAMPLES  # the fewest attentive pooling takes
         if not (0.0 < self.crop_seconds < np.inf  # NaN fails too
-                and round(self.crop_seconds * SAMPLE_RATE) >= two_frames):
-            raise ConfigError(f"crop_seconds must be a finite number >= {two_frames / SAMPLE_RATE:g}"
+                and round(self.crop_seconds * SAMPLE_RATE) >= TWO_FRAMES):
+            raise ConfigError(f"crop_seconds must be a finite number >= {TWO_FRAMES / SAMPLE_RATE:g}"
                               f" (two frames), got {self.crop_seconds!r}")
         if not 0.0 <= self.grad_clip < np.inf:
             raise ConfigError(f"grad_clip must be a finite number >= 0 (0: no clipping), "
@@ -135,32 +138,49 @@ def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> fl
     and given its dropout draws before the next, so `rng` is consumed as
     by one forward pass per crop. Each run of consecutive crops of equal
     frame count then runs as one B x T x n_mels forward and backward pass,
-    so the passes follow crop order, as in a per-crop loop.
+    so the passes follow crop order, as in a per-crop loop. A crop is
+    drawn when its run is gathered, and a run's features and dropout
+    draws are let go before its backward pass.
     """
-    rows = []
-    for audio, label in batch:
-        feats = featurize(random_crop(audio, crop_seconds, rng), model.config.n_mels)
-        rows.append((feats, label, model.draw_dropout(len(feats), rng)))
+    def rows():
+        for audio, label in batch:
+            feats = featurize(random_crop(audio, crop_seconds, rng), model.config.n_mels)
+            yield feats, label, model.draw_dropout(len(feats), rng)
+
     total = 0.0
-    for run in equal_length_runs(rows):
-        feats, labels, draws = zip(*run)
-        noise = None if draws[0] is None else np.stack(draws)
-        loss = model.classify_loss(np.stack(feats), labels, mode="train", rng=noise)
+    for run in equal_length_runs(rows()):
+        loss = _run_loss(model, run)
         loss.backward()
         total += float(loss.data)
     return total
+
+
+def _run_loss(model: AmcrnModel, run) -> ad.Tensor:
+    """The taped train-mode loss of one run of (features, label, draws)
+    rows; the run is emptied, so that only the tape holds its arrays."""
+    feats, labels, draws = zip(*run)
+    run.clear()
+    noise = None if draws[0] is None else np.stack(draws)
+    return model.classify_loss(np.stack(feats), labels, mode="train", rng=noise)
 
 
 def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     """Train on labeled utterances and return the lowest-validation-loss
     checkpoint.
 
-    `dataset` is a list of objects with `.speaker_id` and `.audio`. Each
-    epoch sees every training utterance plus `augment_copies` freshly
-    augmented views of it, randomly cropped to `crop_seconds`. Each
-    minibatch of `batch_size` views is one `minibatch_backward` call. A
-    validation loss that is not finite raises NumericalError naming the epoch.
+    `dataset` is a list of objects with `.speaker_id`, `.utterance_id` and
+    `.audio`; an utterance shorter than two frames raises InputTooShort
+    naming it before any training. Each epoch sees every training
+    utterance plus `augment_copies` freshly augmented views of it,
+    randomly cropped to `crop_seconds`. Each minibatch of `batch_size`
+    views is one `minibatch_backward` call. The validation set is
+    featurized once. A validation loss that is not finite raises
+    NumericalError naming the epoch.
     """
+    for utt in dataset:
+        if len(utt.audio) < TWO_FRAMES:
+            raise InputTooShort(f"utterance {utt.utterance_id!r}: audio has {len(utt.audio)} "
+                                f"samples, training needs at least {TWO_FRAMES} (two frames)")
     speakers = sorted({u.speaker_id for u in dataset})
     if len(speakers) < 2:
         raise ConfigError("training needs at least 2 speakers")
@@ -173,6 +193,7 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     n_val = max(1, int(round(cfg.val_fraction * len(dataset))))
     val_set = [dataset[i] for i in order[:n_val]]
     train_set = [dataset[i] for i in order[n_val:]]
+    val_features = [featurize(utt.audio, model.config.n_mels) for utt in val_set]
 
     params = model.parameters()
     state = AdamState(params)
@@ -207,7 +228,7 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
         # Validate the checkpoint as stored (float32), so that loading it
         # reproduces the reported loss bit for bit.
         blob = checkpoint_bytes(model)
-        val_loss = validation_loss(restore_model(blob), val_set, label_of, cfg)
+        val_loss = validation_loss(restore_model(blob), val_set, label_of, cfg, val_features)
         if not np.isfinite(val_loss):
             raise NumericalError(f"epoch {epoch}: validation loss is {val_loss!r}")
         record = EpochRecord(epoch, loss_sum / len(views), val_loss, lr, len(views))
@@ -218,11 +239,14 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     return TrainResult(best[2], best[0], best[1], history)
 
 
-def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig) -> float:
+def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig,
+                    features=None) -> float:
     """Mean eval-mode loss over whole utterances, consecutive equal-length
-    ones batched, computed without a tape."""
-    rows = [(featurize(utt.audio, model.config.n_mels), label_of[utt.speaker_id])
-            for utt in val_set]
+    ones batched, computed without a tape. `features` holds the features
+    of each utterance of `val_set` when the caller has them already."""
+    if features is None:
+        features = [featurize(utt.audio, model.config.n_mels) for utt in val_set]
+    rows = [(feats, label_of[utt.speaker_id]) for feats, utt in zip(features, val_set)]
     total = 0.0
     with ad.no_grad():
         for run in equal_length_runs(rows):

@@ -1,11 +1,14 @@
 """Autodiff engine tests: convolution oracle, gradient checks, op semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from amcrn import autodiff as ad
 from amcrn.autodiff import Parameter, Tensor, grad_check
 from amcrn.errors import ConfigError, ShapeError
+from amcrn.model import McbBlock, named_arrays, tiny_config
 
 
 def conv_reference(x, kernel, dilation):
@@ -228,6 +231,32 @@ class TestSemantics:
         ad.tsum(ad.tmax(x, axis=1)).backward()
         np.testing.assert_allclose(x.grad, [[0.5, 0.5, 0.0]])
 
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_tmax_tie_gradient_is_the_split_mask(self, keepdims):
+        """The mask built in backward gives the bits of the mask that
+        forward used to keep: the weight over the count of tied maxima."""
+        rng = np.random.default_rng(42)
+        x = rng.integers(0, 3, size=(2, 5, 4)).astype(np.float64)
+        w = rng.standard_normal((2, 5, 1) if keepdims else (2, 5))
+        t = Tensor(x, requires_grad=True)
+        ad.tsum(ad.tmax(t, axis=-1, keepdims=keepdims) * Tensor(w)).backward()
+        mask = (x == x.max(axis=-1, keepdims=True)).astype(np.float64)
+        mask /= mask.sum(axis=-1, keepdims=True)
+        want = (w if keepdims else w[..., None]) * mask
+        assert t.grad.tobytes() == want.tobytes()
+
+    def test_tape_free_tmax_builds_no_mask(self):
+        x = Tensor(np.random.default_rng(43).standard_normal((2, 300, 64)))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                y = ad.tmax(x, axis=-1, keepdims=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert y.shape == (2, 300, 1)
+        assert peak < x.data.nbytes / 8, peak / x.data.nbytes
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(14)
         y = ad.softmax(Tensor(1000.0 + rng.standard_normal((5, 7))), axis=1).data
@@ -277,6 +306,150 @@ class TestSemantics:
                 w @ w  # a 1-D left operand raises
         ad.tsum(ad.tanh(w * 3.0)).backward()
         np.testing.assert_allclose(w.grad, 3.0 * (1.0 - np.tanh(3.0 * w.data) ** 2))
+
+
+def copying_accum(self, grad):
+    """How every node accumulated before interior nodes stopped copying:
+    a copy of the first gradient, later ones added into it in place."""
+    if self.grad is None:
+        self.grad = np.array(grad, dtype=np.float64)
+    else:
+        self.grad += grad
+
+
+def assert_same_bits(got, want, name=""):
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+class TestCopyFreeGradients:
+    """An interior node keeps the first gradient array it is given, which
+    may be the array another node holds too; every gradient must keep the
+    bits of the copying accumulation."""
+
+    def test_interior_node_keeps_its_first_gradient(self):
+        t = Tensor(np.zeros(3), requires_grad=True) * 2.0
+        g = np.array([1.0, 2.0, 3.0])
+        t._accum(g)
+        assert t.grad is g
+        t._accum(g)
+        np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(t.grad, [2.0, 4.0, 6.0])
+
+    GRAPHS = {
+        "square": lambda x, w: ad.tsum((x * x) * w),
+        "doubled": lambda x, w: ad.tsum((x + x) * w),
+        "doubled_twice": lambda x, w: ad.tsum(((x + x) + x) * w),
+        "residual": lambda x, w: ad.tsum(ad.relu(x + ad.tanh(x) * w) * w),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_shared_gradient_arrays_match_copying(self, graph, monkeypatch):
+        rng = np.random.default_rng(44)
+        x0, w = rng.standard_normal((3, 5)), Tensor(rng.standard_normal((3, 5)))
+
+        def grads():
+            leaf = Tensor(x0.copy(), requires_grad=True)
+            inner = leaf * 1.5  # an interior node reached along two paths
+            self.GRAPHS[graph](inner, w).backward()
+            return leaf.grad
+
+        got = grads()
+        monkeypatch.setattr(Tensor, "_accum", copying_accum)
+        assert_same_bits(got, grads())
+
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    def test_mcb_residual_matches_copying(self, batch, monkeypatch):
+        """relu(s + x) of an MCB block hands one gradient to s directly and
+        through the block's layers; train mode, every parameter."""
+        cfg = tiny_config(n_mels=4, channels=8, n_scales=2)
+        s0 = np.random.default_rng(45).standard_normal(batch + (9, 8))
+        w = Tensor(np.random.default_rng(46).standard_normal(batch + (9, 8)))
+
+        def grads():
+            block = McbBlock("b", cfg, 0, np.random.default_rng(47))
+            leaf = Tensor(s0.copy(), requires_grad=True)
+            ad.tsum(block(leaf * 1.0, "train") * w).backward()
+            return [leaf.grad] + [p.grad for _, p, _ in named_arrays(block)
+                                  if isinstance(p, Parameter)]
+
+        got = grads()
+        monkeypatch.setattr(Tensor, "_accum", copying_accum)
+        for i, (g, want) in enumerate(zip(got, grads())):
+            assert_same_bits(g, want, str(i))
+
+
+def conv_bn_composite(x, kernel, bias, dilation, gamma, beta, eps, relu):
+    """What `ad.conv_batch_norm` fuses, as three graph nodes."""
+    out, mean, var = ad.batch_norm(ad.conv1d_dilated(x, kernel, bias, dilation), gamma, beta, eps)
+    return (ad.relu(out) if relu else out), mean, var
+
+
+class TestConvBatchNorm:
+    TOL = 1e-4
+
+    @staticmethod
+    def _values(shape, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(shape + (3,)), rng.standard_normal((3, 3, 4)),
+                rng.standard_normal(4), rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)]
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("shape", [(7,), (2, 7)])
+    def test_bit_identical_to_the_composition(self, shape, relu):
+        values = self._values(shape, 48)
+        weights = Tensor(np.random.default_rng(49).standard_normal(shape + (4,)))
+        results = []
+        for op in (ad.conv_batch_norm, conv_bn_composite):
+            x, kernel, bias, gamma, beta = (Tensor(v.copy(), requires_grad=True) for v in values)
+            out, mean, var = op(x, kernel, bias, 2, gamma, beta, 1e-5, relu)
+            ad.tsum(out * weights).backward()
+            results.append([out.data, mean, var] + [t.grad for t in (x, kernel, bias, gamma, beta)])
+        names = ("out", "mean", "var", "x", "kernel", "bias", "gamma", "beta")
+        for name, got, want in zip(names, *results):
+            assert_same_bits(got, want, name)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_grad_check(self, relu):
+        """x, kernel, bias, gamma and beta in turn."""
+        values = [Tensor(v) for v in self._values((2, 6), 50)]
+        w = Tensor(np.random.default_rng(51).standard_normal((2, 6, 4)))
+        for i in range(5):
+            def loss(v, i=i):
+                x, kernel, bias, gamma, beta = values[:i] + [v] + values[i + 1:]
+                return ad.tsum(ad.conv_batch_norm(x, kernel, bias, 1, gamma, beta, 1e-5,
+                                                  relu)[0] * w)
+
+            assert grad_check(loss, values[i]) < self.TOL, i
+
+    @staticmethod
+    def _kept_bytes(op, inputs, relu):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(*inputs[:3], 1, *inputs[3:], 1e-5, relu)[0]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        return kept
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_keeps_fewer_arrays_than_the_composition(self, relu):
+        """The fused node keeps xhat and its output, the composition also
+        the convolution's output and, with the ReLU, the pre-ReLU output:
+        at least one B x T x C array fewer, two with the ReLU."""
+        rng = np.random.default_rng(52)
+        b, t_len, c_in, c_out = 2, 200, 8, 64
+        inputs = [Tensor(rng.standard_normal((b, t_len, c_in)), requires_grad=True),
+                  Parameter(rng.standard_normal((3, c_in, c_out)), "k"),
+                  Parameter(np.zeros(c_out), "b"),
+                  Parameter(np.ones(c_out), "g"), Parameter(np.zeros(c_out), "beta")]
+        array = b * t_len * c_out * 8
+        fused = self._kept_bytes(ad.conv_batch_norm, inputs, relu)
+        composed = self._kept_bytes(conv_bn_composite, inputs, relu)
+        assert fused < 2.1 * array, fused / array
+        assert composed - fused > (0.9 + relu) * array, (composed - fused) / array
 
 
 def batch_norm_composite(x, gamma, beta, eps):

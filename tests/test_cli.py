@@ -105,6 +105,28 @@ class TestTrain:
         assert "numerical error: epoch 0: validation loss is nan" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_short_toy_utterance_is_named(self, tmp_path, capsys):
+        """0.02 s toy utterances (320 samples) are shorter than the two
+        frames (560 samples) a crop needs: a data error naming the first."""
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--toy", "speakers=2 utts=3 seconds=0.02", "--epochs", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'spk000_utt000'" in err and "320 samples" in err and "560" in err
+        assert not out.exists()
+
+    def test_short_wav_in_data_is_named(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        for spk in ("a", "b"):
+            (data / spk).mkdir(parents=True)
+            write_wav(data / spk / "long.wav", 0.1 * np.sin(np.arange(8000) * 0.05))
+        write_wav(data / "b" / "short.wav", np.zeros(300))
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data), "--epochs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'b/short.wav'" in err and "300 samples" in err
+        assert not out.exists()
+
 
 # A bad config line -> what stderr says after `<path>:<line>: `.
 BAD_CONFIG_LINES = {

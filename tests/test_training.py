@@ -5,7 +5,7 @@ import pytest
 
 from amcrn import training
 from amcrn.autodiff import Parameter, Tensor
-from amcrn.errors import ConfigError, NumericalError
+from amcrn.errors import ConfigError, InputTooShort, NumericalError
 from amcrn.model import AmcrnModel, equal_length_runs, restore_model, tiny_config
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
 from amcrn.audio import SAMPLE_RATE, random_crop
@@ -243,6 +243,42 @@ class TestTrainLoop:
         assert len(calls) == tcfg.epochs
         assert all(m is not model for m in calls)  # a restored checkpoint each time
         assert result.best_val_loss == result.history[result.best_epoch].val_loss
+
+    def test_validation_set_is_featurized_once(self, monkeypatch):
+        """Three epochs featurize each training crop once per epoch and each
+        validation utterance once in all."""
+        calls = []
+
+        def counting(audio, n_mels):
+            calls.append(len(audio))
+            return featurize(audio, n_mels)
+
+        monkeypatch.setattr(training, "featurize", counting)
+        spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=3,
+                              utterance_seconds=0.5, seed=2)
+        tcfg = TrainConfig(lr_start=1e-3, lr_end=1e-4, epochs=3, batch_size=4,
+                           crop_seconds=0.5, val_fraction=0.2, augment_copies=0,
+                           seed=7)
+        data = make_toy_dataset(spec)
+        result = train(AmcrnModel(tiny_config(n_classes=2), seed=3), data, tcfg)
+        n_val = max(1, round(0.2 * len(data)))
+        assert len(calls) == tcfg.epochs * (len(data) - n_val) + n_val
+        assert len(result.history) == tcfg.epochs
+
+    @pytest.mark.parametrize("samples", [399, 559])
+    def test_utterance_shorter_than_two_frames_is_named(self, samples):
+        """Less than one frame fails in the front end, one frame in the
+        pooling; both are refused before the first epoch, by name."""
+        spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=3,
+                              utterance_seconds=0.5, seed=2)
+        data = make_toy_dataset(spec)
+        data[4].audio = data[4].audio[:samples]
+        model = AmcrnModel(tiny_config(n_classes=2), seed=3)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(InputTooShort, match=f"utterance '{data[4].utterance_id}': "
+                                                f"audio has {samples} samples"):
+            train(model, data, TrainConfig(epochs=1, crop_seconds=0.5))
+        assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
 
     def test_speaker_count_mismatch_rejected(self):
         spec = ToySpeakerSpec(n_speakers=3, utterances_per_speaker=2,
