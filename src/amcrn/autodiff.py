@@ -4,15 +4,16 @@ A Tensor wraps an ndarray and records the operations that produced it;
 `backward` on a scalar loss accumulates gradients into every reachable
 tensor with `requires_grad`. Only the operations the network needs are
 provided: elementwise arithmetic and activations, matmul by a matrix,
-reductions, concatenation/slicing, dilated 1-D convolution, a fused
-convolution + BatchNorm (+ ReLU) node, a fused LSTM direction, dropout,
-and the losses.
+reductions, concatenation/splitting, dilated 1-D convolution, a fused
+convolution + BatchNorm (+ ReLU) node, a fused residual sum + ReLU node,
+a fused LSTM direction, dropout, and the losses.
 
 A taped pass keeps only what backward reads: the fused nodes work in
 their own buffers, the LSTM writes its gates over its input projection
-and its gradient over its gates, and an interior node keeps the first
-gradient it is given without a copy. Leaf gradients are copies, which
-the trainer may scale in place.
+and its gradient over its gates, ops can put their outputs into the
+slices of one array that `join` then presents as one node, and an
+interior node keeps the first gradient it is given without a copy. Leaf
+gradients are copies, which the trainer may scale in place.
 
 Sequence ops read axis -2 as time and axis -1 as channels; any axes in
 front of them are batch axes. A T x C sequence is therefore the
@@ -390,8 +391,11 @@ def softmax(x, axis):
 # -- structure ----------------------------------------------------------
 
 
-def concat(xs, axis):
-    xs = [as_tensor(x) for x in xs]
+def join(xs, data, axis):
+    """The node of `data`, an array that holds the tensors `xs` joined
+    along `axis`. The tensors may be views of its slices (ops given those
+    slices as their `out`), so that the values are stored once. Backward
+    hands each tensor its slice of the gradient."""
     sizes = [x.data.shape[axis] for x in xs]
     offsets = np.cumsum([0] + sizes)
 
@@ -402,34 +406,42 @@ def concat(xs, axis):
                 sl[axis] = slice(lo, hi)
                 x._accum(g[tuple(sl)])
 
-    return Tensor(np.concatenate([x.data for x in xs], axis=axis), _parents=tuple(xs),
-                  _backward=bwd)
+    return Tensor(data, _parents=tuple(xs), _backward=bwd)
 
 
-def narrow(x, axis, start, length):
-    """Contiguous slice along one axis."""
-    x = as_tensor(x)
-    sl = [slice(None)] * x.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-
-    def bwd(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[sl] = g
-            x._accum(full)
-
-    return Tensor(x.data[sl], _parents=(x,), _backward=bwd)
+def concat(xs, axis):
+    xs = [as_tensor(x) for x in xs]
+    return join(xs, np.concatenate([x.data for x in xs], axis=axis), axis)
 
 
 def split(x, n, axis):
-    """Split into n equal chunks along an axis."""
+    """Split into n equal chunks along an axis, each a view of x.
+
+    Backward copies the chunks' gradients into one array, chunk by chunk
+    (a chunk that gets none leaves zeros), and x receives it as one
+    gradient: the chunks' common parent holds it and runs after every
+    chunk, before x.
+    """
     x = as_tensor(x)
     size = x.data.shape[axis]
     if size % n:
         raise ShapeError(f"axis of extent {size} not divisible into {n} chunks")
     step = size // n
-    return [narrow(x, axis, i * step, step) for i in range(n)]
+    whole = Tensor(x.data, _parents=(x,), _backward=x._accum)
+
+    def chunk(start):
+        sl = [slice(None)] * x.data.ndim
+        sl[axis] = slice(start, start + step)
+        sl = tuple(sl)
+
+        def bwd(g):
+            if whole.grad is None:
+                whole.grad = np.zeros_like(x.data)
+            whole.grad[sl] = g
+
+        return Tensor(x.data[sl], _parents=(whole,), _backward=bwd)
+
+    return [chunk(i * step) for i in range(n)]
 
 
 def transpose(x):
@@ -557,15 +569,22 @@ def _conv(x, kernel, bias, dilation):
     return acc, parents, bwd
 
 
-def conv1d_dilated(x, kernel, bias=None, dilation=1):
+def conv1d_dilated(x, kernel, bias=None, dilation=1, out=None):
     """1-D dilated convolution over time with "same" zero padding.
 
     x: (... x) T x Cin, kernel: k x Cin x Cout with k odd, output:
     (... x) T x Cout. out[q] = sum_t x[q - dilation * t] K[t] for tap
     index t in [-n, n], where the kernel array index i corresponds to
-    t = i - n. Each sequence of a batch is padded on its own.
+    t = i - n. Each sequence of a batch is padded on its own. Given `out`,
+    an array of the output's shape and dtype (a slice of a larger one, say),
+    the output is copied there and `out` is the node's data.
     """
     acc, parents, bwd = _conv(x, kernel, bias, dilation)
+    if out is not None:
+        # Summed in a contiguous buffer: adding into a strided slice is
+        # slower than one copy.
+        out[...] = acc
+        acc = out
     return Tensor(acc, _parents=parents, _backward=bwd)
 
 
@@ -598,7 +617,43 @@ def conv_batch_norm(x, kernel, bias, dilation, gamma, beta, eps, relu=False):
     return Tensor(out, _parents=conv_parents + (gamma, beta), _backward=bwd), mean, var
 
 
-def lstm(x, w_x, w_h, bias, reverse=False):
+def residual_relu(s, x, gate=None):
+    """`relu(s + gate * x)`, or `relu(s + x)` without a gate, as one graph
+    node with the same bits.
+
+    s, x: (B x) T x C of one shape; gate: (B x) T x 1. The node keeps only
+    its output, whose sign masks the gradient, and reads x and the gate,
+    which the nodes that made them keep. The composition also keeps
+    `gate * x` and the sum before the ReLU.
+    """
+    s, x = as_tensor(s), as_tensor(x)
+    parents = (s, x)
+    if gate is None:
+        out = s.data + x.data
+    else:
+        gate = as_tensor(gate)
+        parents += (gate,)
+        out = gate.data * x.data
+        out += s.data
+    np.maximum(out, 0.0, out=out)
+
+    def bwd(g):
+        g = g * (out > 0.0)
+        if s.requires_grad:
+            s._accum(g)
+        if gate is None:
+            if x.requires_grad:
+                x._accum(g)
+            return
+        if gate.requires_grad:
+            gate._accum(_unbroadcast(g * x.data, gate.data.shape))
+        if x.requires_grad:
+            x._accum(g * gate.data)
+
+    return Tensor(out, _parents=parents, _backward=bwd)
+
+
+def lstm(x, w_x, w_h, bias, reverse=False, out=None):
     """One LSTM direction over a (B x) T x Din input as a single graph node.
 
     w_x: Din x 4H, w_h: H x 4H, bias: 4H, gate order (input, forget,
@@ -627,6 +682,10 @@ def lstm(x, w_x, w_h, bias, reverse=False):
     only dh and dc, and writes the pre-activation gradient of step t over
     that step's gates once it has read the forget gate. The four
     parameter/input gradients are whole-batch products of it.
+
+    Given `out`, a (B x) T x H array (one direction's half of a BLSTM
+    layer's output, say), the hidden states are copied there once the
+    steps are done, and `out` is the node's data and what backward reads.
     """
     x, w_x, w_h, bias = (as_tensor(v) for v in (x, w_x, w_h, bias))
     if x.data.ndim < 2 or x.data.shape[-1] != w_x.data.shape[0]:
@@ -665,7 +724,16 @@ def lstm(x, w_x, w_h, bias, reverse=False):
             c -= g[:, i_sl] * g[:, c_sl]
             h = np.tanh(c, out=hs[t])
             h *= g[:, o_sl]
-    out_data = (hs[::-1] if reverse else hs).swapaxes(0, 1)
+    batch_major = (hs[::-1] if reverse else hs).swapaxes(0, 1)
+    if out is None:
+        out = batch_major.reshape(x.data.shape[:-1] + (h_dim,))
+    else:
+        # The steps ran on contiguous rows, which is faster than on the
+        # strided frames of `out`; backward reads them from `out`.
+        out[...] = batch_major.reshape(out.shape)
+        hs = out.reshape(n, t_len, h_dim).swapaxes(0, 1)
+        if reverse:
+            hs = hs[::-1]
 
     def bwd(grad):
         gs = grad.reshape(n, t_len, h_dim).swapaxes(0, 1)
@@ -712,15 +780,16 @@ def lstm(x, w_x, w_h, bias, reverse=False):
         if bias.requires_grad:
             bias._accum(dpre.reshape(-1, 4 * h_dim).sum(axis=0))
 
-    return Tensor(out_data.reshape(x.data.shape[:-1] + (h_dim,)), _parents=(x, w_x, w_h, bias),
-                  _backward=bwd)
+    return Tensor(out, _parents=(x, w_x, w_h, bias), _backward=bwd)
 
 
 def dropout(x, p, mode, rng):
     """Inverted dropout: identity in eval mode.
 
     `rng` is a numpy Generator, from which x.shape uniform draws are
-    taken, or those draws as an array taken ahead of time.
+    taken, or those draws as an array taken ahead of time. The node keeps
+    which entries it kept as booleans, and forms the float mask
+    `keep / (1 - p)` when it applies it.
     """
     x = as_tensor(x)
     if mode == "eval" or p <= 0.0:
@@ -728,8 +797,13 @@ def dropout(x, p, mode, rng):
     draws = rng if isinstance(rng, np.ndarray) else rng.random(x.data.shape)
     if draws.shape != x.data.shape:
         raise ShapeError(f"dropout draws of shape {draws.shape} for input {x.data.shape}")
-    mask = (draws >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    keep = draws >= p
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(g * (keep / (1.0 - p)))
+
+    return Tensor(x.data * (keep / (1.0 - p)), _parents=(x,), _backward=bwd)
 
 
 def cross_entropy(logits, labels):

@@ -58,12 +58,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(n_mels: int) -> np.ndarray:
-    """Center frequencies (Hz) of the triangular filters, mel-equispaced."""
-    edges = np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), n_mels + 2)
-    return mel_to_hz(edges[1:-1])
-
-
 @functools.lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int) -> np.ndarray:
     """M x (N_FFT/2 + 1) triangular mel filterbank matrix for 16 kHz audio.
@@ -126,9 +120,3 @@ def _cmvn(x: np.ndarray, window: float = 3.0) -> np.ndarray:
     var = (csum2[hi] - csum2[lo]) / count - mean**2
     std = np.sqrt(np.maximum(var, 0.0))
     return (x - mean) / np.maximum(std, STD_FLOOR)
-
-
-def cmvn_window_bounds(t: int, n_frames: int, w: int):
-    """Frame range [lo, hi) used by _cmvn for frame t."""
-    half = w // 2
-    return max(0, t - half), min(n_frames, t + (w - half))

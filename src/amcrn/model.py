@@ -186,8 +186,8 @@ class Conv1d:
         self.kernel = Parameter(_uniform(rng, (k, c_in, c_out), k * c_in), f"{name}.kernel")
         self.bias = Parameter(np.zeros(c_out), f"{name}.bias")
 
-    def __call__(self, x):
-        return ad.conv1d_dilated(x, self.kernel, self.bias, self.dilation)
+    def __call__(self, x, out=None):
+        return ad.conv1d_dilated(x, self.kernel, self.bias, self.dilation, out)
 
 
 class Linear:
@@ -277,15 +277,19 @@ class VectorNorm(_RunningNorm):
 # ----------------------------------------------------------------------
 
 
-def temporal_attention(x, kernel, bias):
-    """Frame-level gating from channel mean/max statistics.
-
-    Returns (coefficients A in (0,1) of shape (B x) T x 1, gated map A * x).
-    """
+def attention_coefficients(x, kernel, bias):
+    """Frame-level gate A in (0, 1) of shape (B x) T x 1, from channel
+    mean/max statistics."""
     avg = ad.tmean(x, axis=-1, keepdims=True)
     mx = ad.tmax(x, axis=-1, keepdims=True)
     stats = ad.concat([avg, mx], axis=-1)
-    a = ad.sigmoid(ad.conv1d_dilated(stats, kernel, bias, dilation=1))
+    return ad.sigmoid(ad.conv1d_dilated(stats, kernel, bias, dilation=1))
+
+
+def temporal_attention(x, kernel, bias):
+    """(A, A * x): the coefficients of `attention_coefficients` and the
+    gated map. An MCB block applies A inside `autodiff.residual_relu`."""
+    a = attention_coefficients(x, kernel, bias)
     return a, a * x
 
 
@@ -295,7 +299,7 @@ class TemporalAttention:
         self.bias = Parameter(np.zeros(1), f"{name}.bias")
 
     def __call__(self, x):
-        return temporal_attention(x, self.kernel, self.bias)
+        return attention_coefficients(x, self.kernel, self.bias)
 
 
 class McbBlock:
@@ -305,6 +309,12 @@ class McbBlock:
     hierarchically convolved with information flowing between adjacent
     subsets, fused by a second convolution, gated by temporal attention,
     and summed back onto the block input.
+
+    The scale convolutions copy their outputs into the array that the
+    fusion convolution reads, beside the first subset, and the
+    gate, the residual sum and the ReLU are one `autodiff.residual_relu`
+    node: a taped block keeps no second copy of the scale outputs, and
+    neither A * x nor the sum before the ReLU.
     """
 
     def __init__(self, name, config: AmcrnConfig, index: int, rng):
@@ -325,19 +335,22 @@ class McbBlock:
             if config.use_temporal_attention else None
 
     def __call__(self, s, mode):
-        p = self.bn_pre(s, mode, conv=self.conv_pre, relu=True)
-        subsets = ad.split(p, self.n_scales, axis=-1)
-        fused = [subsets[0]]
-        prev = None
-        for j in range(1, self.n_scales):
-            inp = subsets[j] if prev is None else subsets[j] + prev
-            prev = self.scale_convs[j - 1](inp)
-            fused.append(prev)
-        x = self.bn_post(ad.concat(fused, axis=-1) if len(fused) > 1 else fused[0], mode,
-                         conv=self.conv_post)
-        if self.attention is not None:
-            _, x = self.attention(x)
-        return ad.relu(s + x)
+        x = p = self.bn_pre(s, mode, conv=self.conv_pre, relu=True)
+        if self.scale_convs:
+            subsets = ad.split(p, self.n_scales, axis=-1)
+            joined = np.empty_like(p.data)
+            width = joined.shape[-1] // self.n_scales
+            joined[..., :width] = subsets[0].data
+            fused = [subsets[0]]
+            prev = None
+            for j, conv in enumerate(self.scale_convs, 1):
+                inp = subsets[j] if prev is None else subsets[j] + prev
+                prev = conv(inp, out=joined[..., j * width : (j + 1) * width])
+                fused.append(prev)
+            x = ad.join(fused, joined, axis=-1)
+        x = self.bn_post(x, mode, conv=self.conv_post)
+        gate = None if self.attention is None else self.attention(x)
+        return ad.residual_relu(s, x, gate)
 
 
 class LstmDirection:
@@ -350,8 +363,8 @@ class LstmDirection:
         bias[hidden : 2 * hidden] = 1.0  # forget-gate bias
         self.bias = Parameter(bias, f"{name}.bias")
 
-    def __call__(self, x, reverse):
-        return ad.lstm(x, self.w_x, self.w_h, self.bias, reverse)
+    def __call__(self, x, reverse, out=None):
+        return ad.lstm(x, self.w_x, self.w_h, self.bias, reverse, out)
 
 
 # The two directions of a BLSTM layer run concurrently when the
@@ -418,6 +431,10 @@ def _spare_cpu():
 class BlstmLayer:
     """Bidirectional LSTM: per-frame concatenation of both directions.
 
+    Each direction copies its hidden states into its half of the one
+    (B x) T x 2H output, which its node keeps for backward: a taped layer
+    holds no second copy of them.
+
     The directions do not depend on each other. When w_h fills at least
     `CONCURRENT_W_H_BYTES` and a second thread has a spare CPU, the forward
     one runs on a worker thread of its own while the calling thread runs
@@ -430,13 +447,19 @@ class BlstmLayer:
         self.bwd = LstmDirection(f"{name}.bwd", d_in, hidden, rng)
 
     def __call__(self, x):
+        x = ad.as_tensor(x)
+        hidden = self.fwd.w_h.data.shape[0]
+        out = np.empty(x.shape[:-1] + (2 * hidden,), np.result_type(x.data, self.fwd.w_x.data))
+        halves = out[..., :hidden], out[..., hidden:]
         if self.fwd.w_h.data.nbytes < CONCURRENT_W_H_BYTES or not _spare_cpu():
-            return ad.concat([self.fwd(x, reverse=False), self.bwd(x, reverse=True)], axis=-1)
+            ahead = self.fwd(x, reverse=False, out=halves[0])
+            back = self.bwd(x, reverse=True, out=halves[1])
+            return ad.join([ahead, back], out, axis=-1)
         # Leaving the block joins the worker, also if this thread raised.
         with ThreadPoolExecutor(1, thread_name_prefix="amcrn-blstm") as worker:
-            ahead = worker.submit(self.fwd, x, reverse=False)
-            back = self.bwd(x, reverse=True)
-        return ad.concat([ahead.result(), back], axis=-1)
+            ahead = worker.submit(self.fwd, x, reverse=False, out=halves[0])
+            back = self.bwd(x, reverse=True, out=halves[1])
+        return ad.join([ahead.result(), back], out, axis=-1)
 
 
 class ResidualBlstm:

@@ -173,9 +173,11 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     naming it before any training. Each epoch sees every training
     utterance plus `augment_copies` freshly augmented views of it,
     randomly cropped to `crop_seconds`. Each minibatch of `batch_size`
-    views is one `minibatch_backward` call. The validation set is
-    featurized once. A validation loss that is not finite raises
-    NumericalError naming the epoch.
+    views is one `minibatch_backward` call. An epoch draws every view's
+    augmentation up front but augments a view only when its minibatch
+    reaches it, so training holds one augmented view, not the epoch's.
+    The validation set is featurized once. A validation loss that is not
+    finite raises NumericalError naming the epoch.
     """
     for utt in dataset:
         if len(utt.audio) < TWO_FRAMES:
@@ -202,22 +204,25 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
 
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.epochs, cfg)
-        views = []
+        views = []  # (audio, label, augmentation draw or None)
         for utt in train_set:
-            views.append((utt.audio, label_of[utt.speaker_id]))
+            views.append((utt.audio, label_of[utt.speaker_id], None))
             for _ in range(cfg.augment_copies):
                 kind = AUGMENT_KINDS[int(rng.integers(0, len(AUGMENT_KINDS)))]
                 snr = float(rng.uniform(5.0, 20.0))
                 seed = int(rng.integers(0, 2**31))
-                views.append((augment(utt.audio, kind, snr, seed),
-                              label_of[utt.speaker_id]))
+                views.append((utt.audio, label_of[utt.speaker_id], (kind, snr, seed)))
         rng.shuffle(views)
 
         loss_sum = 0.0
         for start in range(0, len(views), cfg.batch_size):
             batch = views[start : start + cfg.batch_size]
             model.zero_grad()
-            loss_sum += minibatch_backward(model, batch, cfg.crop_seconds, rng)
+            # `augment` is seeded by its draw alone, so augmenting late
+            # gives the same audio and leaves `rng` untouched.
+            loss_sum += minibatch_backward(
+                model, ((audio if draw is None else augment(audio, *draw), label)
+                        for audio, label, draw in batch), cfg.crop_seconds, rng)
             inv = 1.0 / len(batch)
             for p in params:
                 if p.grad is not None:

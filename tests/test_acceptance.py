@@ -15,7 +15,7 @@ from amcrn import dsp
 from amcrn.audio import SAMPLE_RATE
 from amcrn.autodiff import Tensor, grad_check
 from amcrn.cli import main as cli_main
-from amcrn.dsp import cmvn_window_bounds, featurize, power_spectrum
+from amcrn.dsp import featurize, power_spectrum
 from amcrn.errors import ConfigError
 from amcrn.model import (AmcrnModel, AttentiveStatPool, BatchNorm, BlstmLayer,
                          McbBlock, aam_logits, checkpoint_bytes, restore_model,
@@ -25,6 +25,7 @@ from amcrn.scoring import (compute_eer, compute_mindcf, csm, plda_score,
 from amcrn.store import EmbeddingStore
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
 from amcrn.training import TrainConfig, train
+from test_dsp import cmvn_window_bounds
 
 GRAD_TOL = 1e-4
 

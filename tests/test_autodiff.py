@@ -26,6 +26,31 @@ def conv_reference(x, kernel, dilation):
     return out
 
 
+def narrow(x, axis, start, length):
+    """Reference slice node: a contiguous slice along one axis, whose
+    backward hands its input a zero-filled array of the input's shape with
+    the gradient in the slice."""
+    x = ad.as_tensor(x)
+    sl = [slice(None)] * x.data.ndim
+    sl[axis] = slice(start, start + length)
+    sl = tuple(sl)
+
+    def bwd(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            full[sl] = g
+            x._accum(full)
+
+    return Tensor(x.data[sl], _parents=(x,), _backward=bwd)
+
+
+def split_reference(x, n, axis):
+    """What `ad.split` was: n `narrow` nodes, which hand the input n
+    full-size gradients."""
+    step = x.shape[axis] // n
+    return [narrow(x, axis, i * step, step) for i in range(n)]
+
+
 class TestConvForward:
     def test_matches_reference_200_random_cases(self):
         rng = np.random.default_rng(0)
@@ -161,7 +186,7 @@ class TestGradChecks:
         def f(x):
             parts = ad.split(x, 2, axis=1)
             y = ad.concat([parts[1], parts[0]], axis=1)
-            return ad.tsum(ad.narrow(y, 0, 1, 2) ** 2)
+            return ad.tsum(narrow(y, 0, 1, 2) ** 2)
 
         assert grad_check(f, Tensor(rng.standard_normal((4, 6)))) < self.TOL
 
@@ -452,6 +477,134 @@ class TestConvBatchNorm:
         assert composed - fused > (0.9 + relu) * array, (composed - fused) / array
 
 
+def residual_relu_composite(s, x, gate=None):
+    """What `ad.residual_relu` fuses, as elementary graph nodes."""
+    return ad.relu(s + (x if gate is None else gate * x))
+
+
+def dropout_composite(x, p, mode, rng):
+    """`ad.dropout` as a product with a float64 mask node."""
+    x = ad.as_tensor(x)
+    if mode == "eval" or p <= 0.0:
+        return x
+    draws = rng if isinstance(rng, np.ndarray) else rng.random(x.data.shape)
+    return x * Tensor((draws >= p) / (1.0 - p))
+
+
+def kept_bytes(make):
+    """Bytes still allocated when `make()` has returned its taped output:
+    what the tape keeps for backward."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    return kept
+
+
+def interior(data):
+    """A node that requires grad and keeps the gradient it is given
+    without a copy, as an interior node does; its backward does nothing."""
+    return Tensor(data, requires_grad=True, _backward=lambda g: None)
+
+
+class TestResidualRelu:
+    TOL = 1e-4
+
+    @staticmethod
+    def _values(shape, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal(shape + (4,)), rng.standard_normal(shape + (4,)),
+                rng.uniform(0.0, 1.0, shape + (1,)))
+
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("shape", [(7,), (2, 7)])
+    def test_bit_identical_to_the_composition(self, shape, gated):
+        values = self._values(shape, 53)
+        weights = Tensor(np.random.default_rng(54).standard_normal(shape + (4,)))
+        results = []
+        for op in (ad.residual_relu, residual_relu_composite):
+            s, x, gate = (Tensor(v.copy(), requires_grad=True) for v in values)
+            out = op(s, x, gate if gated else None)
+            ad.tsum(out * weights).backward()
+            results.append([out.data, s.grad, x.grad] + ([gate.grad] if gated else []))
+        for name, got, want in zip(("out", "s", "x", "gate"), *results):
+            assert_same_bits(got, want, name)
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_grad_check(self, gated):
+        """s, x and the gate in turn."""
+        values = [Tensor(v) for v in self._values((2, 6), 55)]
+        w = Tensor(np.random.default_rng(56).standard_normal((2, 6, 4)))
+        for i in range(3 if gated else 2):
+            def loss(v, i=i):
+                s, x, gate = values[:i] + [v] + values[i + 1:]
+                return ad.tsum(ad.residual_relu(s, x, gate if gated else None) * w)
+
+            assert grad_check(loss, values[i]) < self.TOL, i
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_keeps_fewer_arrays_than_the_composition(self, gated):
+        """The fused node keeps its output; the composition also keeps the
+        sum before the ReLU and, with a gate, the gated map."""
+        s, x, gate = (interior(v) for v in self._values((2, 200), 57))
+        array = s.data.nbytes
+        args = (s, x, gate if gated else None)
+        fused = kept_bytes(lambda: ad.residual_relu(*args))
+        composed = kept_bytes(lambda: residual_relu_composite(*args))
+        assert fused < 1.1 * array, fused / array
+        assert composed - fused > (0.9 + gated) * array, (composed - fused) / array
+
+
+class TestSplit:
+    GRAPHS = {
+        # Each chunk reaches the loss along a path of its own.
+        "joined": lambda parts, w: ad.tsum(ad.concat(parts[::-1], axis=-1) * w),
+        "mixed": lambda parts, w: ad.tsum(ad.concat([ad.tanh(parts[0]), parts[1] * 2.0,
+                                                     parts[2] + parts[3], parts[3]], axis=-1)
+                                          * w),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("shape", [(7, 8), (2, 7, 8)])
+    def test_gradient_bits_match_narrow_chunks(self, shape, graph):
+        """For an interior input and for a leaf, as the `narrow` nodes that
+        split was built from give them."""
+        x0 = np.random.default_rng(58).standard_normal(shape)
+        w = Tensor(np.random.default_rng(59).standard_normal(shape))
+        results = []
+        for op in (ad.split, split_reference):
+            leaf = Tensor(x0.copy(), requires_grad=True)
+            inner = leaf * 1.5
+            self.GRAPHS[graph](op(inner, 4, axis=-1), w).backward()
+            direct = Tensor(x0.copy(), requires_grad=True)
+            self.GRAPHS[graph](op(direct, 4, axis=-1), w).backward()
+            results.append([leaf.grad, direct.grad])
+        for name, got, want in zip(("through an interior node", "leaf"), *results):
+            assert_same_bits(got, want, name)
+
+    def test_backward_writes_one_gradient(self):
+        """Splitting a 4 x 198 x 64 input into 4 chunks and joining them
+        back, backward needs the joined output's gradient and one array for
+        the input's; the narrow chunks needed more than three more."""
+        data = np.random.default_rng(60).standard_normal((4, 198, 64))
+
+        def backward_peak(op):
+            loss = ad.tsum(ad.concat(op(interior(data), 4, axis=-1), axis=-1))
+            tracemalloc.start()
+            try:
+                loss.backward()
+                return tracemalloc.get_traced_memory()[1] / data.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert backward_peak(ad.split) < 2.1
+        assert backward_peak(split_reference) > 3.5
+
+
 def batch_norm_composite(x, gamma, beta, eps):
     """Reference for `ad.batch_norm` built from elementary tape ops."""
     mean = ad.tmean(x, axis=-2, keepdims=True)
@@ -571,6 +724,30 @@ class TestBatchAxis:
         assert grad_check(f, Tensor(rng.standard_normal((3, 5)))) < self.TOL
         with pytest.raises(ShapeError):
             Tensor(np.ones(3)) @ Tensor(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_dropout_bits_match_a_float_mask(self, shape):
+        x0 = np.random.default_rng(61).standard_normal(shape)
+        draws = np.random.default_rng(62).random(shape)
+        w = Tensor(np.random.default_rng(63).standard_normal(shape))
+        results = []
+        for op in (ad.dropout, dropout_composite):
+            x = Tensor(x0.copy(), requires_grad=True)
+            out = op(x, 0.3, "train", draws)
+            ad.tsum(out * w).backward()
+            results.append([out.data, x.grad])
+        for name, got, want in zip(("out", "x"), *results):
+            assert_same_bits(got, want, name)
+
+    def test_dropout_keeps_a_boolean_mask(self):
+        """The node keeps its output and one byte per entry; the product
+        with a mask node keeps a float64 mask as well."""
+        x = interior(np.ones((2, 200, 64)))
+        draws = np.random.default_rng(64).random(x.shape)
+        fused = kept_bytes(lambda: ad.dropout(x, 0.2, "train", draws))
+        composed = kept_bytes(lambda: dropout_composite(x, 0.2, "train", draws))
+        assert fused < 1.2 * x.data.nbytes, fused / x.data.nbytes
+        assert composed - fused > 0.8 * x.data.nbytes, (composed - fused) / x.data.nbytes
 
     def test_dropout_takes_draws_made_ahead(self):
         x = Tensor(np.ones((2, 3, 4)))

@@ -108,9 +108,9 @@ def test_worker_runs_the_forward_direction(monkeypatch, executor):
     threads = {}
     call = LstmDirection.__call__
 
-    def spy(self, x, reverse):
+    def spy(self, x, reverse, **kwargs):
         threads[reverse] = threading.current_thread()
-        return call(self, x, reverse)
+        return call(self, x, reverse, **kwargs)
 
     monkeypatch.setattr(LstmDirection, "__call__", spy)
     with ad.no_grad():
@@ -131,10 +131,10 @@ def test_worker_exception_propagates_and_next_call_works(monkeypatch, executor):
     class Boom(Exception):
         pass
 
-    def failing(self, x, reverse):
+    def failing(self, x, reverse, **kwargs):
         if not reverse:
             raise Boom("forward direction failed")
-        out = call(self, x, reverse)
+        out = call(self, x, reverse, **kwargs)
         reverse_done.append(True)
         return out
 

@@ -5,10 +5,23 @@ import pytest
 
 from amcrn import dsp
 from amcrn.audio import SAMPLE_RATE
-from amcrn.dsp import (cmvn_window_bounds, featurize, frame_and_window, hamming_window,
-                       hz_to_mel, mel_filter_centers, mel_filterbank, mel_to_hz,
-                       power_spectrum)
+from amcrn.dsp import (featurize, frame_and_window, hamming_window, hz_to_mel, mel_filterbank,
+                       mel_to_hz, power_spectrum)
 from amcrn.errors import ConfigError, InputTooShort
+
+
+def mel_filter_centers(n_mels):
+    """Oracle: center frequencies (Hz) of the triangular filters,
+    mel-equispaced between the band edges."""
+    edges = np.linspace(hz_to_mel(dsp.F_MIN), hz_to_mel(dsp.F_MAX), n_mels + 2)
+    return mel_to_hz(edges[1:-1])
+
+
+def cmvn_window_bounds(t, n_frames, w):
+    """Oracle: the frame range [lo, hi) of the W-frame window centered on
+    frame t, clipped at the utterance edges."""
+    half = w // 2
+    return max(0, t - half), min(n_frames, t + (w - half))
 
 
 def tone(freq, seconds=1.0, amp=0.5):

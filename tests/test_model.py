@@ -16,9 +16,11 @@ from amcrn.autodiff import Tensor, grad_check
 from amcrn.errors import ConfigError, DegenerateInput, InputTooShort, ShapeError
 from amcrn.model import (AmcrnConfig, AmcrnModel, AttentiveStatPool, BlstmLayer,
                          Conv1d, LstmDirection, McbBlock, ResidualBlstm,
-                         aam_logits, config_text, parse_config, temporal_attention,
-                         tiny_config)
+                         aam_logits, config_text, named_arrays, parse_config,
+                         temporal_attention, tiny_config)
 from amcrn.training import TrainConfig
+from test_autodiff import (assert_same_bits, dropout_composite, kept_bytes, narrow,
+                           split_reference)
 
 
 class TestConfig:
@@ -183,7 +185,69 @@ class TestTemporalAttention:
         assert grad_check(f, Tensor(rng.standard_normal((6, 3)))) < 1e-4
 
 
+def mcb_composite(block, s, mode):
+    """`McbBlock.__call__` from elementary graph nodes: `narrow` chunks,
+    scale outputs of their own joined by a copy, the gated map of
+    `temporal_attention` and relu(s + x)."""
+    p = block.bn_pre(s, mode, conv=block.conv_pre, relu=True)
+    subsets = split_reference(p, block.n_scales, axis=-1)
+    fused = [subsets[0]]
+    prev = None
+    for j in range(1, block.n_scales):
+        inp = subsets[j] if prev is None else subsets[j] + prev
+        prev = block.scale_convs[j - 1](inp)
+        fused.append(prev)
+    x = block.bn_post(ad.concat(fused, axis=-1) if len(fused) > 1 else fused[0], mode,
+                      conv=block.conv_post)
+    if block.attention is not None:
+        _, x = temporal_attention(x, block.attention.kernel, block.attention.bias)
+    return ad.relu(s + x)
+
+
+def blstm_composite(layer, x):
+    """`BlstmLayer.__call__` inline, each direction in a buffer of its own
+    and the layer's output a concatenated copy."""
+    return ad.concat([layer.fwd(x, reverse=False), layer.bwd(x, reverse=True)], axis=-1)
+
+
+# The block widths of the benchmark's network: C = 64 channels, 4 scales.
+CENSUS_CONFIG = tiny_config(n_mels=8, channels=64, n_scales=4, hidden=64)
+
+
 class TestMcbBlock:
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    @pytest.mark.parametrize("variant", [dict(), dict(use_temporal_attention=False),
+                                         dict(n_scales=1), dict(n_scales=4)])
+    def test_train_pass_matches_the_composition(self, variant, batch):
+        """Output, input gradient, every parameter gradient and the running
+        statistics, byte for byte."""
+        cfg = tiny_config(n_mels=4, channels=8, **variant)
+        s0 = np.random.default_rng(65).standard_normal(batch + (9, 8))
+        w = Tensor(np.random.default_rng(66).standard_normal(batch + (9, 8)))
+        runs = []
+        for call in (McbBlock.__call__, mcb_composite):
+            block = McbBlock("b", cfg, 1, np.random.default_rng(67))
+            leaf = Tensor(s0.copy(), requires_grad=True)
+            out = call(block, leaf * 1.0, "train")
+            ad.tsum(out * w).backward()
+            runs.append([out.data, leaf.grad]
+                        + [owner.grad if attr == "data" else getattr(owner, attr)
+                           for _, owner, attr in named_arrays(block)])
+        for i, (got, want) in enumerate(zip(*runs)):
+            assert_same_bits(got, want, str(i))
+
+    def test_taped_block_keeps_fewer_arrays(self):
+        """A train-mode block at B = 4 keeps about 6.7 input-sized arrays for
+        backward, the composition 9.4: no second copy of the scale outputs,
+        no gated map and no sum before the ReLU."""
+        block = McbBlock("b", CENSUS_CONFIG, 0, np.random.default_rng(68))
+        s = Tensor(np.random.default_rng(69).standard_normal((4, 100, 64)), requires_grad=True)
+        array = s.data.nbytes
+        fused = kept_bytes(lambda: block(s, "train"))
+        composed = kept_bytes(lambda: mcb_composite(block, s, "train"))
+        assert fused < 6.9 * array, fused / array
+        assert composed - fused > 2.6 * array, (composed - fused) / array
+
     def test_forward_matches_manual_composition(self):
         """Recompute the block output step by step from its own parameters."""
         cfg = tiny_config(n_mels=4, channels=8, n_scales=2)
@@ -269,11 +333,11 @@ def lstm_per_step(x, w_x, w_h, bias, reverse):
     outs = [None] * t_len
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
     for t in steps:
-        pre = ad.narrow(xw, 0, t, 1) + (h @ w_h) + bias
-        gi = ad.sigmoid(ad.narrow(pre, 1, 0, h_dim))
-        gf = ad.sigmoid(ad.narrow(pre, 1, h_dim, h_dim))
-        gc = ad.tanh(ad.narrow(pre, 1, 2 * h_dim, h_dim))
-        go = ad.sigmoid(ad.narrow(pre, 1, 3 * h_dim, h_dim))
+        pre = narrow(xw, 0, t, 1) + (h @ w_h) + bias
+        gi = ad.sigmoid(narrow(pre, 1, 0, h_dim))
+        gf = ad.sigmoid(narrow(pre, 1, h_dim, h_dim))
+        gc = ad.tanh(narrow(pre, 1, 2 * h_dim, h_dim))
+        go = ad.sigmoid(narrow(pre, 1, 3 * h_dim, h_dim))
         c = gf * c + gi * gc
         h = go * ad.tanh(c)
         outs[t] = h
@@ -309,7 +373,7 @@ def lstm_forward_reference(x, w_x, w_h, bias, reverse):
 
 def batched_lstm_per_step(x, w_x, w_h, bias, reverse):
     """`lstm_per_step` run on each row of a B x T x Din input."""
-    rows = [lstm_per_step(ad.narrow(x, 0, b, 1).reshape(*x.shape[1:]), w_x, w_h, bias,
+    rows = [lstm_per_step(narrow(x, 0, b, 1).reshape(*x.shape[1:]), w_x, w_h, bias,
                           reverse) for b in range(x.shape[0])]
     return ad.concat([r.reshape(1, *r.shape) for r in rows], axis=0)
 
@@ -397,6 +461,21 @@ class TestLstm:
         rb.proj.bias.data[:] = 0.0
         x = rng.standard_normal((6, 4))
         np.testing.assert_allclose(rb(Tensor(x), "eval").data, x, atol=1e-12)
+
+    def test_taped_residual_blstm_keeps_fewer_arrays(self, monkeypatch):
+        """Train mode at B = 4 with C = H = 64: the layer outputs are the
+        directions' own buffers and dropout keeps booleans, so the block
+        keeps 29.3 input-sized arrays for backward, the composition 35.0."""
+        rb = ResidualBlstm("rb", 64, 64, 0.2, np.random.default_rng(70))
+        x = Tensor(np.random.default_rng(71).standard_normal((4, 100, 64)), requires_grad=True)
+        draws = np.random.default_rng(72).random((4, 100, 128))
+        array = x.data.nbytes
+        fused = kept_bytes(lambda: rb(x, "train", draws))
+        monkeypatch.setattr(BlstmLayer, "__call__", blstm_composite)
+        monkeypatch.setattr(ad, "dropout", dropout_composite)
+        composed = kept_bytes(lambda: rb(x, "train", draws))
+        assert fused < 29.5 * array, fused / array
+        assert composed - fused > 5.5 * array, (composed - fused) / array
 
     def test_gradient_through_lstm(self):
         rng = np.random.default_rng(17)
@@ -790,6 +869,29 @@ class TestFullModel:
                         + [getattr(owner, attr) for _, owner, attr in model.buffers()])
         for i, (got, want) in enumerate(zip(*runs)):
             assert got.tobytes() == want.tobytes(), i
+
+    @pytest.mark.parametrize("shape", [(9,), (2, 9)])
+    def test_fused_blocks_keep_the_training_bits(self, monkeypatch, shape):
+        """A train-mode pass with the fused MCB blocks, BLSTM layers and
+        dropout gives the loss, the feature and parameter gradients and
+        the running statistics of the elementary-node compositions."""
+        cfg = tiny_config()
+        feats = np.random.default_rng(73).standard_normal(shape + (cfg.n_mels,))
+        labels = [1, 3] if len(shape) > 1 else 2
+        runs = []
+        for fused in (True, False):
+            if not fused:
+                monkeypatch.setattr(McbBlock, "__call__", mcb_composite)
+                monkeypatch.setattr(BlstmLayer, "__call__", blstm_composite)
+                monkeypatch.setattr(ad, "dropout", dropout_composite)
+            model = AmcrnModel(cfg, seed=4)
+            x = Tensor(feats.copy(), requires_grad=True)
+            loss = model.classify_loss(x, labels, mode="train", rng=np.random.default_rng(5))
+            loss.backward()
+            runs.append([loss.data, x.grad] + [p.grad for p in model.parameters()]
+                        + [getattr(owner, attr) for _, owner, attr in model.buffers()])
+        for i, (got, want) in enumerate(zip(*runs)):
+            assert_same_bits(got, want, str(i))
 
     @pytest.mark.parametrize("variant", [
         dict(use_temporal_attention=False),

@@ -1,9 +1,13 @@
 """Optimizer, schedule, toy dataset, and training loop tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from amcrn import training
+from amcrn.augment import augment
+from amcrn.cli import main as cli_main
 from amcrn.autodiff import Parameter, Tensor
 from amcrn.errors import ConfigError, InputTooShort, NumericalError
 from amcrn.model import AmcrnModel, equal_length_runs, restore_model, tiny_config
@@ -280,6 +284,31 @@ class TestTrainLoop:
             train(model, data, TrainConfig(epochs=1, crop_seconds=0.5))
         assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
 
+    def test_augments_each_view_when_its_minibatch_runs(self, monkeypatch):
+        """No view is augmented before the first minibatch, and each
+        minibatch augments at most its own views."""
+        log = []
+
+        def counting_augment(audio, *draw):
+            log.append("augment")
+            return augment(audio, *draw)
+
+        def counting_step(*args):
+            log.append("step")
+            return minibatch_backward(*args)
+
+        monkeypatch.setattr(training, "augment", counting_augment)
+        monkeypatch.setattr(training, "minibatch_backward", counting_step)
+        spec = ToySpeakerSpec(n_speakers=2, utterances_per_speaker=3,
+                              utterance_seconds=0.5, seed=2)
+        tcfg = TrainConfig(epochs=2, batch_size=3, crop_seconds=0.5, val_fraction=0.2,
+                           augment_copies=2, seed=7)
+        train(AmcrnModel(tiny_config(n_classes=2), seed=3), make_toy_dataset(spec), tcfg)
+        assert log[0] == "step"
+        runs = "".join("s" if entry == "step" else "a" for entry in log).split("s")[1:]
+        assert max(len(run) for run in runs) <= tcfg.batch_size
+        assert len(log) - len(runs) == tcfg.epochs * 5 * tcfg.augment_copies
+
     def test_speaker_count_mismatch_rejected(self):
         spec = ToySpeakerSpec(n_speakers=3, utterances_per_speaker=2,
                               utterance_seconds=0.5)
@@ -295,6 +324,32 @@ class TestTrainLoop:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,lr"
         assert len(lines) == 1 + len(result.history)
+
+
+# SHA-256 of the checkpoint and of the loss CSV that `amcrn train --toy
+# 'speakers=2 utts=3 seconds=2.5' --epochs 2 --seed N` writes with the tiny
+# preset, `augment_copies = 1` and `batch_size = 4` (10 views an epoch, so
+# three minibatches), frozen from the trainer that
+# built every augmented view before the first minibatch and kept unfused
+# MCB and BLSTM tapes. Bit-exact sums can differ on another BLAS build.
+TRAINED_BYTES = {
+    0: ("c4ce93745bf94cba9af2aea120be6611291e6b9d37472b4f9e35a5112fa7844c",
+        "9fed00797b653d6ac78e372d94e944d611031b7800b38326e8e6916d73e190ce"),
+    1: ("d191062d89ebf92855f0d4410442ce233763ea32754aa819458165cbd0372801",
+        "0466a218d4ee2ff2f2370cc704bf5320bfdfd1906d6fbda3fbdcc9ea9475ba8a"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRAINED_BYTES))
+def test_trained_bytes_are_pinned(tmp_path, seed):
+    config = tmp_path / "train.cfg"
+    config.write_text("augment_copies = 1\nbatch_size = 4\n")
+    out = tmp_path / "model.ckpt"
+    assert cli_main(["train", "--toy", "speakers=2 utts=3 seconds=2.5", "--config", str(config),
+                     "--epochs", "2", "--seed", str(seed), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, tmp_path / "model.ckpt.loss.csv"))
+    assert digests == TRAINED_BYTES[seed]
 
 
 def per_crop_step(model, batch, crop_seconds, rng):
