@@ -653,6 +653,158 @@ def residual_relu(s, x, gate=None):
     return Tensor(out, _parents=parents, _backward=bwd)
 
 
+def residual_affine(x, h, weight, bias):
+    """`x + (h @ weight + bias)`, a residual sum onto a row-wise affine
+    map, as one graph node with the same bits.
+
+    x: (B x) T x C; h: (B x) T x D; weight: D x C; bias: C. The node keeps
+    only its output, which its backward does not read; the composition
+    also keeps the product and the biased product.
+    """
+    x, h, weight, bias = (as_tensor(v) for v in (x, h, weight, bias))
+    if h.data.ndim < 2 or weight.data.ndim != 2:
+        raise ShapeError("residual_affine expects a (... x) N x D input and a D x C weight")
+    out = h.data @ weight.data
+    out += bias.data
+    np.add(x.data, out, out=out)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(g)
+        if bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.data.shape))
+        if h.requires_grad:
+            h._accum(g @ weight.data.T)
+        if weight.requires_grad:
+            weight._accum(h.data.reshape(-1, h.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+
+    return Tensor(out, _parents=(x, h, weight, bias), _backward=bwd)
+
+
+def attentive_stat_pool(h, w1, b1, w2, b2, floor):
+    """Channel-wise attentive statistics pooling over time as one graph
+    node, with the bits of the composition
+
+        alpha = softmax(tanh(h @ w1 + b1) @ w2 + b2, axis=-2)
+        mean = sum_t alpha * h,  second = sum_t alpha * h * h
+        concat([mean, sqrt(clamp_min(second - mean * mean, floor))], -1)
+
+    h: (B x) T x C; w1: C x K; b1: K; w2: K x C; b2: C; (B x) 2C out. The
+    node keeps the tanh output and alpha, and its backward recomputes
+    alpha * h; the composition keeps six (B x) T x C arrays and three
+    (B x) T x K. Backward forms the gradients of the composition's nodes
+    in the order its backward reaches them, and h's four pieces are
+    added in that order, starting from any gradient h already holds.
+    """
+    h, w1, b1, w2, b2 = (as_tensor(v) for v in (h, w1, b1, w2, b2))
+    t = h.data @ w1.data
+    t += b1.data
+    np.tanh(t, out=t)
+    alpha = t @ w2.data
+    alpha += b2.data
+    alpha -= alpha.max(axis=-2, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-2, keepdims=True)
+    weighted = alpha * h.data
+    mean = weighted.sum(axis=-2)
+    weighted *= h.data
+    second = weighted.sum(axis=-2)
+    del weighted
+    var = second - mean * mean
+    std = np.sqrt(np.maximum(var, floor))
+    need_t = any(v.requires_grad for v in (h, w1, b1))
+
+    def bwd(g):
+        nonlocal t, alpha
+        h_grad = None
+
+        def to_h(piece):  # in place once h_grad is this pass's own array
+            nonlocal h_grad
+            if h_grad is None:
+                h_grad = piece if h.grad is None else h.grad + piece
+            else:
+                h_grad += piece
+
+        c = mean.shape[-1]
+        g_var = np.expand_dims(g[..., c:] * 0.5 / std * (var > floor), -2)
+        # alpha * h * h, that is (alpha * h) * h, and its sum over time
+        if h.requires_grad:
+            piece = alpha * h.data
+            piece *= g_var
+            to_h(piece)
+        g_weighted = g_var * h.data
+        g_alpha = g_weighted * h.data
+        if h.requires_grad:
+            g_weighted *= alpha
+            to_h(g_weighted)
+        del g_weighted
+        # mean * mean, and alpha * h and its sum over time
+        g_square = -g_var[..., 0, :] * mean
+        g_mean = np.expand_dims(g[..., :c] + g_square + g_square, -2)
+        g_alpha += g_mean * h.data
+        if h.requires_grad:
+            to_h(g_mean * alpha)
+        # softmax over time, then the second affine map
+        g_alpha -= (g_alpha * alpha).sum(axis=-2, keepdims=True)
+        g_alpha *= alpha
+        alpha = None
+        if b2.requires_grad:
+            b2._accum(_unbroadcast(g_alpha, b2.data.shape))
+        if w2.requires_grad:
+            w2._accum(t.reshape(-1, t.shape[-1]).T @ g_alpha.reshape(-1, c))
+        if not need_t:
+            return
+        g_t = g_alpha @ w2.data.T
+        del g_alpha
+        # tanh, then the first affine map
+        np.multiply(t, t, out=t)
+        np.subtract(1.0, t, out=t)
+        g_t *= t
+        t = None
+        if b1.requires_grad:
+            b1._accum(_unbroadcast(g_t, b1.data.shape))
+        if w1.requires_grad:
+            w1._accum(h.data.reshape(-1, c).T @ g_t.reshape(-1, g_t.shape[-1]))
+        if h.requires_grad:
+            to_h(g_t @ w1.data.T)
+            h.grad = h_grad
+
+    return Tensor(np.concatenate([mean, std], axis=-1), _parents=(h, w1, b1, w2, b2),
+                  _backward=bwd)
+
+
+def _lstm_factors(gates, cells, h_dim):
+    """Every factor of the LSTM pre-activation gradient that does not
+    depend on the recurrence, for all t at once, written over the gates
+    it comes from: dpre's i/f/c columns are dc times the i/f/c factors
+    and its o columns dh times the o factor. Returns (the forget gates,
+    which the recurrence still reads, and dh's factor in dc). Each factor
+    is evaluated in the operation order of `a * b * c`, so the bits are
+    those of the expression; `cells` is overwritten with tanh(c)."""
+    # gc holds the cell candidate negated.
+    gi, gf, gc, go = (gates[..., k * h_dim : (k + 1) * h_dim] for k in range(4))
+    c_factor = gc * gc
+    np.subtract(1.0, c_factor, out=c_factor)
+    c_factor *= gi  # gi * (1 - gc^2)
+    gi_minus_one = gi - 1.0
+    gi *= gc
+    gi *= gi_minus_one  # gc * gi * (gi - 1)
+    gc[...] = c_factor
+    del c_factor, gi_minus_one
+    forget = gf.copy()
+    np.multiply(cells[:-1], forget[1:], out=gf[1:])
+    gf[1:] *= 1.0 - forget[1:]  # c_prev * gf * (1 - gf)
+    gf[0] = 0.0  # the initial cell state is zero
+    tanh_c = np.tanh(cells, out=cells)
+    dc_dh = tanh_c * tanh_c
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= go  # go * (1 - tanh(c)^2)
+    one_minus_go = 1.0 - go
+    go *= tanh_c
+    go *= one_minus_go  # tanh(c) * go * (1 - go)
+    return forget, dc_dh
+
+
 def lstm(x, w_x, w_h, bias, reverse=False, out=None):
     """One LSTM direction over a (B x) T x Din input as a single graph node.
 
@@ -677,11 +829,14 @@ def lstm(x, w_x, w_h, bias, reverse=False, out=None):
     step writes them into one reused slot. A taped call thus keeps the
     projection (as the gates), the cell states and the hidden states;
     tanh of the cell states is recomputed in backward. Backward first
-    forms, for all t at once, every factor of the pre-activation gradient
-    that does not depend on the recurrence; the BPTT loop then carries
-    only dh and dc, and writes the pre-activation gradient of step t over
-    that step's gates once it has read the forget gate. The four
-    parameter/input gradients are whole-batch products of it.
+    writes, for all t at once, every factor of the pre-activation
+    gradient that does not depend on the recurrence over the gates
+    (`_lstm_factors`), keeping beside them only the forget gates and dh's
+    factor in dc; the BPTT loop then carries only dh and dc, and scales
+    step t's factors into its pre-activation gradient in place. The four
+    parameter/input gradients are whole-batch products of it: w_h's and
+    the bias's first, then the batch-major copy that w_x's and the
+    input's read, once the time-major one is let go.
 
     Given `out`, a (B x) T x H array (one direction's half of a BLSTM
     layer's output, say), the hidden states are copied there once the
@@ -736,49 +891,42 @@ def lstm(x, w_x, w_h, bias, reverse=False, out=None):
             hs = hs[::-1]
 
     def bwd(grad):
+        nonlocal gates, cells
+        # This pass takes over the gates and cell states, so that it can
+        # let them go as soon as it is done with them.
+        dpre, gates = gates, None
+        forget, dc_dh = _lstm_factors(dpre, cells, h_dim)
+        cells = None
         gs = grad.reshape(n, t_len, h_dim).swapaxes(0, 1)
         if reverse:
             gs = gs[::-1]
-        # gc holds the cell candidate negated.
-        gi, gf, gc, go = (gates[..., sl] for sl in (i_sl, f_sl, c_sl, o_sl))
-        # The factors that do not depend on the recurrence, for all t:
-        # dc gains dh * dc_dh, the i/f/c columns of dpre are dc * from_dc
-        # and the o columns are dh * from_dh.
-        tanh_c = np.tanh(cells)
-        dc_dh = go * (1.0 - tanh_c * tanh_c)
-        from_dc = np.empty((t_len, n, 3, h_dim))
-        from_dc[:, :, 0] = gc * gi * (gi - 1.0)
-        from_dc[0, :, 1] = 0.0  # the initial cell state is zero
-        from_dc[1:, :, 1] = cells[:-1] * gf[1:] * (1.0 - gf[1:])
-        from_dc[:, :, 2] = gi * (1.0 - gc * gc)
-        from_dh = tanh_c * go * (1.0 - go)
-        del tanh_c
         w_h_t = w_h.data.T
-        dpre = gates  # row t is overwritten once step t has read gf[t]
-        dpre_by_gate = dpre.reshape(t_len, n, 4, h_dim)
+        factors = dpre.reshape(t_len, n, 4, h_dim)
         dh_next = dc_next = np.zeros((n, h_dim))
         for t in range(t_len - 1, -1, -1):
             dh = gs[t] + dh_next
             dc = dh * dc_dh[t]
             dc += dc_next
-            dc_next = dc * gf[t]
-            d = dpre_by_gate[t]
-            np.multiply(dc[:, None], from_dc[t], out=d[:, :3])
-            np.multiply(dh, from_dh[t], out=d[:, 3])
+            dc_next = dc * forget[t]
+            factors[t, :, :3] *= dc[:, None]
+            factors[t, :, 3] *= dh
             dh_next = dpre[t] @ w_h_t
-        # Batch-major rows in processing order.
-        d_rows = dpre.swapaxes(0, 1).reshape(n * t_len, 4 * h_dim)
-        if x.requires_grad:
-            dx = (d_rows @ w_x.data.T).reshape(n, t_len, d_in)
-            if reverse:
-                dx = dx[:, ::-1]
-            x._accum(dx.reshape(x.data.shape))
-        if w_x.requires_grad:
-            w_x._accum(xs.reshape(n * t_len, d_in).T @ d_rows)
+        del forget, dc_dh, factors
         if w_h.requires_grad:
             w_h._accum(hs[:-1].reshape(-1, h_dim).T @ dpre[1:].reshape(-1, 4 * h_dim))
         if bias.requires_grad:
             bias._accum(dpre.reshape(-1, 4 * h_dim).sum(axis=0))
+        # Batch-major rows in processing order.
+        d_rows = dpre.swapaxes(0, 1).reshape(n * t_len, 4 * h_dim)
+        del dpre
+        if w_x.requires_grad:
+            w_x._accum(xs.reshape(n * t_len, d_in).T @ d_rows)
+        if x.requires_grad:
+            dx = (d_rows @ w_x.data.T).reshape(n, t_len, d_in)
+            del d_rows
+            if reverse:
+                dx = dx[:, ::-1]
+            x._accum(dx.reshape(x.data.shape))
 
     return Tensor(out, _parents=(x, w_x, w_h, bias), _backward=bwd)
 

@@ -7,20 +7,23 @@ Exit codes: 0 success/accept, 1 reject, 2 usage or data error,
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
 import numpy as np
 
 from . import profiling, scoring, toydata, training
-from .audio import read_wav, write_wav
+from .audio import read_wav, wav_length, write_wav
 from .errors import AmcrnError, ConfigError, NumericalError
 from .model import (AmcrnConfig, AmcrnModel, _atomic_write, build_config,
                     load_checkpoint, parse_config, tiny_config)
 from .store import EmbeddingStore
 
 def _load_dataset_dir(root):
-    """One subdirectory per speaker, WAV files inside."""
+    """One subdirectory per speaker, WAV files inside, as LazyUtterances:
+    each file is checked and its samples counted now, and read again, and
+    checked to be unchanged in length, whenever its audio is read."""
     out = []
     for speaker in sorted(os.listdir(root)):
         spk_dir = os.path.join(root, speaker)
@@ -28,8 +31,10 @@ def _load_dataset_dir(root):
             continue
         for name in sorted(os.listdir(spk_dir)):
             if name.lower().endswith(".wav"):
-                audio = read_wav(os.path.join(spk_dir, name))
-                out.append(toydata.ToyUtterance(speaker, f"{speaker}/{name}", audio))
+                path = os.path.join(spk_dir, name)
+                n_samples = wav_length(path)
+                out.append(toydata.LazyUtterance(speaker, f"{speaker}/{name}", n_samples,
+                                                 functools.partial(read_wav, path, n_samples)))
     if not out:
         raise AmcrnError(f"no speaker-labeled WAV files under {root}")
     return out
@@ -74,7 +79,7 @@ def cmd_train(args):
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     if args.toy:
-        dataset = toydata.make_toy_dataset(_parse_toy(args.toy, args.seed))
+        dataset = toydata.toy_utterances(_parse_toy(args.toy, args.seed))
     elif args.data:
         dataset = _load_dataset_dir(args.data)
     else:
@@ -166,7 +171,7 @@ def cmd_eval(args):
             plda = scoring.load_plda(args.plda_file, model.config.embedding_dim)
         elif args.plda_train_dir:
             data = _load_dataset_dir(args.plda_train_dir)
-            embs = scoring.embed_audio(model, [(u.utterance_id, u.audio) for u in data])
+            embs = scoring.embed_audio(model, ((u.utterance_id, u.audio) for u in data))
             plda = scoring.plda_train(embs, [u.speaker_id for u in data])
             if args.plda_file:
                 scoring.save_plda(args.plda_file, plda)
@@ -203,7 +208,7 @@ def cmd_profile(args):
 
 def cmd_toygen(args):
     spec = _parse_toy(args.spec, args.seed)
-    dataset = toydata.make_toy_dataset(spec, utterance_offset=args.offset)
+    dataset = toydata.toy_utterances(spec, utterance_offset=args.offset)
     for utt in dataset:
         spk_dir = os.path.join(args.out, utt.speaker_id)
         os.makedirs(spk_dir, exist_ok=True)

@@ -464,7 +464,8 @@ class BlstmLayer:
 
 class ResidualBlstm:
     """Two BLSTM layers with dropout between them, a linear projection
-    back to the input width, and a residual connection.
+    back to the input width, and a residual connection; the projection
+    and the residual sum are one `autodiff.residual_affine` node.
 
     `rng` feeds the dropout (see `autodiff.dropout`): a Generator, or the
     draws `AmcrnModel.draw_dropout` took for each utterance, stacked like x.
@@ -480,12 +481,13 @@ class ResidualBlstm:
         h1 = self.blstm1(x)
         d = ad.dropout(h1, self.dropout_p, mode, rng) if rng is not None else h1
         h2 = self.blstm2(d)
-        return x + self.proj(h2)
+        return ad.residual_affine(x, h2, self.proj.weight, self.proj.bias)
 
 
 class AttentiveStatPool:
     """Channel-wise attentive mean and standard deviation over time:
-    (B x) T x C in, (B x) 2C out."""
+    (B x) T x C in, (B x) 2C out, as one `autodiff.attentive_stat_pool`
+    node in both modes."""
 
     VAR_FLOOR = 1e-9
 
@@ -496,12 +498,8 @@ class AttentiveStatPool:
     def __call__(self, h):
         if h.shape[-2] < 2:
             raise InputTooShort("attentive pooling needs at least 2 frames")
-        scores = self.score2(ad.tanh(self.score1(h)))
-        alpha = ad.softmax(scores, axis=-2)
-        mean = ad.tsum(alpha * h, axis=-2)
-        second = ad.tsum(alpha * h * h, axis=-2)
-        std = ad.sqrt(ad.clamp_min(second - mean * mean, self.VAR_FLOOR))
-        return ad.concat([mean, std], axis=-1)
+        return ad.attentive_stat_pool(h, self.score1.weight, self.score1.bias,
+                                      self.score2.weight, self.score2.bias, self.VAR_FLOOR)
 
 
 def aam_logits(embedding, class_weights, labels, margin, scale):

@@ -7,7 +7,9 @@ by their excitation seed. scipy.signal is imported on first use, as in
 `augment`.
 """
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,25 @@ class ToyUtterance:
     utterance_id: str
     audio: np.ndarray  # 16 kHz samples
 
+    @property
+    def n_samples(self) -> int:
+        return len(self.audio)
+
+
+@dataclass(frozen=True)
+class LazyUtterance:
+    """An utterance that holds no samples: `load()` makes them each time
+    `.audio` is read, and `n_samples` says how many it makes."""
+
+    speaker_id: str
+    utterance_id: str
+    n_samples: int
+    load: Callable[[], np.ndarray]
+
+    @property
+    def audio(self) -> np.ndarray:
+        return self.load()
+
 
 def _speaker_voice(spec: ToySpeakerSpec, spk: int):
     """Per-speaker fundamental frequency and resonator coefficients."""
@@ -71,16 +92,26 @@ def _utterance(spec: ToySpeakerSpec, spk: int, utt: int) -> np.ndarray:
     return np.clip(0.1 * voiced / max(rms, 1e-12), -1.0, 1.0)
 
 
-def make_toy_dataset(spec: ToySpeakerSpec, utterance_offset: int = 0):
-    """Generate the labeled utterance list; deterministic given spec.seed.
+def toy_utterances(spec: ToySpeakerSpec, utterance_offset: int = 0):
+    """The labeled utterance list as LazyUtterances, each generated anew
+    whenever its audio is read; deterministic given spec.seed.
 
     `utterance_offset` shifts the excitation seeds, yielding held-out
     utterances from the same speakers.
     """
+    n_samples = int(round(spec.utterance_seconds * SAMPLE_RATE))
     out = []
     for spk in range(spec.n_speakers):
         sid = f"spk{spk:03d}"
         for utt in range(spec.utterances_per_speaker):
             idx = utt + utterance_offset
-            out.append(ToyUtterance(sid, f"{sid}_utt{idx:03d}", _utterance(spec, spk, idx)))
+            out.append(LazyUtterance(sid, f"{sid}_utt{idx:03d}", n_samples,
+                                     functools.partial(_utterance, spec, spk, idx)))
     return out
+
+
+def make_toy_dataset(spec: ToySpeakerSpec, utterance_offset: int = 0):
+    """`toy_utterances` generated once, as ToyUtterances holding their
+    audio."""
+    return [ToyUtterance(u.speaker_id, u.utterance_id, u.audio)
+            for u in toy_utterances(spec, utterance_offset)]

@@ -56,7 +56,8 @@ class TrainConfig:
 
 
 class AdamState:
-    """Per-parameter moment buffers for Adam."""
+    """Per-parameter moment buffers for Adam, and two scratch rows as long
+    as the largest parameter, which every update reuses."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -64,11 +65,18 @@ class AdamState:
 
     def __init__(self, params):
         self.moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in params}
+        self.scratch = np.empty((2, max((p.data.size for p in params), default=0)))
         self.step = 0
 
 
 def adam_step(params, state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place. Parameters without a gradient
+    """Bias-corrected Adam update, in place:
+
+        m = b1 * m + (1 - b1) * g,  v = b2 * v + (1 - b2) * g**2
+        p -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
+
+    evaluated in that operation order through the state's scratch rows,
+    so no parameter-size temporary is made. Parameters without a gradient
     are skipped; NaN/Inf gradients abort."""
     state.step += 1
     b1, b2 = AdamState.BETA1, AdamState.BETA2
@@ -80,11 +88,21 @@ def adam_step(params, state: AdamState, lr: float) -> None:
         if not np.all(np.isfinite(p.grad)):
             raise NumericalError(f"non-finite gradient for {p.name}")
         m, v = state.moments[p.name]
+        step, denom = (row[: p.data.size].reshape(p.data.shape) for row in state.scratch)
         m *= b1
-        m += (1.0 - b1) * p.grad
+        np.multiply(p.grad, 1.0 - b1, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * p.grad**2
-        p.data -= lr * (m / correct1) / (np.sqrt(v / correct2) + AdamState.EPS)
+        np.square(p.grad, out=step)
+        step *= 1.0 - b2
+        v += step
+        np.divide(m, correct1, out=step)
+        step *= lr
+        np.divide(v, correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += AdamState.EPS
+        step /= denom
+        p.data -= step
 
 
 def lr_schedule(epoch: int, total_epochs: int, cfg: TrainConfig) -> float:
@@ -157,31 +175,38 @@ def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> fl
 
 def _run_loss(model: AmcrnModel, run) -> ad.Tensor:
     """The taped train-mode loss of one run of (features, label, draws)
-    rows; the run is emptied, so that only the tape holds its arrays."""
+    rows; the run is emptied and its rows let go once stacked, so that
+    only the stacked arrays and the tape hold them."""
     feats, labels, draws = zip(*run)
     run.clear()
     noise = None if draws[0] is None else np.stack(draws)
-    return model.classify_loss(np.stack(feats), labels, mode="train", rng=noise)
+    feats = np.stack(feats)
+    del draws
+    return model.classify_loss(feats, labels, mode="train", rng=noise)
 
 
 def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     """Train on labeled utterances and return the lowest-validation-loss
     checkpoint.
 
-    `dataset` is a list of objects with `.speaker_id`, `.utterance_id` and
-    `.audio`; an utterance shorter than two frames raises InputTooShort
-    naming it before any training. Each epoch sees every training
-    utterance plus `augment_copies` freshly augmented views of it,
-    randomly cropped to `crop_seconds`. Each minibatch of `batch_size`
-    views is one `minibatch_backward` call. An epoch draws every view's
-    augmentation up front but augments a view only when its minibatch
-    reaches it, so training holds one augmented view, not the epoch's.
-    The validation set is featurized once. A validation loss that is not
-    finite raises NumericalError naming the epoch.
+    `dataset` is a list of objects with `.speaker_id`, `.utterance_id`,
+    `.n_samples` and `.audio`; an utterance shorter than two frames raises
+    InputTooShort naming it before any training. `.audio` is read only
+    when it is needed, so an utterance may make its samples on demand
+    (`toydata.LazyUtterance`): the validation utterances are read once,
+    to be featurized, and a training utterance whenever a minibatch takes
+    a view of it. Each epoch sees every training utterance plus
+    `augment_copies` freshly augmented views of it, randomly cropped to
+    `crop_seconds`. Each minibatch of `batch_size` views is one
+    `minibatch_backward` call. An epoch draws every view's augmentation
+    up front but augments a view only when its minibatch reaches it, so
+    training holds one minibatch of audio, not the epoch's or the
+    dataset's. The validation set is featurized once. A validation loss
+    that is not finite raises NumericalError naming the epoch.
     """
     for utt in dataset:
-        if len(utt.audio) < TWO_FRAMES:
-            raise InputTooShort(f"utterance {utt.utterance_id!r}: audio has {len(utt.audio)} "
+        if utt.n_samples < TWO_FRAMES:
+            raise InputTooShort(f"utterance {utt.utterance_id!r}: audio has {utt.n_samples} "
                                 f"samples, training needs at least {TWO_FRAMES} (two frames)")
     speakers = sorted({u.speaker_id for u in dataset})
     if len(speakers) < 2:
@@ -204,14 +229,14 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
 
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.epochs, cfg)
-        views = []  # (audio, label, augmentation draw or None)
+        views = []  # (utterance, label, augmentation draw or None)
         for utt in train_set:
-            views.append((utt.audio, label_of[utt.speaker_id], None))
+            views.append((utt, label_of[utt.speaker_id], None))
             for _ in range(cfg.augment_copies):
                 kind = AUGMENT_KINDS[int(rng.integers(0, len(AUGMENT_KINDS)))]
                 snr = float(rng.uniform(5.0, 20.0))
                 seed = int(rng.integers(0, 2**31))
-                views.append((utt.audio, label_of[utt.speaker_id], (kind, snr, seed)))
+                views.append((utt, label_of[utt.speaker_id], (kind, snr, seed)))
         rng.shuffle(views)
 
         loss_sum = 0.0
@@ -221,8 +246,8 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
             # `augment` is seeded by its draw alone, so augmenting late
             # gives the same audio and leaves `rng` untouched.
             loss_sum += minibatch_backward(
-                model, ((audio if draw is None else augment(audio, *draw), label)
-                        for audio, label, draw in batch), cfg.crop_seconds, rng)
+                model, ((utt.audio if draw is None else augment(utt.audio, *draw), label)
+                        for utt, label, draw in batch), cfg.crop_seconds, rng)
             inv = 1.0 / len(batch)
             for p in params:
                 if p.grad is not None:

@@ -1,12 +1,15 @@
 """WAV reading: a valid file round-trips, and any damaged one ends as a
-ConfigError that names it."""
+ConfigError that names it; `wav_length` counts samples with the same
+checks."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcrn.audio import read_wav, write_wav
+from amcrn.audio import read_wav, wav_length, write_wav
 from amcrn.errors import AmcrnError, ConfigError
 
 # A valid 0.1 s file: 44 header bytes, then 3200 bytes of samples.
@@ -80,3 +83,22 @@ def test_any_mutation_reads_or_raises_amcrn_error(scratch_wav, wav_bytes, data):
     except AmcrnError:
         return
     assert isinstance(audio, np.ndarray) and audio.ndim == 1 and audio.dtype == np.float64
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_length_scan_agrees_with_read_wav(scratch_wav, wav_bytes, data):
+    """On the mutations above, `wav_length` raises `read_wav`'s error or
+    returns the length of what `read_wav` reads."""
+    blob = bytearray(wav_bytes)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.one_of(st.integers(0, 63), st.integers(0, len(blob) - 1)))
+        blob[at] ^= data.draw(st.integers(1, 255))
+    scratch_wav.write_bytes(bytes(blob[: data.draw(st.integers(0, len(blob)))]))
+    try:
+        audio = read_wav(scratch_wav)
+    except AmcrnError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            wav_length(scratch_wav)
+        return
+    assert wav_length(scratch_wav) == len(audio)

@@ -605,6 +605,136 @@ class TestSplit:
         assert backward_peak(split_reference) > 3.5
 
 
+def residual_affine_composite(x, h, weight, bias):
+    """What `ad.residual_affine` fuses, as elementary graph nodes."""
+    return x + ad.linear(h, weight, bias)
+
+
+def attentive_stat_pool_composite(h, w1, b1, w2, b2, floor):
+    """What `ad.attentive_stat_pool` fuses, as elementary graph nodes."""
+    alpha = ad.softmax(ad.linear(ad.tanh(ad.linear(h, w1, b1)), w2, b2), axis=-2)
+    mean = ad.tsum(alpha * h, axis=-2)
+    second = ad.tsum(alpha * h * h, axis=-2)
+    std = ad.sqrt(ad.clamp_min(second - mean * mean, floor))
+    return ad.concat([mean, std], axis=-1)
+
+
+def fused_and_composed_runs(ops, values, weights, grad_from=None):
+    """For each op: the output, then the gradient of every input of
+    `sum(op(*inputs) * weights)`. The first input enters through an
+    interior node (x * 1.0), as in the network; with `grad_from`, it is a
+    leaf that already holds the gradient of `sum(x * grad_from)`."""
+    runs = []
+    for op in ops:
+        inputs = [Tensor(v.copy(), requires_grad=True) for v in values]
+        first = inputs[0]
+        if grad_from is None:
+            first = first * 1.0
+        else:
+            ad.tsum(first * Tensor(grad_from)).backward()
+        out = op(first, *inputs[1:])
+        ad.tsum(out * weights).backward()
+        runs.append([out.data] + [t.grad for t in inputs])
+    return runs
+
+
+class TestResidualAffine:
+    @staticmethod
+    def _values(shape, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(shape + (4,)), rng.standard_normal(shape + (6,)),
+                rng.standard_normal((6, 4)), rng.standard_normal(4)]
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 7)])
+    def test_bit_identical_to_the_composition(self, shape):
+        weights = Tensor(np.random.default_rng(73).standard_normal(shape + (4,)))
+        runs = fused_and_composed_runs((ad.residual_affine, residual_affine_composite),
+                                       self._values(shape, 74), weights)
+        for name, got, want in zip(("out", "x", "h", "weight", "bias"), *runs):
+            assert_same_bits(got, want, name)
+
+    def test_grad_check(self):
+        values = [Tensor(v) for v in self._values((2, 5), 75)]
+        w = Tensor(np.random.default_rng(76).standard_normal((2, 5, 4)))
+        for i in range(4):
+            def loss(v, i=i):
+                return ad.tsum(ad.residual_affine(*values[:i], v, *values[i + 1:]) * w)
+
+            assert grad_check(loss, values[i]) < 1e-4, i
+
+    def test_keeps_only_its_output(self):
+        """The composition also keeps the product and the biased product:
+        two arrays of the output's size more."""
+        x, h = (interior(v) for v in self._values((4, 198), 77)[:2])
+        weight, bias = (Parameter(v, n) for v, n in zip(self._values((1,), 77)[2:], "wb"))
+        array = x.data.nbytes
+        fused = kept_bytes(lambda: ad.residual_affine(x, h, weight, bias))
+        composed = kept_bytes(lambda: residual_affine_composite(x, h, weight, bias))
+        assert fused < 1.1 * array, fused / array
+        assert composed - fused > 1.9 * array, (composed - fused) / array
+
+
+class TestAttentiveStatPool:
+    FLOOR = 1e-9
+
+    @staticmethod
+    def _values(shape, channels, bottleneck, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(shape + (channels,)),
+                rng.standard_normal((channels, bottleneck)), rng.standard_normal(bottleneck),
+                rng.standard_normal((bottleneck, channels)), rng.standard_normal(channels)]
+
+    def _op(self, composite=False):
+        op = attentive_stat_pool_composite if composite else ad.attentive_stat_pool
+        return lambda *inputs: op(*inputs, self.FLOOR)
+
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("shape", [(9,), (3, 9)])
+    def test_bit_identical_to_the_composition(self, shape, held):
+        """Output and every gradient; with `held`, h is a leaf that holds
+        a gradient already, to which its pieces are added in order."""
+        values = self._values(shape, 6, 3, 78)
+        # One constant channel hits the variance floor.
+        values[0][..., 5] = 0.25
+        weights = Tensor(np.random.default_rng(79).standard_normal(shape[:-1] + (12,)))
+        held_grad = np.random.default_rng(80).standard_normal(values[0].shape) if held else None
+        runs = fused_and_composed_runs((self._op(), self._op(composite=True)), values, weights,
+                                       held_grad)
+        for name, got, want in zip(("out", "h", "w1", "b1", "w2", "b2"), *runs):
+            assert_same_bits(got, want, name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_graph_free_pass_is_bit_identical(self, dtype):
+        values = [v.astype(dtype) for v in self._values((3, 9), 6, 3, 81)]
+        with ad.no_grad():
+            fused, composed = (op(*(Tensor(v) for v in values)).data
+                               for op in (self._op(), self._op(composite=True)))
+        assert fused.dtype == dtype
+        assert_same_bits(fused, composed)
+
+    def test_grad_check(self):
+        """h, both weights and both biases in turn."""
+        values = [Tensor(v) for v in self._values((2, 5), 3, 4, 82)]
+        w = Tensor(np.random.default_rng(83).standard_normal((2, 6)))
+        for i in range(5):
+            def loss(v, i=i):
+                return ad.tsum(self._op()(*values[:i], v, *values[i + 1:]) * w)
+
+            assert grad_check(loss, values[i]) < 1e-4, i
+
+    def test_keeps_the_tanh_output_and_alpha(self):
+        """At C = 64 and a bottleneck of 32 (the benchmark's network) the
+        node keeps 1.5 arrays of h's size, the composition 7.5."""
+        h, *params = self._values((4, 198), 64, 32, 84)
+        h = interior(h)
+        params = [Parameter(v, str(i)) for i, v in enumerate(params)]
+        array = h.data.nbytes
+        fused = kept_bytes(lambda: self._op()(h, *params))
+        composed = kept_bytes(lambda: self._op(composite=True)(h, *params))
+        assert fused < 1.6 * array, fused / array
+        assert composed - fused > 5.8 * array, (composed - fused) / array
+
+
 def batch_norm_composite(x, gamma, beta, eps):
     """Reference for `ad.batch_norm` built from elementary tape ops."""
     mean = ad.tmean(x, axis=-2, keepdims=True)

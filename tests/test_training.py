@@ -1,19 +1,23 @@
 """Optimizer, schedule, toy dataset, and training loop tests."""
 
 import hashlib
+import os
+import shutil
+import wave
 
 import numpy as np
 import pytest
 
-from amcrn import training
+from amcrn import cli, toydata, training
 from amcrn.augment import augment
 from amcrn.cli import main as cli_main
 from amcrn.autodiff import Parameter, Tensor
 from amcrn.errors import ConfigError, InputTooShort, NumericalError
 from amcrn.model import AmcrnModel, equal_length_runs, restore_model, tiny_config
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
-from amcrn.audio import SAMPLE_RATE, random_crop
-from amcrn.dsp import featurize
+from amcrn.toydata import _utterance as generate_utterance
+from amcrn.audio import SAMPLE_RATE, random_crop, read_wav, write_wav
+from amcrn.dsp import SHIFT_SAMPLES, featurize
 from amcrn.training import (AdamState, TrainConfig, adam_step, clip_gradients,
                             lr_schedule, minibatch_backward, train, validation_loss,
                             write_history_csv)
@@ -63,6 +67,44 @@ class TestAdam:
         adam_step([p], state, lr=0.1)
         assert state.step == 2
         assert p.data[0] < first[0] < 0.0
+
+    def test_bits_match_the_plain_expression(self):
+        """Five steps over parameters of several shapes, one of them
+        without a gradient on some steps, against `adam_step_reference`."""
+        shapes = [(3, 5), (7,), (2, 3, 4), (1,)]
+        runs = []
+        for step_fn in (adam_step, adam_step_reference):
+            params = [Parameter(np.random.default_rng(89 + i).standard_normal(shape), f"p{i}")
+                      for i, shape in enumerate(shapes)]
+            state = AdamState(params)
+            grads = np.random.default_rng(90)
+            for step in range(5):
+                for i, p in enumerate(params):
+                    g = grads.standard_normal(p.data.shape)
+                    p.grad = None if (i == 1 and step % 2) else g
+                step_fn(params, state, lr=0.01 * (step + 1))
+            runs.append([p.data for p in params]
+                        + [m for p in params for m in state.moments[p.name]])
+        for i, (got, want) in enumerate(zip(*runs)):
+            assert got.tobytes() == want.tobytes(), i
+
+
+def adam_step_reference(params, state, lr):
+    """`adam_step` as the plain expression, with its parameter-size
+    temporaries: the oracle for the bits of the scratch-buffer update."""
+    state.step += 1
+    b1, b2 = AdamState.BETA1, AdamState.BETA2
+    correct1 = 1.0 - b1**state.step
+    correct2 = 1.0 - b2**state.step
+    for p in params:
+        if p.grad is None:
+            continue
+        m, v = state.moments[p.name]
+        m *= b1
+        m += (1.0 - b1) * p.grad
+        v *= b2
+        v += (1.0 - b2) * p.grad**2
+        p.data -= lr * (m / correct1) / (np.sqrt(v / correct2) + AdamState.EPS)
 
 
 class TestClipping:
@@ -350,6 +392,116 @@ def test_trained_bytes_are_pinned(tmp_path, seed):
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (out, tmp_path / "model.ckpt.loss.csv"))
     assert digests == TRAINED_BYTES[seed]
+
+
+# SHA-256 of the checkpoint and of the loss CSV that `amcrn train --data D
+# --epochs 2 --seed N` writes with the tiny preset, `augment_copies = 1` and
+# `batch_size = 4`, where D is `amcrn toygen --spec 'speakers=2 utts=3
+# seconds=2.5'`: the benchmark's path. Frozen from the trainer that read
+# every WAV file whole before the first epoch and kept the unfused pooling
+# and residual nodes. Bit-exact sums can differ on another BLAS build.
+TRAINED_DATA_BYTES = {
+    0: ("17eff95b81e5816437dd73036968b893f0e14abbcee77fc0492e7bca08adb526",
+        "2621a5ecc820f56d80f35069800e54b3e5f925e8afca41d51fc11772d1ab85a5"),
+    1: ("695d482dd5ff248607b3ee0dfff5e040a54901a0758f7d3543e4eede255b0084",
+        "c907ddece58ca65badd98dd74ff6db197f8b082f636bb171cbada744610e8c15"),
+}
+
+
+@pytest.fixture(scope="module")
+def toygen_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("toygen") / "data"
+    assert cli_main(["toygen", "--spec", "speakers=2 utts=3 seconds=2.5", "--out", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("seed", sorted(TRAINED_DATA_BYTES))
+def test_trained_data_bytes_are_pinned(tmp_path, toygen_dir, seed):
+    config = tmp_path / "train.cfg"
+    config.write_text("augment_copies = 1\nbatch_size = 4\n")
+    out = tmp_path / "model.ckpt"
+    assert cli_main(["train", "--data", str(toygen_dir), "--config", str(config),
+                     "--epochs", "2", "--seed", str(seed), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, tmp_path / "model.ckpt.loss.csv"))
+    assert digests == TRAINED_DATA_BYTES[seed]
+
+
+class TestLazyAudio:
+    """`train --data` and `train --toy` hold no audio: an utterance's
+    samples are read (or generated) when they are featurized."""
+
+    @pytest.mark.parametrize("source", ["data", "toy"])
+    def test_reads_only_validation_audio_before_the_first_minibatch(
+            self, monkeypatch, tmp_path, toygen_dir, source):
+        log = []
+
+        def logging_read(path, *args):
+            log.append(os.path.relpath(path, toygen_dir))
+            return read_wav(path, *args)
+
+        def logging_utterance(spec, spk, utt):
+            log.append(f"spk{spk:03d}/utt{utt:03d}.wav")
+            return generate_utterance(spec, spk, utt)
+
+        def logging_step(*args):
+            log.append("step")
+            return minibatch_backward(*args)
+
+        monkeypatch.setattr(cli, "read_wav", logging_read)
+        monkeypatch.setattr(toydata, "_utterance", logging_utterance)
+        monkeypatch.setattr(training, "minibatch_backward", logging_step)
+        config = tmp_path / "train.cfg"
+        config.write_text("augment_copies = 1\nbatch_size = 4\nval_fraction = 0.4\n")
+        data = ["--data", str(toygen_dir)] if source == "data" else \
+            ["--toy", "speakers=2 utts=3 seconds=2.5"]
+        assert cli_main(["train", *data, "--config", str(config), "--epochs", "1",
+                         "--out", str(tmp_path / "m.ckpt")]) == 0
+        files = [f"spk{spk:03d}/utt{utt:03d}.wav" for spk in range(2) for utt in range(3)]
+        val = [files[i] for i in np.random.default_rng(0).permutation(len(files))[:2]]
+        first = log.index("step")
+        assert sorted(log[:first]) == sorted(val)
+        # Each of the 4 training utterances is read again for each of its 2 views.
+        assert sorted(entry for entry in log[first:] if entry != "step") == \
+            sorted(2 * [f for f in files if f not in val])
+
+    @pytest.mark.parametrize("change", ["removed", "shortened", "resampled"])
+    def test_a_file_changed_after_the_scan_is_named(self, monkeypatch, tmp_path, toygen_dir,
+                                                    capsys, change):
+        data = tmp_path / "data"
+        shutil.copytree(toygen_dir, data)
+        victim = data / "spk001" / "utt002.wav"
+        scan = cli._load_dataset_dir
+
+        def scan_then_change(root):
+            dataset = scan(root)
+            if change == "removed":
+                victim.unlink()
+            elif change == "shortened":
+                write_wav(victim, read_wav(victim)[:-SHIFT_SAMPLES])
+            else:
+                with wave.open(str(victim), "wb") as wf:
+                    wf.setnchannels(1)
+                    wf.setsampwidth(2)
+                    wf.setframerate(8000)
+                    wf.writeframes(bytes(16000))
+            return dataset
+
+        monkeypatch.setattr(cli, "_load_dataset_dir", scan_then_change)
+        out = tmp_path / "m.ckpt"
+        assert cli_main(["train", "--data", str(data), "--epochs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: "), err
+        assert not out.exists()
+
+    def test_a_vanished_file_is_a_typed_error(self, tmp_path, toygen_dir):
+        data = tmp_path / "data"
+        shutil.copytree(toygen_dir, data)
+        dataset = cli._load_dataset_dir(str(data))
+        (data / "spk000" / "utt001.wav").unlink()
+        assert dataset[0].audio.shape == (dataset[0].n_samples,)
+        with pytest.raises(ConfigError, match="utt001.wav: no longer readable since it was scanned"):
+            dataset[1].audio
 
 
 def per_crop_step(model, batch, crop_seconds, rng):
