@@ -935,17 +935,17 @@ def dropout(x, p, mode, rng):
     """Inverted dropout: identity in eval mode.
 
     `rng` is a numpy Generator, from which x.shape uniform draws are
-    taken, or those draws as an array taken ahead of time. The node keeps
-    which entries it kept as booleans, and forms the float mask
-    `keep / (1 - p)` when it applies it.
+    taken and an entry kept where its draw is >= p, or that boolean keep
+    mask taken ahead of time. The node keeps the mask, and forms the
+    float mask `keep / (1 - p)` when it applies it.
     """
     x = as_tensor(x)
     if mode == "eval" or p <= 0.0:
         return x
-    draws = rng if isinstance(rng, np.ndarray) else rng.random(x.data.shape)
-    if draws.shape != x.data.shape:
-        raise ShapeError(f"dropout draws of shape {draws.shape} for input {x.data.shape}")
-    keep = draws >= p
+    keep = rng if isinstance(rng, np.ndarray) else rng.random(x.data.shape) >= p
+    if keep.shape != x.data.shape or keep.dtype != bool:
+        raise ShapeError(f"dropout keep mask of {keep.dtype} shape {keep.shape} "
+                         f"for input {x.data.shape}: expected booleans of the input's shape")
 
     def bwd(g):
         if x.requires_grad:

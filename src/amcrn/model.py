@@ -92,20 +92,20 @@ def parse_config_text(text, classes, name):
 
 @dataclass
 class AmcrnConfig:
-    """Architecture hyperparameters, including the ablation switches."""
+    """Architecture hyperparameters, including the ablation switches. One
+    `channels` width runs through every residual block, one MCB block per
+    (`mcb_kernel`, `mcb_dilations`) pair; the residual BLSTM has the
+    paper's two layers."""
 
     n_mels: int = 80
     initial_kernel: int = 5
-    initial_channels: int = 512
-    n_mcb: int = 3
-    mcb_channels: tuple = (512, 512, 512)
+    channels: int = 512
     mcb_kernel: tuple = (3, 3, 3)
-    mcb_dilations: tuple = (2, 3, 4)
+    mcb_dilations: tuple = (2, 3, 4)  # all 1: the standard-convolution ablation
     n_scales: int = 8
     ta_kernel: int = 7
     fusion_kernel: int = 3
     blstm_hidden: int = 450
-    blstm_layers: int = 2
     blstm_dropout: float = 0.2
     pool_bottleneck: int = 128
     embedding_dim: int = 256
@@ -115,34 +115,23 @@ class AmcrnConfig:
     # Structural ablation switches.
     use_temporal_attention: bool = True
     use_blstm: bool = True
-    standard_conv: bool = False  # forces dilation 1 in every convolution
 
     def __post_init__(self):
-        self.mcb_channels = tuple(self.mcb_channels)
         self.mcb_kernel = tuple(self.mcb_kernel)
         self.mcb_dilations = tuple(self.mcb_dilations)
         self.validate()
 
     def validate(self):
-        lists = (self.mcb_channels, self.mcb_kernel, self.mcb_dilations)
-        if any(len(l) != self.n_mcb for l in lists):
-            raise ConfigError("per-block lists must have length n_mcb")
-        for f in dataclasses.fields(self):  # every size, count and kernel
+        if len(self.mcb_kernel) != len(self.mcb_dilations):
+            raise ConfigError(f"mcb_kernel has {len(self.mcb_kernel)} entries, mcb_dilations "
+                              f"{len(self.mcb_dilations)}: one of each per block")
+        for f in dataclasses.fields(self):  # every size, count and kernel; no empty list
             value = getattr(self, f.name)
-            if type(f.default) in (int, tuple) and min(np.atleast_1d(value), default=1) < 1:
+            if type(f.default) in (int, tuple) and min(np.atleast_1d(value), default=0) < 1:
                 raise ConfigError(f"{f.name} must be >= 1")
-        for c in self.mcb_channels:
-            if c % self.n_scales:
-                raise ConfigError(f"channels {c} not divisible by n_scales {self.n_scales}")
-        if self.initial_channels != self.mcb_channels[0]:
-            raise ConfigError("initial_channels must match the first block's channels")
-        if len(set(self.mcb_channels)) > 1:  # each block adds its output to its input
-            raise ConfigError(f"mcb_channels must all be equal, got {self.mcb_channels}")
-        if self.blstm_layers != 2:  # the paper's residual BLSTM has two layers
-            raise ConfigError(f"blstm_layers must be 2, got {self.blstm_layers}")
-
-    def dilation(self, i):
-        return 1 if self.standard_conv else self.mcb_dilations[i]
+        if self.channels % self.n_scales:
+            raise ConfigError(f"channels {self.channels} not divisible by "
+                              f"n_scales {self.n_scales}")
 
     to_text = config_text
 
@@ -151,8 +140,7 @@ def tiny_config(n_mels=8, channels=16, n_scales=2, hidden=8, **overrides) -> Amc
     """A desk-scale configuration for tests and gradient checks."""
     kwargs = dict(
         n_mels=n_mels,
-        initial_channels=channels,
-        mcb_channels=(channels,) * 3,
+        channels=channels,
         n_scales=n_scales,
         blstm_hidden=hidden,
         pool_bottleneck=max(4, hidden // 2),
@@ -318,9 +306,9 @@ class McbBlock:
     """
 
     def __init__(self, name, config: AmcrnConfig, index: int, rng):
-        c = config.mcb_channels[index]
+        c = config.channels
         k = config.mcb_kernel[index]
-        r = config.dilation(index)
+        r = config.mcb_dilations[index]
         n = config.n_scales
         sub = c // n
         self.n_scales = n
@@ -468,7 +456,8 @@ class ResidualBlstm:
     and the residual sum are one `autodiff.residual_affine` node.
 
     `rng` feeds the dropout (see `autodiff.dropout`): a Generator, or the
-    draws `AmcrnModel.draw_dropout` took for each utterance, stacked like x.
+    keep masks `AmcrnModel.draw_dropout` drew for each utterance, stacked
+    like x.
     """
 
     def __init__(self, name, channels, hidden, dropout_p, rng):
@@ -590,16 +579,15 @@ class AmcrnModel:
 
     def _build(self, config, rng):
         self.config = config
-        c0 = config.initial_channels
+        c = config.channels
         self.initial_conv = Conv1d("initial.conv", config.initial_kernel,
-                                   config.n_mels, c0, 1, rng)
-        self.initial_bn = BatchNorm("initial.bn", c0)
-        self.blocks = [McbBlock(f"mcb{i}", config, i, rng) for i in range(config.n_mcb)]
-        last_c = config.mcb_channels[-1]
-        self.rblstm = ResidualBlstm("rblstm", last_c, config.blstm_hidden,
+                                   config.n_mels, c, 1, rng)
+        self.initial_bn = BatchNorm("initial.bn", c)
+        self.blocks = [McbBlock(f"mcb{i}", config, i, rng) for i in range(len(config.mcb_kernel))]
+        self.rblstm = ResidualBlstm("rblstm", c, config.blstm_hidden,
                                     config.blstm_dropout, rng) if config.use_blstm else None
-        self.pool = AttentiveStatPool("pool", last_c, config.pool_bottleneck, rng)
-        self.emb_linear = Linear("embed.linear", 2 * last_c, config.embedding_dim, rng)
+        self.pool = AttentiveStatPool("pool", c, config.pool_bottleneck, rng)
+        self.emb_linear = Linear("embed.linear", 2 * c, config.embedding_dim, rng)
         self.emb_norm = VectorNorm("embed.norm", config.embedding_dim)
         self.head = Parameter(_uniform(rng, (config.n_classes, config.embedding_dim),
                                        config.embedding_dim), "head.weight")
@@ -652,14 +640,14 @@ class AmcrnModel:
         return ad.cross_entropy(logits, labels)
 
     def draw_dropout(self, n_frames, rng):
-        """The uniform draws a train-mode forward pass over one utterance
-        of `n_frames` frames takes from `rng` (None if it takes none).
-        Stacked per utterance, they can stand in for `rng` in a batched
-        pass, so that draws for several utterances can be taken in turn
-        with other draws between them."""
+        """The dropout keep mask that a train-mode forward pass over one
+        utterance of `n_frames` frames draws from `rng` (None if it draws
+        none), as booleans. Stacked per utterance, masks can stand in for
+        `rng` in a batched pass, so that the draws for several utterances
+        can be taken in turn with other draws between them."""
         if self.rblstm is None or self.rblstm.dropout_p <= 0.0:
             return None
-        return rng.random((n_frames, 2 * self.config.blstm_hidden))
+        return rng.random((n_frames, 2 * self.config.blstm_hidden)) >= self.rblstm.dropout_p
 
     # -- parameter access ----------------------------------------------
 
@@ -684,7 +672,7 @@ class AmcrnModel:
 # Checkpoint I/O
 # ----------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"AMCRN2"
+CHECKPOINT_MAGIC = b"AMCRN3"
 
 
 def _checkpoint_chunks(model):
@@ -752,7 +740,8 @@ def _stored_values(config: AmcrnConfig) -> int:
     each normalization layer (as many as its gamma and beta)."""
     from .profiling import count_params  # profiling imports this module
 
-    norm_channels = config.initial_channels + 2 * sum(config.mcb_channels) + config.embedding_dim
+    # The initial BatchNorm, two per block and the embedding norm.
+    norm_channels = (1 + 2 * len(config.mcb_kernel)) * config.channels + config.embedding_dim
     return count_params(config, include_head=True) + 2 * norm_channels
 
 
@@ -781,9 +770,9 @@ def restore_model(source, dtype=np.float64) -> AmcrnModel:
     end = fh.seek(0, io.SEEK_END) - 8  # the trailing entry count and CRC
     fh.seek(0)
     magic = fh.read(len(CHECKPOINT_MAGIC))
-    if magic == b"AMCRN1":
-        raise refused("an AMCRN1 checkpoint, an old format that is no longer read; "
-                      "retrain the model to write an AMCRN2 checkpoint")
+    if magic in (b"AMCRN1", b"AMCRN2"):
+        raise refused(f"an {magic.decode()} checkpoint, an old format that is no longer read; "
+                      f"retrain the model to write an {CHECKPOINT_MAGIC.decode()} checkpoint")
     if magic != CHECKPOINT_MAGIC:
         raise refused("not a recognized checkpoint file")
     pos, crc = len(magic), zlib.crc32(magic)

@@ -54,15 +54,13 @@ def layer_costs(config: AmcrnConfig, duration_s: float, include_head=False):
     def add(name, params, macs):
         rows.append(LayerCost(name, int(params), int(macs)))
 
-    c0 = config.initial_channels
-    add("initial.conv", _conv_params(config.initial_kernel, config.n_mels, c0),
-        t * config.initial_kernel * config.n_mels * c0)
-    add("initial.bn", 2 * c0, 0)
+    c = config.channels
+    add("initial.conv", _conv_params(config.initial_kernel, config.n_mels, c),
+        t * config.initial_kernel * config.n_mels * c)
+    add("initial.bn", 2 * c, 0)
 
-    for i in range(config.n_mcb):
-        c = config.mcb_channels[i]
-        k = config.mcb_kernel[i]
-        sub = c // config.n_scales
+    sub = c // config.n_scales
+    for i, k in enumerate(config.mcb_kernel):
         add(f"mcb{i}.pre", _conv_params(k, c, c), t * k * c * c)
         add(f"mcb{i}.bn_pre", 2 * c, 0)
         n_scale_convs = config.n_scales - 1
@@ -76,21 +74,20 @@ def layer_costs(config: AmcrnConfig, duration_s: float, include_head=False):
             add(f"mcb{i}.ta", _conv_params(config.ta_kernel, 2, 1),
                 t * config.ta_kernel * 2 + t * c)
 
-    last_c = config.mcb_channels[-1]
     if config.use_blstm:
         h = config.blstm_hidden
-        add("rblstm.blstm1", 2 * _lstm_direction_params(last_c, h),
-            2 * t * 4 * h * (last_c + h))
+        add("rblstm.blstm1", 2 * _lstm_direction_params(c, h),
+            2 * t * 4 * h * (c + h))
         add("rblstm.blstm2", 2 * _lstm_direction_params(2 * h, h),
             2 * t * 4 * h * (2 * h + h))
-        add("rblstm.proj", _linear_params(2 * h, last_c), t * 2 * h * last_c)
+        add("rblstm.proj", _linear_params(2 * h, c), t * 2 * h * c)
 
     bott = config.pool_bottleneck
     # Score MLP per frame plus the attention-weighted first/second moments.
-    add("pool", _linear_params(last_c, bott) + _linear_params(bott, last_c),
-        t * last_c * bott + t * bott * last_c + 2 * t * last_c)
-    add("embed.linear", _linear_params(2 * last_c, config.embedding_dim),
-        2 * last_c * config.embedding_dim)
+    add("pool", _linear_params(c, bott) + _linear_params(bott, c),
+        t * c * bott + t * bott * c + 2 * t * c)
+    add("embed.linear", _linear_params(2 * c, config.embedding_dim),
+        2 * c * config.embedding_dim)
     add("embed.norm", 2 * config.embedding_dim, 0)
     if include_head:
         add("head", config.n_classes * config.embedding_dim,

@@ -153,12 +153,12 @@ def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> fl
     (audio, label) views into the parameters; return that summed loss.
 
     The views are taken in order, and each is cropped (its offset draw)
-    and given its dropout draws before the next, so `rng` is consumed as
-    by one forward pass per crop. Each run of consecutive crops of equal
+    and given its dropout keep mask before the next, so `rng` is consumed
+    as by one forward pass per crop. Each run of consecutive crops of equal
     frame count then runs as one B x T x n_mels forward and backward pass,
     so the passes follow crop order, as in a per-crop loop. A crop is
     drawn when its run is gathered, and a run's features and dropout
-    draws are let go before its backward pass.
+    masks are let go before its backward pass.
     """
     def rows():
         for audio, label in batch:
@@ -174,15 +174,15 @@ def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> fl
 
 
 def _run_loss(model: AmcrnModel, run) -> ad.Tensor:
-    """The taped train-mode loss of one run of (features, label, draws)
+    """The taped train-mode loss of one run of (features, label, keep mask)
     rows; the run is emptied and its rows let go once stacked, so that
     only the stacked arrays and the tape hold them."""
-    feats, labels, draws = zip(*run)
+    feats, labels, masks = zip(*run)
     run.clear()
-    noise = None if draws[0] is None else np.stack(draws)
+    keep = None if masks[0] is None else np.stack(masks)
     feats = np.stack(feats)
-    del draws
-    return model.classify_loss(feats, labels, mode="train", rng=noise)
+    del masks
+    return model.classify_loss(feats, labels, mode="train", rng=keep)
 
 
 def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
@@ -191,11 +191,12 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
 
     `dataset` is a list of objects with `.speaker_id`, `.utterance_id`,
     `.n_samples` and `.audio`; an utterance shorter than two frames raises
-    InputTooShort naming it before any training. `.audio` is read only
-    when it is needed, so an utterance may make its samples on demand
-    (`toydata.LazyUtterance`): the validation utterances are read once,
-    to be featurized, and a training utterance whenever a minibatch takes
-    a view of it. Each epoch sees every training utterance plus
+    InputTooShort naming it, and a `val_fraction` that leaves no utterance
+    to train on raises ConfigError, both before any featurizing. `.audio`
+    is read only when it is needed, so an utterance may make its samples
+    on demand (`toydata.LazyUtterance`): the validation utterances are
+    read once, to be featurized, and a training utterance whenever a
+    minibatch takes a view of it. Each epoch sees every training utterance plus
     `augment_copies` freshly augmented views of it, randomly cropped to
     `crop_seconds`. Each minibatch of `batch_size` views is one
     `minibatch_backward` call. An epoch draws every view's augmentation
@@ -218,6 +219,9 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(dataset))
     n_val = max(1, int(round(cfg.val_fraction * len(dataset))))
+    if n_val == len(dataset):
+        raise ConfigError(f"val_fraction {cfg.val_fraction!r} puts all {n_val} utterances in "
+                          "validation, leaving none to train on")
     val_set = [dataset[i] for i in order[:n_val]]
     train_set = [dataset[i] for i in order[n_val:]]
     val_features = [featurize(utt.audio, model.config.n_mels) for utt in val_set]

@@ -238,7 +238,7 @@ def test_criterion_04_shapes_and_structural_variants():
     assert emb.shape == (256,)
 
     variants = [dict(),
-                dict(standard_conv=True),
+                dict(mcb_dilations=(1, 1, 1)),
                 dict(n_scales=1),
                 dict(use_temporal_attention=False),
                 dict(use_blstm=False)]

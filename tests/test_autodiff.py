@@ -75,7 +75,7 @@ class TestConvForward:
         out = ad.conv1d_dilated(Tensor(x), Tensor(kern), dilation=3).data
         np.testing.assert_array_equal(out, x)
 
-    def test_dilation_one_equals_standard_conv(self):
+    def test_dilation_one_equals_numpy_convolve(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((10, 3))
         kern = rng.standard_normal((3, 3, 4))
@@ -487,8 +487,8 @@ def dropout_composite(x, p, mode, rng):
     x = ad.as_tensor(x)
     if mode == "eval" or p <= 0.0:
         return x
-    draws = rng if isinstance(rng, np.ndarray) else rng.random(x.data.shape)
-    return x * Tensor((draws >= p) / (1.0 - p))
+    keep = rng if isinstance(rng, np.ndarray) else rng.random(x.data.shape) >= p
+    return x * Tensor(keep / (1.0 - p))
 
 
 def kept_bytes(make):
@@ -858,12 +858,12 @@ class TestBatchAxis:
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
     def test_dropout_bits_match_a_float_mask(self, shape):
         x0 = np.random.default_rng(61).standard_normal(shape)
-        draws = np.random.default_rng(62).random(shape)
+        keep = np.random.default_rng(62).random(shape) >= 0.3
         w = Tensor(np.random.default_rng(63).standard_normal(shape))
         results = []
         for op in (ad.dropout, dropout_composite):
             x = Tensor(x0.copy(), requires_grad=True)
-            out = op(x, 0.3, "train", draws)
+            out = op(x, 0.3, "train", keep)
             ad.tsum(out * w).backward()
             results.append([out.data, x.grad])
         for name, got, want in zip(("out", "x"), *results):
@@ -873,19 +873,22 @@ class TestBatchAxis:
         """The node keeps its output and one byte per entry; the product
         with a mask node keeps a float64 mask as well."""
         x = interior(np.ones((2, 200, 64)))
-        draws = np.random.default_rng(64).random(x.shape)
-        fused = kept_bytes(lambda: ad.dropout(x, 0.2, "train", draws))
-        composed = kept_bytes(lambda: dropout_composite(x, 0.2, "train", draws))
+        keep = np.random.default_rng(64).random(x.shape) >= 0.2
+        fused = kept_bytes(lambda: ad.dropout(x, 0.2, "train", keep))
+        composed = kept_bytes(lambda: dropout_composite(x, 0.2, "train", keep))
         assert fused < 1.2 * x.data.nbytes, fused / x.data.nbytes
         assert composed - fused > 0.8 * x.data.nbytes, (composed - fused) / x.data.nbytes
 
     def test_dropout_takes_draws_made_ahead(self):
+        """A keep mask drawn ahead gives the bits of the live draws; a
+        mask of another shape, or float draws, are refused."""
         x = Tensor(np.ones((2, 3, 4)))
         draws = np.random.default_rng(3).random((2, 3, 4))
         live = ad.dropout(x, 0.25, "train", np.random.default_rng(3)).data
-        np.testing.assert_array_equal(ad.dropout(x, 0.25, "train", draws).data, live)
-        with pytest.raises(ShapeError):
-            ad.dropout(x, 0.25, "train", draws[0])
+        np.testing.assert_array_equal(ad.dropout(x, 0.25, "train", draws >= 0.25).data, live)
+        for bad in (draws[0] >= 0.25, draws):
+            with pytest.raises(ShapeError):
+                ad.dropout(x, 0.25, "train", bad)
 
     def test_backward_releases_interior_nodes(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -115,6 +115,23 @@ class TestTrain:
         assert "'spk000_utt000'" in err and "320 samples" in err and "560" in err
         assert not out.exists()
 
+    def test_validation_taking_every_utterance_is_a_usage_error(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """`val_fraction = 0.9` of two utterances puts both in validation:
+        exit 2 naming the key and the counts, before anything is featurized."""
+        def no_featurizing(*_):
+            raise AssertionError("featurized before the split was checked")
+
+        monkeypatch.setattr("amcrn.training.featurize", no_featurizing)
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text("val_fraction = 0.9\n")
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--toy", "speakers=2 utts=1 seconds=0.5", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "val_fraction 0.9 puts all 2 utterances in validation" in err
+        assert not out.exists()
+
     def test_short_wav_in_data_is_named(self, tmp_path, capsys):
         data = tmp_path / "data"
         for spk in ("a", "b"):
@@ -133,7 +150,7 @@ BAD_CONFIG_LINES = {
     "unknown_key": ("not_a_key = 1", "unknown key 'not_a_key'"),
     "no_equals": ("use_blstm true", "expected key = value"),
     "bad_bool": ("use_blstm = flase", "use_blstm: expected a boolean, got 'flase'"),
-    "bad_int": ("n_mcb = three", "n_mcb: expected an integer, got 'three'"),
+    "bad_int": ("channels = three", "channels: expected an integer, got 'three'"),
     "bad_float": ("blstm_dropout = 0.2.1", "blstm_dropout: expected a number, got '0.2.1'"),
     "bad_tuple": ("mcb_dilations = 2,3,four",
                   "mcb_dilations: expected comma-separated integers, got '2,3,four'"),
@@ -190,11 +207,9 @@ def test_bad_config_line_is_located(workspace, tmp_path, capsys, command, case):
 # A config whose every line parses but whose values fail the config's own
 # checks -> (the commands that check them, what stderr says after `<path>: `).
 INVALID_CONFIGS = {
-    "block_lists": ("n_mcb = 2", ("train", "profile", "embed"),
-                    "per-block lists must have length n_mcb"),
+    "block_lists": ("mcb_kernel = 3,3", ("train", "profile", "embed"),
+                    "mcb_kernel has 2 entries, mcb_dilations 3: one of each per block"),
     "no_scales": ("n_scales = 0", ("train", "profile", "embed"), "n_scales must be >= 1"),
-    "initial_channels": ("initial_channels = 7", ("train", "profile", "embed"),
-                         "initial_channels must match the first block's channels"),
     "epochs": ("epochs = 0", ("train", "profile"), "epochs must be at least 1, got 0"),
     "batch_size": ("batch_size = 0", ("train", "profile"),
                    "batch_size must be at least 1, got 0"),
@@ -368,14 +383,15 @@ CORRUPT_CHECKPOINTS = {
     "flipped": (lambda blob: blob[:-40] + bytes([blob[-40] ^ 0x10]) + blob[-39:],
                 "checkpoint checksum mismatch"),
     "amcrn1": (lambda blob: b"AMCRN1" + blob[_first_entry(blob):-4], "an AMCRN1 checkpoint"),
+    "amcrn2": (lambda blob: b"AMCRN2" + blob[6:], "an AMCRN2 checkpoint"),
 }
 
 
 @pytest.mark.parametrize("command", ["embed", "enroll", "verify", "eval"])
 @pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
 def test_corrupt_checkpoint_is_data_error(workspace, tmp_path, capsys, command, case):
-    """Each command that loads a checkpoint exits 2 on a cut, changed or
-    AMCRN1 file, with the reader's message and no output file."""
+    """Each command that loads a checkpoint exits 2 on a cut, changed,
+    AMCRN1 or AMCRN2 file, with the reader's message and no output file."""
     _, data_dir, ckpt = workspace
     corrupt, begins = CORRUPT_CHECKPOINTS[case]
     bad = tmp_path / "bad.ckpt"

@@ -304,7 +304,7 @@ class TestCheckpoint:
     def test_embedded_config_round_trips(self, tmp_path):
         """The config travels inside the one file, as `config_text`; no
         second file is written or read."""
-        cfg = tiny_config(n_scales=4, channels=32, standard_conv=True)
+        cfg = tiny_config(n_scales=4, channels=32, mcb_dilations=(1, 1, 1))
         model = AmcrnModel(cfg, seed=0)
         blob = checkpoint_bytes(model)
         assert blob[10:_first_entry(blob)].decode() == config_text(cfg)
@@ -317,7 +317,7 @@ class TestCheckpoint:
     def test_config_sidecar_round_trips(self, tmp_path):
         """A stale <path>.cfg beside a checkpoint, left by the two-file
         layout, is not read: the config comes back from the file itself."""
-        cfg = tiny_config(n_scales=4, channels=32, standard_conv=True)
+        cfg = tiny_config(n_scales=4, channels=32, mcb_dilations=(1, 1, 1))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, AmcrnModel(cfg, seed=0))
         (tmp_path / "m.ckpt.cfg").write_text(config_text(tiny_config()))
@@ -359,12 +359,14 @@ class TestCheckpoint:
             restore_model(_sealed(body))
 
     def test_amcrn1_file_rejected_naming_the_format(self):
-        """The old layout (magic, entries, count; config in a second file)
-        is refused with a message that says to retrain."""
+        """The old layouts are refused with a message that says to retrain:
+        AMCRN1 (magic, entries, count; config in a second file) and AMCRN2
+        (this layout over a config with fields AmcrnConfig no longer has)."""
         blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
-        old = b"AMCRN1" + blob[_first_entry(blob):-4]
-        with pytest.raises(ConfigError, match=r"^an AMCRN1 checkpoint, .*retrain"):
-            restore_model(old)
+        for old in (b"AMCRN1" + blob[_first_entry(blob):-4], b"AMCRN2" + blob[6:]):
+            with pytest.raises(ConfigError, match=f"^an {old[:6].decode()} checkpoint, .*retrain"
+                                                  " the model to write an AMCRN3 checkpoint$"):
+                restore_model(old)
 
     def test_skipped_entry_goes_through_the_checksum(self):
         """An entry the model has no array for is read past, not loaded;
@@ -428,8 +430,9 @@ class TestCheckpointBounds:
     @pytest.mark.parametrize("config", [
         AmcrnConfig(), tiny_config(), tiny_config(use_blstm=False),
         tiny_config(use_temporal_attention=False, n_scales=4),
-        tiny_config(standard_conv=True, n_scales=1)],
-        ids=["full", "tiny", "no_blstm", "no_attention", "standard_conv_one_scale"])
+        tiny_config(mcb_dilations=(1, 1, 1), n_scales=1),
+        tiny_config(mcb_kernel=(3, 5), mcb_dilations=(1, 2))],
+        ids=["full", "tiny", "no_blstm", "no_attention", "dilation_one_one_scale", "two_blocks"])
     def test_size_check_counts_every_stored_value(self, config):
         """The count the reader checks the file size against is exactly
         the number of values a checkpoint of the config holds, so no
@@ -468,23 +471,27 @@ class TestCheckpointBounds:
             restore_model(_sealed(bad))
 
 
-# SHA-256 and size of the AMCRN2 checkpoint of AmcrnModel(tiny_config(),
-# seed=0) with 0.25 added to initial_bn.running_mean. The default was
-# frozen when the config moved into the file and the CRC32 trailer was
-# added; its bytes are the AMCRN1 file's entries and count, with the
-# magic, the config block and the CRC around them. Each structural
-# ablation holds a different set of entries (standard_conv changes only
-# the config text); these were frozen before the model's arrays came to
-# be listed by one walk over its layers.
+# SHA-256 and size of the AMCRN3 checkpoint of AmcrnModel(tiny_config(),
+# seed=0) with 0.25 added to initial_bn.running_mean, and SHA-256 of its
+# entries and entry count: the bytes between the config block and the CRC.
+# The file hashes move with the magic and the config text; the entry
+# hashes are those of the AMCRN2 files, whose config named a channel
+# width per block, and move only when a stored value does. Each
+# structural ablation holds a different set of entries; dilation 1 in
+# every block changes only the config text.
 SEEDED_CHECKPOINTS = {
-    "default": ({}, ("326bccfc159e20c6c43545f539a4541d9e5635fcb59126930183c02beb545f2d", 45464)),
+    "default": ({}, ("538bf6120ee472d7182f659c6e8dc4a0637505efb1876b4adbbf5b546a0b8b97", 45383),
+                "0851005268bf848c02905e87145c3c635a2868a507e21400a6bf63f431445745"),
     "no_blstm": (dict(use_blstm=False),
-                 ("17182bae1669f4552fafc166f8837e0a02971e8b37c15845cd1e803073c1f64c", 31153)),
+                 ("58e32afc3533c1c4640a78b54d22c96bf877f52c699260c59704a425a709c11c", 31072),
+                 "78f7628a74f526a040d8ddaf137cd1e80e87a5b0f41694fa10062559c4fe5a35"),
     "no_temporal_attention": (
         dict(use_temporal_attention=False),
-        ("66a898f4bb846cd4434bd573b81f37e82fdb678f51290167f1117657174773a7", 45141)),
-    "standard_conv": (dict(standard_conv=True),
-                      ("2dd908756da1f61d89c2cb9e7ce13349f160ec7dfaccaff77d91715b7598d337", 45463)),
+        ("02a0920e0ba165da8470fdd89c8adf4dbbc476326868783a8ce181c5144c20fe", 45060),
+        "4c867e273f42d8ef84ada725df73d8c51c21fab5984a502c41981b69a0c11d96"),
+    "dilation_one": (dict(mcb_dilations=(1, 1, 1)),
+                     ("7d6ea2e84004deb35eeba282ab72905aa849e81fdb771b31e0ad3a136173fc6a", 45383),
+                     "0851005268bf848c02905e87145c3c635a2868a507e21400a6bf63f431445745"),
 }
 
 
@@ -504,13 +511,21 @@ class TestStreamedCheckpoint:
 
     @pytest.mark.parametrize("variant", sorted(SEEDED_CHECKPOINTS))
     def test_seeded_file_bytes_frozen(self, tmp_path, variant):
-        overrides, frozen = SEEDED_CHECKPOINTS[variant]
+        overrides, frozen, _ = SEEDED_CHECKPOINTS[variant]
         model = _seeded_model(**overrides)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         data = path.read_bytes()
         assert (hashlib.sha256(data).hexdigest(), len(data)) == frozen
         assert data == checkpoint_bytes(model)
+
+    @pytest.mark.parametrize("variant", sorted(SEEDED_CHECKPOINTS))
+    def test_seeded_entries_frozen(self, variant):
+        """A change to the config text, which re-pins the file hashes above,
+        cannot hide a change to the stored values."""
+        overrides, _, entries = SEEDED_CHECKPOINTS[variant]
+        blob = checkpoint_bytes(_seeded_model(**overrides))
+        assert hashlib.sha256(blob[_first_entry(blob):-4]).hexdigest() == entries
 
     def test_truncated_files_fail_as_truncated_blobs(self, tmp_path):
         model = _seeded_model()

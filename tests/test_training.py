@@ -373,11 +373,14 @@ class TestTrainLoop:
 # preset, `augment_copies = 1` and `batch_size = 4` (10 views an epoch, so
 # three minibatches), frozen from the trainer that
 # built every augmented view before the first minibatch and kept unfused
-# MCB and BLSTM tapes. Bit-exact sums can differ on another BLAS build.
+# MCB and BLSTM tapes; the checkpoint hashes were taken again when the
+# format became AMCRN3, whose config text names one `channels` width
+# (the stored values did not change). Bit-exact sums can differ on
+# another BLAS build.
 TRAINED_BYTES = {
-    0: ("c4ce93745bf94cba9af2aea120be6611291e6b9d37472b4f9e35a5112fa7844c",
+    0: ("600e943e838c009a51213be55206f13c281d78a4809cd98fcc930ae16ea0f3cf",
         "9fed00797b653d6ac78e372d94e944d611031b7800b38326e8e6916d73e190ce"),
-    1: ("d191062d89ebf92855f0d4410442ce233763ea32754aa819458165cbd0372801",
+    1: ("56437551324b0fe4a26ec3e1d3cbbd5a8a798b0ed9b4425971c12beee856fa45",
         "0466a218d4ee2ff2f2370cc704bf5320bfdfd1906d6fbda3fbdcc9ea9475ba8a"),
 }
 
@@ -399,11 +402,12 @@ def test_trained_bytes_are_pinned(tmp_path, seed):
 # `batch_size = 4`, where D is `amcrn toygen --spec 'speakers=2 utts=3
 # seconds=2.5'`: the benchmark's path. Frozen from the trainer that read
 # every WAV file whole before the first epoch and kept the unfused pooling
-# and residual nodes. Bit-exact sums can differ on another BLAS build.
+# and residual nodes; the checkpoint hashes were taken again for AMCRN3.
+# Bit-exact sums can differ on another BLAS build.
 TRAINED_DATA_BYTES = {
-    0: ("17eff95b81e5816437dd73036968b893f0e14abbcee77fc0492e7bca08adb526",
+    0: ("82d4a0c49a19d303eebbc8393ed4deb9b1d3d53f9ed791dff427e551c61b4c31",
         "2621a5ecc820f56d80f35069800e54b3e5f925e8afca41d51fc11772d1ab85a5"),
-    1: ("695d482dd5ff248607b3ee0dfff5e040a54901a0758f7d3543e4eede255b0084",
+    1: ("ff8a586ffd9ccb15dbf9417779f61bebaf7181d67849ab56179c575f773547c6",
         "c907ddece58ca65badd98dd74ff6db197f8b082f636bb171cbada744610e8c15"),
 }
 
