@@ -4,9 +4,10 @@ A Tensor wraps an ndarray and records the operations that produced it;
 `backward` on a scalar loss accumulates gradients into every reachable
 tensor with `requires_grad`. Only the operations the network needs are
 provided: elementwise arithmetic and activations, matmul by a matrix,
-reductions, concatenation/splitting, dilated 1-D convolution, a fused
-convolution + BatchNorm (+ ReLU) node, a fused residual sum + ReLU node,
-a fused LSTM direction, dropout, and the losses.
+reductions, concatenation/splitting, dilated 1-D convolution, one
+convolution + BatchNorm (+ ReLU) node that normalizes by the sequence's
+own statistics or by given ones, a fused residual sum + ReLU node, a
+fused LSTM direction, dropout by a given mask, and the losses.
 
 A taped pass keeps only what backward reads: the fused nodes work in
 their own buffers, the LSTM writes its gates over its input projection
@@ -466,55 +467,6 @@ def linear(x, weight, bias=None):
     return out
 
 
-def _standardize(data, eps, out=None):
-    """(xhat, mean, var, std) of each sequence of a (B x) T x C array over
-    time: xhat = (data - mean) / std with std = sqrt(var + eps), written
-    into `out` when given (which may be `data` itself)."""
-    scale = 1.0 / data.shape[-2]
-    mean = data.sum(axis=-2, keepdims=True) * scale
-    xhat = np.subtract(data, mean, out=out)
-    var = (xhat**2).sum(axis=-2, keepdims=True) * scale
-    std = np.sqrt(var + eps)
-    xhat /= std
-    return xhat, mean, var, std
-
-
-def _standardize_backward(g, xhat, std, gamma, beta, need_x):
-    """Accumulate the gradients of gamma and beta for the output gradient
-    `g` of gamma * xhat + beta; return the input's gradient if `need_x`."""
-    channels = g.shape[-1]
-    if gamma.requires_grad:
-        gamma._accum((g * xhat).reshape(-1, channels).sum(axis=0))
-    if beta.requires_grad:
-        beta._accum(g.reshape(-1, channels).sum(axis=0))
-    if need_x:
-        scale = 1.0 / g.shape[-2]
-        gx = g * gamma.data
-        proj = (gx * xhat).sum(axis=-2, keepdims=True) * scale
-        return (gx - gx.sum(axis=-2, keepdims=True) * scale - xhat * proj) / std
-    return None
-
-
-def batch_norm(x, gamma, beta, eps):
-    """Per-channel normalization of each sequence by its own statistics
-    over time, as one graph node: gamma * (x - mean) / sqrt(var + eps) + beta.
-
-    x: (B x) T x C; gamma, beta: C. Returns (out, mean, var) with mean
-    and var the (B x) 1 x C statistics as plain arrays. Backward keeps
-    only the normalized input and the standard deviation.
-    """
-    x, gamma, beta = (as_tensor(v) for v in (x, gamma, beta))
-    xhat, mean, var, std = _standardize(x.data, eps)
-
-    def bwd(g):
-        gx = _standardize_backward(g, xhat, std, gamma, beta, x.requires_grad)
-        if gx is not None:
-            x._accum(gx)
-
-    out = Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta), _backward=bwd)
-    return out, mean, var
-
-
 def _pad_time(data, pad):
     """`data` with `pad` zero frames added at both ends of axis -2."""
     t_len = data.shape[-2]
@@ -588,19 +540,30 @@ def conv1d_dilated(x, kernel, bias=None, dilation=1, out=None):
     return Tensor(acc, _parents=parents, _backward=bwd)
 
 
-def conv_batch_norm(x, kernel, bias, dilation, gamma, beta, eps, relu=False):
-    """`batch_norm(conv1d_dilated(x, kernel, bias, dilation), gamma, beta,
-    eps)`, then a ReLU if `relu`, as one graph node with the same bits.
+def conv_batch_norm(x, kernel, bias, dilation, gamma, beta, eps, relu=False, stats=None):
+    """Per-channel normalization of c = conv1d_dilated(x, kernel, bias,
+    dilation), gamma * (c - mean) / sqrt(var + eps) + beta, then a ReLU if
+    `relu`, as one graph node.
 
-    Returns (out, mean, var) as `batch_norm` does. The normalization runs
-    in the convolution's own output buffer, which backward keeps as the
-    normalized input, and the ReLU in the output's, whose sign masks its
-    gradient. The node keeps those two (B x) T x C arrays, where the
-    composition keeps four (three without the ReLU).
+    Without `stats`, mean and var are each sequence's own statistics over
+    time, (B x) 1 x C arrays; `stats=(mean, var)` gives per-channel arrays
+    to normalize by instead, which get no gradient. Returns (out, mean,
+    var). The normalization runs in the convolution's own output buffer,
+    which backward keeps as the normalized input, and the ReLU in the
+    output's, whose sign masks its gradient.
     """
     gamma, beta = as_tensor(gamma), as_tensor(beta)
     acc, conv_parents, conv_bwd = _conv(x, kernel, bias, dilation)
-    xhat, mean, var, std = _standardize(acc, eps, out=acc)
+    scale = 1.0 / acc.shape[-2]
+    if stats is None:
+        mean = acc.sum(axis=-2, keepdims=True) * scale
+        xhat = np.subtract(acc, mean, out=acc)
+        var = (xhat**2).sum(axis=-2, keepdims=True) * scale
+    else:
+        mean, var = stats
+        xhat = np.subtract(acc, mean, out=acc)
+    std = np.sqrt(var + eps)
+    xhat /= std
     out = gamma.data * xhat
     out += beta.data
     if relu:
@@ -610,9 +573,17 @@ def conv_batch_norm(x, kernel, bias, dilation, gamma, beta, eps, relu=False):
     def bwd(g):
         if relu:
             g = g * (out > 0.0)
-        gx = _standardize_backward(g, xhat, std, gamma, beta, need_conv)
-        if gx is not None:
-            conv_bwd(gx)
+        channels = g.shape[-1]
+        if gamma.requires_grad:
+            gamma._accum((g * xhat).reshape(-1, channels).sum(axis=0))
+        if beta.requires_grad:
+            beta._accum(g.reshape(-1, channels).sum(axis=0))
+        if need_conv:
+            gx = g * gamma.data
+            if stats is None:
+                proj = (gx * xhat).sum(axis=-2, keepdims=True) * scale
+                gx = gx - gx.sum(axis=-2, keepdims=True) * scale - xhat * proj
+            conv_bwd(gx / std)
 
     return Tensor(out, _parents=conv_parents + (gamma, beta), _backward=bwd), mean, var
 
@@ -931,18 +902,12 @@ def lstm(x, w_x, w_h, bias, reverse=False, out=None):
     return Tensor(out, _parents=(x, w_x, w_h, bias), _backward=bwd)
 
 
-def dropout(x, p, mode, rng):
-    """Inverted dropout: identity in eval mode.
-
-    `rng` is a numpy Generator, from which x.shape uniform draws are
-    taken and an entry kept where its draw is >= p, or that boolean keep
-    mask taken ahead of time. The node keeps the mask, and forms the
-    float mask `keep / (1 - p)` when it applies it.
+def dropout(x, keep, p):
+    """Inverted dropout by a boolean `keep` mask of x's shape: an entry is
+    kept, scaled by 1 / (1 - p), where its mask is True. The node keeps
+    the mask, and forms the float mask `keep / (1 - p)` when it applies it.
     """
-    x = as_tensor(x)
-    if mode == "eval" or p <= 0.0:
-        return x
-    keep = rng if isinstance(rng, np.ndarray) else rng.random(x.data.shape) >= p
+    x, keep = as_tensor(x), np.asarray(keep)
     if keep.shape != x.data.shape or keep.dtype != bool:
         raise ShapeError(f"dropout keep mask of {keep.dtype} shape {keep.shape} "
                          f"for input {x.data.shape}: expected booleans of the input's shape")

@@ -129,6 +129,16 @@ class AmcrnConfig:
             value = getattr(self, f.name)
             if type(f.default) in (int, tuple) and min(np.atleast_1d(value), default=0) < 1:
                 raise ConfigError(f"{f.name} must be >= 1")
+        for name in ("initial_kernel", "mcb_kernel", "ta_kernel", "fusion_kernel"):
+            sizes = np.atleast_1d(getattr(self, name))
+            if (sizes % 2 == 0).any():
+                raise ConfigError(f"{name} must be odd, got {','.join(map(str, sizes))}")
+        if not 0.0 <= self.blstm_dropout < 1.0:
+            raise ConfigError(f"blstm_dropout must be in [0, 1), got {self.blstm_dropout!r}")
+        if not math.isfinite(self.aam_margin):
+            raise ConfigError(f"aam_margin must be finite, got {self.aam_margin!r}")
+        if not (math.isfinite(self.aam_scale) and self.aam_scale > 0.0):
+            raise ConfigError(f"aam_scale must be a finite number > 0, got {self.aam_scale!r}")
         if self.channels % self.n_scales:
             raise ConfigError(f"channels {self.channels} not divisible by "
                               f"n_scales {self.n_scales}")
@@ -201,35 +211,24 @@ class _RunningNorm:
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def _normalize(self, x, mean, var):
-        xhat = (x - Tensor(mean)) / Tensor(np.sqrt(var + self.EPS))
-        return self.gamma * xhat + self.beta
-
 
 class BatchNorm(_RunningNorm):
-    """Per-channel normalization over the time axis.
+    """Per-channel normalization over the time axis of a convolution's
+    output, `conv(x)`, followed by a ReLU if `relu`: in both modes one
+    `autodiff.conv_batch_norm` node.
 
     Train mode normalizes each utterance with its own statistics over
     time and updates the running statistics once per utterance in batch
     order; eval mode uses the running statistics.
-
-    Given a `conv`, the layer normalizes `conv(x)`, and with `relu` it
-    applies a ReLU after; in train mode both run inside one
-    `autodiff.conv_batch_norm` node, which keeps fewer arrays for
-    backward than the three ops do.
     """
 
-    def __call__(self, x, mode, conv=None, relu=False):
-        if mode != "train":
-            out = self._normalize(x if conv is None else conv(x), self.running_mean,
-                                  self.running_var)
-            return ad.relu(out) if relu else out
-        if conv is None:
-            out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.EPS)
-            out = ad.relu(out) if relu else out
-        else:
-            out, mean, var = ad.conv_batch_norm(x, conv.kernel, conv.bias, conv.dilation,
-                                                self.gamma, self.beta, self.EPS, relu)
+    def __call__(self, x, mode, conv, relu=False):
+        train = mode == "train"
+        out, mean, var = ad.conv_batch_norm(
+            x, conv.kernel, conv.bias, conv.dilation, self.gamma, self.beta, self.EPS, relu,
+            stats=None if train else (self.running_mean, self.running_var))
+        if not train:
+            return out
         channels = self.running_mean.shape[0]
         for m, v in zip(mean.reshape(-1, channels), var.reshape(-1, channels)):
             self.running_mean = (1 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * m
@@ -246,6 +245,10 @@ class VectorNorm(_RunningNorm):
     taken one row at a time in order: row b is normalized with the
     estimates after its own update, as if the rows came in B calls.
     """
+
+    def _normalize(self, x, mean, var):
+        xhat = (x - Tensor(mean)) / Tensor(np.sqrt(var + self.EPS))
+        return self.gamma * xhat + self.beta
 
     def __call__(self, x, mode):
         if mode != "train":
@@ -455,9 +458,9 @@ class ResidualBlstm:
     back to the input width, and a residual connection; the projection
     and the residual sum are one `autodiff.residual_affine` node.
 
-    `rng` feeds the dropout (see `autodiff.dropout`): a Generator, or the
-    keep masks `AmcrnModel.draw_dropout` drew for each utterance, stacked
-    like x.
+    Train mode applies dropout by `keep`, the masks
+    `AmcrnModel.draw_dropout` drew for each utterance, stacked like x;
+    without them, and in eval mode, there is none.
     """
 
     def __init__(self, name, channels, hidden, dropout_p, rng):
@@ -466,9 +469,9 @@ class ResidualBlstm:
         self.blstm2 = BlstmLayer(f"{name}.blstm2", 2 * hidden, hidden, rng)
         self.proj = Linear(f"{name}.proj", 2 * hidden, channels, rng)
 
-    def __call__(self, x, mode, rng=None):
+    def __call__(self, x, mode, keep=None):
         h1 = self.blstm1(x)
-        d = ad.dropout(h1, self.dropout_p, mode, rng) if rng is not None else h1
+        d = ad.dropout(h1, keep, self.dropout_p) if mode == "train" and keep is not None else h1
         h2 = self.blstm2(d)
         return ad.residual_affine(x, h2, self.proj.weight, self.proj.bias)
 
@@ -600,11 +603,11 @@ class AmcrnModel:
 
     # -- forward --------------------------------------------------------
 
-    def embed_tensor(self, lms, mode="eval", rng=None):
+    def embed_tensor(self, lms, mode="eval", keep=None):
         """Differentiable embedding of a T x n_mels feature matrix (D out),
         or of a B x T x n_mels stack of equal-length utterances (B x D).
 
-        `rng` feeds the train-mode dropout (see `ResidualBlstm`).
+        `keep` holds the train-mode dropout masks (see `ResidualBlstm`).
         """
         x = ad.as_tensor(lms)
         if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.n_mels:
@@ -614,7 +617,7 @@ class AmcrnModel:
         for block in self.blocks:
             x = block(x, mode)
         if self.rblstm is not None:
-            x = self.rblstm(x, mode, rng)
+            x = self.rblstm(x, mode, keep)
         pooled = self.pool(x)
         emb = self.emb_linear(pooled.reshape(-1, pooled.shape[-1]))
         return self.emb_norm(emb.reshape(*batch, self.config.embedding_dim), mode)
@@ -630,11 +633,11 @@ class AmcrnModel:
             emb = self.embed_tensor(lms_values, mode="eval")
         return np.asarray(emb.data, dtype=np.float64)
 
-    def classify_loss(self, lms_values, labels, mode="train", rng=None):
+    def classify_loss(self, lms_values, labels, mode="train", keep=None):
         """AAM-softmax cross-entropy loss of one labeled T x n_mels
         utterance, or the summed loss of a B x T x n_mels stack and its B
         labels."""
-        emb = self.embed_tensor(lms_values, mode=mode, rng=rng)
+        emb = self.embed_tensor(lms_values, mode=mode, keep=keep)
         logits = aam_logits(emb, self.head, labels,
                             self.config.aam_margin, self.config.aam_scale)
         return ad.cross_entropy(logits, labels)
@@ -642,9 +645,9 @@ class AmcrnModel:
     def draw_dropout(self, n_frames, rng):
         """The dropout keep mask that a train-mode forward pass over one
         utterance of `n_frames` frames draws from `rng` (None if it draws
-        none), as booleans. Stacked per utterance, masks can stand in for
-        `rng` in a batched pass, so that the draws for several utterances
-        can be taken in turn with other draws between them."""
+        none), as booleans. Stacked per utterance, masks are the `keep` of a
+        batched pass, so that the draws for several utterances can be
+        taken in turn with other draws between them."""
         if self.rblstm is None or self.rblstm.dropout_p <= 0.0:
             return None
         return rng.random((n_frames, 2 * self.config.blstm_hidden)) >= self.rblstm.dropout_p

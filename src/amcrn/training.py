@@ -182,7 +182,7 @@ def _run_loss(model: AmcrnModel, run) -> ad.Tensor:
     keep = None if masks[0] is None else np.stack(masks)
     feats = np.stack(feats)
     del masks
-    return model.classify_loss(feats, labels, mode="train", rng=keep)
+    return model.classify_loss(feats, labels, mode="train", keep=keep)
 
 
 def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:

@@ -18,7 +18,7 @@ from amcrn.cli import main as cli_main
 from amcrn.dsp import featurize, power_spectrum
 from amcrn.errors import ConfigError
 from amcrn.model import (AmcrnModel, AttentiveStatPool, BatchNorm, BlstmLayer,
-                         McbBlock, aam_logits, checkpoint_bytes, restore_model,
+                         Conv1d, McbBlock, aam_logits, checkpoint_bytes, restore_model,
                          temporal_attention, tiny_config)
 from amcrn.scoring import (compute_eer, compute_mindcf, csm, plda_score,
                            plda_train, truncate_segment)
@@ -117,12 +117,13 @@ def test_criterion_01_gradient_suite():
         lambda x: ad.tsum(ad.conv1d_dilated(x, kern, dilation=3) ** 2),
         Tensor(rng.standard_normal((8, 2))))
 
+    bn_conv = Conv1d("bn_conv", 3, 2, 3, 2, np.random.default_rng(1))
     bn = BatchNorm("bn", 3)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
     bn.beta.data[:] = rng.standard_normal(3)
     errs["batchnorm"] = grad_check(
-        lambda x: ad.tsum(bn(x, "train") ** 2),
-        Tensor(rng.standard_normal((6, 3))))
+        lambda x: ad.tsum(bn(x, "train", conv=bn_conv) ** 2),
+        Tensor(rng.standard_normal((6, 2))))
 
     blstm = BlstmLayer("bl", 2, 3, rng)
     errs["blstm"] = grad_check(
@@ -227,8 +228,8 @@ def test_criterion_04_shapes_and_structural_variants():
     model = AmcrnModel(cfg, seed=0)
     rng = np.random.default_rng(4)
     for t_len in (1, 7, 200):
-        x = ad.relu(model.initial_bn(model.initial_conv(
-            Tensor(rng.standard_normal((t_len, 8)))), "eval"))
+        x = model.initial_bn(Tensor(rng.standard_normal((t_len, 8))), "eval",
+                             conv=model.initial_conv, relu=True)
         for block in model.blocks:
             x = block(x, "eval")
             assert x.data.shape == (t_len, 16)

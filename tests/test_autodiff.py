@@ -8,7 +8,7 @@ import pytest
 from amcrn import autodiff as ad
 from amcrn.autodiff import Parameter, Tensor, grad_check
 from amcrn.errors import ConfigError, ShapeError
-from amcrn.model import McbBlock, named_arrays, tiny_config
+from amcrn.model import McbBlock, ResidualBlstm, named_arrays, tiny_config
 
 
 def conv_reference(x, kernel, dilation):
@@ -300,13 +300,16 @@ class TestSemantics:
         assert np.all(np.isfinite(logits.grad))
 
     def test_dropout_eval_is_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        out = ad.dropout(x, 0.5, "eval", np.random.default_rng(0))
-        assert out is x
+        """Eval mode applies no dropout, whatever masks it is handed."""
+        rb = ResidualBlstm("rb", 4, 3, 0.5, np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).standard_normal((5, 4)))
+        keep = np.zeros((5, 6), dtype=bool)
+        assert_same_bits(rb(x, "eval", keep).data, rb(x, "eval").data)
+        assert not np.array_equal(rb(x, "train", keep).data, rb(x, "eval").data)
 
     def test_dropout_train_scales_surviving_units(self):
         x = Tensor(np.ones((200, 50)))
-        out = ad.dropout(x, 0.25, "train", np.random.default_rng(0)).data
+        out = ad.dropout(x, np.random.default_rng(0).random(x.shape) >= 0.25, 0.25).data
         vals = np.unique(out)
         np.testing.assert_allclose(vals, [0.0, 1.0 / 0.75])
         assert abs(out.mean() - 1.0) < 0.02
@@ -405,9 +408,19 @@ class TestCopyFreeGradients:
 
 
 def conv_bn_composite(x, kernel, bias, dilation, gamma, beta, eps, relu):
-    """What `ad.conv_batch_norm` fuses, as three graph nodes."""
-    out, mean, var = ad.batch_norm(ad.conv1d_dilated(x, kernel, bias, dilation), gamma, beta, eps)
+    """What `ad.conv_batch_norm` computes with a sequence's own statistics,
+    from elementary graph nodes; (out, mean, var) as it returns them."""
+    c = ad.conv1d_dilated(x, kernel, bias, dilation)
+    out = batch_norm_composite(c, gamma, beta, eps)
+    mean, var = c.data.mean(axis=-2, keepdims=True), c.data.var(axis=-2, keepdims=True)
     return (ad.relu(out) if relu else out), mean, var
+
+
+def fixed_stats_reference(c, mean, var, gamma, beta, eps, relu):
+    """gamma * (c - mean) / sqrt(var + eps) + beta (+ ReLU) in the order
+    `ad.conv_batch_norm` runs it, on plain arrays."""
+    out = gamma * ((c - mean) / np.sqrt(var + eps)) + beta
+    return np.maximum(out, 0.0) if relu else out
 
 
 class TestConvBatchNorm:
@@ -422,6 +435,8 @@ class TestConvBatchNorm:
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("shape", [(7,), (2, 7)])
     def test_bit_identical_to_the_composition(self, shape, relu):
+        """The output keeps the composition's bits; the statistics and the
+        gradients, summed in another order, agree to 1e-12."""
         values = self._values(shape, 48)
         weights = Tensor(np.random.default_rng(49).standard_normal(shape + (4,)))
         results = []
@@ -431,8 +446,42 @@ class TestConvBatchNorm:
             ad.tsum(out * weights).backward()
             results.append([out.data, mean, var] + [t.grad for t in (x, kernel, bias, gamma, beta)])
         names = ("out", "mean", "var", "x", "kernel", "bias", "gamma", "beta")
-        for name, got, want in zip(names, *results):
-            assert_same_bits(got, want, name)
+        assert_same_bits(results[0][0], results[1][0], "out")
+        for name, got, want in list(zip(names, *results))[1:]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("shape", [(7,), (2, 7)])
+    def test_given_stats_keep_the_bits_of_the_formula(self, shape, relu, dtype):
+        """With `stats`, the node normalizes by them and returns them; a
+        graph-free float32 pass stays float32."""
+        x, kernel, bias, gamma, beta = (v.astype(dtype) for v in self._values(shape, 53))
+        rng = np.random.default_rng(54)
+        mean, var = rng.standard_normal(4).astype(dtype), rng.uniform(0.5, 2.0, 4).astype(dtype)
+        with ad.no_grad():
+            c = ad.conv1d_dilated(x, kernel, bias, 2).data
+            out, got_mean, got_var = ad.conv_batch_norm(x, kernel, bias, 2, gamma, beta, 1e-5,
+                                                        relu, stats=(mean, var))
+        assert out.data.dtype == dtype
+        assert got_mean is mean and got_var is var
+        want = fixed_stats_reference(c, mean, var, gamma, beta, 1e-5, relu)
+        assert_same_bits(out.data, want)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_given_stats_grad_check(self, relu):
+        """x, kernel, bias, gamma and beta in turn, the statistics fixed."""
+        values = [Tensor(v) for v in self._values((2, 6), 55)]
+        rng = np.random.default_rng(56)
+        stats = (rng.standard_normal(4), rng.uniform(0.5, 2.0, 4))
+        w = Tensor(rng.standard_normal((2, 6, 4)))
+        for i in range(5):
+            def loss(v, i=i):
+                x, kernel, bias, gamma, beta = values[:i] + [v] + values[i + 1:]
+                return ad.tsum(ad.conv_batch_norm(x, kernel, bias, 1, gamma, beta, 1e-5,
+                                                  relu, stats)[0] * w)
+
+            assert grad_check(loss, values[i]) < self.TOL, i
 
     @pytest.mark.parametrize("relu", [False, True])
     def test_grad_check(self, relu):
@@ -482,13 +531,9 @@ def residual_relu_composite(s, x, gate=None):
     return ad.relu(s + (x if gate is None else gate * x))
 
 
-def dropout_composite(x, p, mode, rng):
+def dropout_composite(x, keep, p):
     """`ad.dropout` as a product with a float64 mask node."""
-    x = ad.as_tensor(x)
-    if mode == "eval" or p <= 0.0:
-        return x
-    keep = rng if isinstance(rng, np.ndarray) else rng.random(x.data.shape) >= p
-    return x * Tensor(keep / (1.0 - p))
+    return ad.as_tensor(x) * Tensor(keep / (1.0 - p))
 
 
 def kept_bytes(make):
@@ -736,7 +781,7 @@ class TestAttentiveStatPool:
 
 
 def batch_norm_composite(x, gamma, beta, eps):
-    """Reference for `ad.batch_norm` built from elementary tape ops."""
+    """Per-sequence BatchNorm over time built from elementary tape ops."""
     mean = ad.tmean(x, axis=-2, keepdims=True)
     var = ad.tmean((x - mean) ** 2, axis=-2, keepdims=True)
     return gamma * ((x - mean) / ad.sqrt(var + eps)) + beta
@@ -817,36 +862,6 @@ class TestBatchAxis:
         with pytest.raises(ShapeError):
             ad.cross_entropy(Tensor(logits), labels[:2])
 
-    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3)])
-    def test_batch_norm_matches_composite(self, shape):
-        rng = np.random.default_rng(26)
-        values = [rng.standard_normal(shape), rng.uniform(0.5, 1.5, 3), rng.standard_normal(3)]
-        weights = Tensor(rng.standard_normal(shape))
-        results = []
-        for fused in (True, False):
-            inputs = [Tensor(v.copy(), requires_grad=True) for v in values]
-            if fused:
-                out, mean, var = ad.batch_norm(*inputs, 1e-5)
-                np.testing.assert_allclose(mean[..., 0, :], values[0].mean(axis=-2), atol=1e-12)
-                np.testing.assert_allclose(var[..., 0, :], values[0].var(axis=-2), atol=1e-12)
-            else:
-                out = batch_norm_composite(*inputs, 1e-5)
-            ad.tsum(out * weights).backward()
-            results.append([out.data] + [t.grad for t in inputs])
-        for name, got, ref in zip(("out", "x", "gamma", "beta"), *results):
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=name)
-
-    def test_batch_norm_grad_check(self):
-        rng = np.random.default_rng(27)
-        gamma = Tensor(rng.uniform(0.5, 1.5, 3))
-        beta = Tensor(rng.standard_normal(3))
-        w = Tensor(rng.standard_normal((2, 6, 3)))
-        f = lambda x: ad.tsum(ad.batch_norm(x, gamma, beta, 1e-5)[0] * w)
-        assert grad_check(f, Tensor(rng.standard_normal((2, 6, 3)))) < self.TOL
-        x = Tensor(rng.standard_normal((2, 6, 3)))
-        g = lambda gm: ad.tsum(ad.batch_norm(x, gm, beta, 1e-5)[0] ** 2)
-        assert grad_check(g, gamma) < self.TOL
-
     def test_matmul_weight_gradient_sums_the_batch(self):
         rng = np.random.default_rng(28)
         x = Tensor(rng.standard_normal((2, 4, 3)))
@@ -863,7 +878,7 @@ class TestBatchAxis:
         results = []
         for op in (ad.dropout, dropout_composite):
             x = Tensor(x0.copy(), requires_grad=True)
-            out = op(x, 0.3, "train", keep)
+            out = op(x, keep, 0.3)
             ad.tsum(out * w).backward()
             results.append([out.data, x.grad])
         for name, got, want in zip(("out", "x"), *results):
@@ -874,21 +889,25 @@ class TestBatchAxis:
         with a mask node keeps a float64 mask as well."""
         x = interior(np.ones((2, 200, 64)))
         keep = np.random.default_rng(64).random(x.shape) >= 0.2
-        fused = kept_bytes(lambda: ad.dropout(x, 0.2, "train", keep))
-        composed = kept_bytes(lambda: dropout_composite(x, 0.2, "train", keep))
+        fused = kept_bytes(lambda: ad.dropout(x, keep, 0.2))
+        composed = kept_bytes(lambda: dropout_composite(x, keep, 0.2))
         assert fused < 1.2 * x.data.nbytes, fused / x.data.nbytes
         assert composed - fused > 0.8 * x.data.nbytes, (composed - fused) / x.data.nbytes
 
     def test_dropout_takes_draws_made_ahead(self):
-        """A keep mask drawn ahead gives the bits of the live draws; a
-        mask of another shape, or float draws, are refused."""
+        """Keep masks drawn ahead per sequence, as `AmcrnModel.draw_dropout`
+        draws them, take the draws of one mask of the stack's shape; a
+        mask of another shape, float draws or a Generator are refused."""
         x = Tensor(np.ones((2, 3, 4)))
+        rng = np.random.default_rng(3)
+        rows = np.stack([rng.random((3, 4)) >= 0.25 for _ in range(2)])
         draws = np.random.default_rng(3).random((2, 3, 4))
-        live = ad.dropout(x, 0.25, "train", np.random.default_rng(3)).data
-        np.testing.assert_array_equal(ad.dropout(x, 0.25, "train", draws >= 0.25).data, live)
-        for bad in (draws[0] >= 0.25, draws):
+        np.testing.assert_array_equal(rows, draws >= 0.25)
+        np.testing.assert_array_equal(ad.dropout(x, rows, 0.25).data,
+                                      np.where(rows, 1.0 / 0.75, 0.0))
+        for bad in (draws[0] >= 0.25, draws, np.random.default_rng(3)):
             with pytest.raises(ShapeError):
-                ad.dropout(x, 0.25, "train", bad)
+                ad.dropout(x, bad, 0.25)
 
     def test_backward_releases_interior_nodes(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -210,6 +210,26 @@ INVALID_CONFIGS = {
     "block_lists": ("mcb_kernel = 3,3", ("train", "profile", "embed"),
                     "mcb_kernel has 2 entries, mcb_dilations 3: one of each per block"),
     "no_scales": ("n_scales = 0", ("train", "profile", "embed"), "n_scales must be >= 1"),
+    "initial_kernel_even": ("initial_kernel = 4", ("train", "profile", "embed"),
+                            "initial_kernel must be odd, got 4"),
+    "mcb_kernel_even": ("mcb_kernel = 3,4,3", ("train", "profile", "embed"),
+                        "mcb_kernel must be odd, got 3,4,3"),
+    "ta_kernel_even": ("ta_kernel = 6", ("train", "profile", "embed"),
+                       "ta_kernel must be odd, got 6"),
+    "fusion_kernel_even": ("fusion_kernel = 2", ("train", "profile", "embed"),
+                           "fusion_kernel must be odd, got 2"),
+    "dropout_one": ("blstm_dropout = 1.0", ("train", "profile", "embed"),
+                    "blstm_dropout must be in [0, 1), got 1.0"),
+    "dropout_nan": ("blstm_dropout = nan", ("train", "profile", "embed"),
+                    "blstm_dropout must be in [0, 1), got nan"),
+    "dropout_negative": ("blstm_dropout = -0.5", ("train", "profile", "embed"),
+                         "blstm_dropout must be in [0, 1), got -0.5"),
+    "aam_margin_inf": ("aam_margin = inf", ("train", "profile", "embed"),
+                       "aam_margin must be finite, got inf"),
+    "aam_scale_zero": ("aam_scale = 0", ("train", "profile", "embed"),
+                       "aam_scale must be a finite number > 0, got 0.0"),
+    "aam_scale_nan": ("aam_scale = nan", ("train", "profile", "embed"),
+                      "aam_scale must be a finite number > 0, got nan"),
     "epochs": ("epochs = 0", ("train", "profile"), "epochs must be at least 1, got 0"),
     "batch_size": ("batch_size = 0", ("train", "profile"),
                    "batch_size must be at least 1, got 0"),

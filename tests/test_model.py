@@ -96,12 +96,21 @@ AUDIT_VALUES = {
 }
 
 
+def draw_keep(model, shape, rng):
+    """The train-mode dropout masks for a (B x) T x n_mels input of
+    `shape`, drawn per utterance in order with `AmcrnModel.draw_dropout`
+    as training draws them, stacked like the input (None if it draws none)."""
+    masks = [model.draw_dropout(shape[-2], rng) for _ in range(math.prod(shape[:-2]))]
+    return None if masks[0] is None else np.stack(masks).reshape(shape[:-1] + (-1,))
+
+
 def _audit_signature(config):
     """Parameter count, eval embedding and one taped train-mode loss of a
     seeded model on seeded input."""
     model = AmcrnModel(config, seed=0)
     feats = np.random.default_rng(1).standard_normal((2, 60, config.n_mels))
-    loss = model.classify_loss(feats, [0, 1], mode="train", rng=np.random.default_rng(2))
+    loss = model.classify_loss(feats, [0, 1], mode="train",
+                               keep=draw_keep(model, feats.shape, np.random.default_rng(2)))
     return model.n_params(), model.embed(feats), float(loss.data)
 
 
@@ -741,10 +750,12 @@ class TestAamLogits:
 
 def per_crop_classify_loss(model, crops, labels, rng):
     """Reference for a batched `classify_loss`: one train-mode forward and
-    backward per crop, in order; returns the summed loss."""
+    backward per crop, in order, each with the dropout mask drawn for it;
+    returns the summed loss."""
     total = 0.0
     for x, label in zip(crops, labels):
-        loss = model.classify_loss(x, int(label), mode="train", rng=rng)
+        loss = model.classify_loss(x, int(label), mode="train",
+                                   keep=model.draw_dropout(len(x), rng))
         loss.backward()
         total += float(loss.data)
     return total
@@ -760,7 +771,8 @@ class TestBatchedModel:
         ref, got = AmcrnModel(cfg, seed=2), AmcrnModel(cfg, seed=2)
         ref_rng, got_rng = np.random.default_rng(41), np.random.default_rng(41)
         want = per_crop_classify_loss(ref, crops, labels, ref_rng)
-        loss = got.classify_loss(crops, labels, mode="train", rng=got_rng)
+        loss = got.classify_loss(crops, labels, mode="train",
+                                 keep=draw_keep(got, crops.shape, got_rng))
         loss.backward()
         assert abs(float(loss.data) - want) <= 1e-12
         for p, q in zip(ref.parameters(), got.parameters()):
@@ -850,7 +862,7 @@ class TestFullModel:
         model = AmcrnModel(cfg, seed=1)
         x = np.random.default_rng(29).standard_normal((8, cfg.n_mels))
         loss = model.classify_loss(x, 2, mode="train",
-                                   rng=np.random.default_rng(0))
+                                   keep=draw_keep(model, x.shape, np.random.default_rng(0)))
         loss.backward()
         missing = [p.name for p in model.parameters() if p.grad is None]
         assert missing == []
@@ -858,19 +870,25 @@ class TestFullModel:
     def test_fused_conv_batch_norm_keeps_the_training_bits(self, monkeypatch):
         """A train-mode pass through the three fused convolution + BatchNorm
         sites gives the loss, gradients and running statistics of the same
-        pass through separate conv1d_dilated, batch_norm and relu nodes."""
-        def unfused(x, kernel, bias, dilation, gamma, beta, eps, relu=False):
-            out, mean, var = ad.batch_norm(ad.conv1d_dilated(x, kernel, bias, dilation),
-                                           gamma, beta, eps)
-            return (ad.relu(out) if relu else out), mean, var
+        pass with each convolution a conv1d_dilated node of its own. The
+        normalization then runs behind a 1 x 1 identity convolution, which
+        changes no bits."""
+        fused = ad.conv_batch_norm
+
+        def unfused(x, kernel, bias, dilation, gamma, beta, eps, relu=False, stats=None):
+            c = ad.conv1d_dilated(x, kernel, bias, dilation)
+            width = c.shape[-1]
+            return fused(c, np.eye(width)[None], np.zeros(width), 1, gamma, beta, eps, relu,
+                         stats)
 
         cfg = tiny_config()
         x = np.random.default_rng(33).standard_normal((2, 9, cfg.n_mels))
         runs = []
-        for op in (ad.conv_batch_norm, unfused):
+        for op in (fused, unfused):
             monkeypatch.setattr(ad, "conv_batch_norm", op)
             model = AmcrnModel(cfg, seed=2)
-            loss = model.classify_loss(x, [1, 3], mode="train", rng=np.random.default_rng(0))
+            loss = model.classify_loss(x, [1, 3], mode="train",
+                                       keep=draw_keep(model, x.shape, np.random.default_rng(0)))
             loss.backward()
             runs.append([loss.data] + [p.grad for p in model.parameters()]
                         + [getattr(owner, attr) for _, owner, attr in model.buffers()])
@@ -893,7 +911,8 @@ class TestFullModel:
                 monkeypatch.setattr(ad, "dropout", dropout_composite)
             model = AmcrnModel(cfg, seed=4)
             x = Tensor(feats.copy(), requires_grad=True)
-            loss = model.classify_loss(x, labels, mode="train", rng=np.random.default_rng(5))
+            loss = model.classify_loss(x, labels, mode="train",
+                                       keep=draw_keep(model, x.shape, np.random.default_rng(5)))
             loss.backward()
             runs.append([loss.data, x.grad] + [p.grad for p in model.parameters()]
                         + [getattr(owner, attr) for _, owner, attr in model.buffers()])
@@ -957,14 +976,14 @@ class TestTapeFreeEmbed:
         model = AmcrnModel(cfg, seed=8)
         x = np.random.default_rng(45).standard_normal((12, cfg.n_mels))
         refs = []
-        relu = ad.relu
+        conv_batch_norm = ad.conv_batch_norm
 
-        def recording(t):
-            out = relu(t)
-            refs.append(weakref.ref(out))
+        def recording(*args, **kwargs):
+            out = conv_batch_norm(*args, **kwargs)
+            refs.append(weakref.ref(out[0]))
             return out
 
-        monkeypatch.setattr(ad, "relu", recording)
+        monkeypatch.setattr(ad, "conv_batch_norm", recording)
         gc.disable()  # reference counting alone must free the graph
         try:
             taped = model.embed_tensor(x, mode="eval")
@@ -987,7 +1006,8 @@ class TestTapeFreeEmbed:
         rng = np.random.default_rng(46)
         with pytest.raises(InputTooShort):
             model.embed(rng.standard_normal((1, cfg.n_mels)))
-        loss = model.classify_loss(rng.standard_normal((8, cfg.n_mels)), 1, mode="train",
-                                   rng=np.random.default_rng(0))
+        x = rng.standard_normal((8, cfg.n_mels))
+        loss = model.classify_loss(x, 1, mode="train",
+                                   keep=draw_keep(model, x.shape, np.random.default_rng(0)))
         loss.backward()
         assert [p.name for p in model.parameters() if p.grad is None] == []

@@ -514,7 +514,8 @@ def per_crop_step(model, batch, crop_seconds, rng):
     total = 0.0
     for audio, label in batch:
         feats = featurize(random_crop(audio, crop_seconds, rng), model.config.n_mels)
-        loss = model.classify_loss(feats, label, mode="train", rng=rng)
+        loss = model.classify_loss(feats, label, mode="train",
+                                   keep=model.draw_dropout(len(feats), rng))
         loss.backward()
         total += float(loss.data)
     return total
