@@ -2,12 +2,14 @@
 
 A Tensor wraps an ndarray and records the operations that produced it;
 `backward` on a scalar loss accumulates gradients into every reachable
-tensor with `requires_grad`. Only the operations the network needs are
-provided: elementwise arithmetic and activations, matmul by a matrix,
-reductions, concatenation/splitting, dilated 1-D convolution, one
+tensor with `requires_grad`. Only the operations the network calls are
+provided: elementwise arithmetic, sigmoid, sqrt and a floor, matmul by a
+matrix, reductions, concatenation/splitting, dilated 1-D convolution, one
 convolution + BatchNorm (+ ReLU) node that normalizes by the sequence's
 own statistics or by given ones, a fused residual sum + ReLU node, a
-fused LSTM direction, dropout by a given mask, and the losses.
+fused residual affine node, a fused attentive pooling node, a fused LSTM
+direction, dropout by a given mask, and the cross-entropy loss as one
+node; `grad_check` verifies gradients by central differences.
 
 A taped pass keeps only what backward reads: the fused nodes work in
 their own buffers, the LSTM writes its gates over its input projection
@@ -257,16 +259,6 @@ def as_tensor(x):
 # -- elementwise activations -------------------------------------------
 
 
-def relu(x):
-    x = as_tensor(x)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g * (x.data > 0.0))
-
-    return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _backward=bwd)
-
-
 def sigmoid(x):
     x = as_tensor(x)
     # exp(-x) overflows to inf for x below about -709 (-88 in float32),
@@ -279,38 +271,6 @@ def sigmoid(x):
             x._accum(g * y * (1.0 - y))
 
     return Tensor(y, _parents=(x,), _backward=bwd)
-
-
-def tanh(x):
-    x = as_tensor(x)
-    y = np.tanh(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g * (1.0 - y * y))
-
-    return Tensor(y, _parents=(x,), _backward=bwd)
-
-
-def exp(x):
-    x = as_tensor(x)
-    y = np.exp(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g * y)
-
-    return Tensor(y, _parents=(x,), _backward=bwd)
-
-
-def log(x):
-    x = as_tensor(x)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g / x.data)
-
-    return Tensor(np.log(x.data), _parents=(x,), _backward=bwd)
 
 
 def sqrt(x):
@@ -372,21 +332,6 @@ def tmax(x, axis, keepdims=False):
             x._accum(gg * mask)
 
     return Tensor(y if keepdims else np.squeeze(y, axis=axis), _parents=(x,), _backward=bwd)
-
-
-def softmax(x, axis):
-    """Numerically stable softmax along one axis."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x._accum(y * (g - dot))
-
-    return Tensor(y, _parents=(x,), _backward=bwd)
 
 
 # -- structure ----------------------------------------------------------
@@ -457,14 +402,6 @@ def transpose(x):
 
 
 # -- network operations -------------------------------------------------
-
-
-def linear(x, weight, bias=None):
-    """Row-wise affine map: ((... x) T x Din) @ (Din x Dout) + bias."""
-    out = as_tensor(x) @ weight
-    if bias is not None:
-        out = out + bias
-    return out
 
 
 def _pad_time(data, pad):
@@ -920,19 +857,30 @@ def dropout(x, keep, p):
 
 
 def cross_entropy(logits, labels):
-    """Summed negative log softmax probability of the true classes.
+    """Summed negative log softmax probability of the true classes, as one
+    graph node.
 
     logits: (B x) C; labels: one class index for 1-D logits, else B of
-    them. The result is a scalar: the sum of the B per-row losses.
+    them. The result is a scalar: the sum of the B per-row losses
+    log(sum(exp(logits - max))) + max - (the true class's logit). Forward
+    and backward keep the bits of that composition of elementary nodes;
+    the node keeps exp(logits - max), its row sums and the one-hot rows.
     """
     logits = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.data.ndim < 1 or labels.shape != logits.data.shape[:-1]:
         raise ShapeError("cross_entropy expects (B x) C logits and one label per row")
-    shift = logits.data.max(axis=-1)  # constant; gradient-neutral
-    lse = log(tsum(exp(logits - shift[..., None]), axis=-1)) + shift
+    shift = logits.data.max(axis=-1)
+    e = np.exp(logits.data - shift[..., None])
+    s = e.sum(axis=-1)
     onehot = np.eye(logits.data.shape[-1])[labels]
-    return tsum(lse - tsum(logits * onehot, axis=-1))
+    rows = (np.log(s) + shift) - (logits.data * onehot).sum(axis=-1)
+
+    def bwd(g):
+        if logits.requires_grad:
+            logits._accum((g / s)[..., None] * e + (-g)[..., None] * onehot)
+
+    return Tensor(rows.sum(), _parents=(logits,), _backward=bwd)
 
 
 def grad_check(f, point, eps=1e-3):

@@ -194,7 +194,7 @@ class Linear:
         self.bias = Parameter(np.zeros(d_out), f"{name}.bias")
 
     def __call__(self, x):
-        return ad.linear(x, self.weight, self.bias)
+        return ad.as_tensor(x) @ self.weight + self.bias
 
 
 class _RunningNorm:
@@ -270,18 +270,12 @@ class VectorNorm(_RunningNorm):
 
 def attention_coefficients(x, kernel, bias):
     """Frame-level gate A in (0, 1) of shape (B x) T x 1, from channel
-    mean/max statistics."""
+    mean/max statistics. An MCB block applies A to its branch x inside
+    `autodiff.residual_relu`, as relu(s + A * x)."""
     avg = ad.tmean(x, axis=-1, keepdims=True)
     mx = ad.tmax(x, axis=-1, keepdims=True)
     stats = ad.concat([avg, mx], axis=-1)
     return ad.sigmoid(ad.conv1d_dilated(stats, kernel, bias, dilation=1))
-
-
-def temporal_attention(x, kernel, bias):
-    """(A, A * x): the coefficients of `attention_coefficients` and the
-    gated map. An MCB block applies A inside `autodiff.residual_relu`."""
-    a = attention_coefficients(x, kernel, bias)
-    return a, a * x
 
 
 class TemporalAttention:

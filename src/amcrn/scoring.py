@@ -67,26 +67,24 @@ class PldaModel:
     `q`, `p` and `c` are the closed-form scoring terms that
     `plda_from_covariances` derives; `center` and `length_norm` describe
     the preprocessing applied to raw embeddings before scoring (set by
-    plda_train; leave at defaults to score raw vectors). `save_plda` and
-    `load_plda` store and restore these six fields.
+    plda_train; a zero `center` and no length norm score raw vectors).
+    `save_plda` and `load_plda` store and restore these six fields.
     """
 
     mu: np.ndarray
     q: np.ndarray
     p: np.ndarray
     c: float
-    center: np.ndarray = None
+    center: np.ndarray
     length_norm: bool = False
 
     def preprocess(self, x):
         """Center and length-normalize an embedding or the rows of a stack."""
-        x = _rows(x)
-        if self.center is not None:
-            x = x - self.center
+        x = _rows(x) - self.center
         return _length_norm(x) if self.length_norm else x
 
 
-def plda_from_covariances(mu, between, within, center=None, length_norm=False) -> PldaModel:
+def plda_from_covariances(mu, between, within, center, length_norm=False) -> PldaModel:
     """Two-covariance Gaussian model: class mean ~ N(mu, B), residual ~ N(0, W).
 
     Derives the closed-form scoring terms (Ioffe 2006): with T = B + W
@@ -95,7 +93,8 @@ def plda_from_covariances(mu, between, within, center=None, length_norm=False) -
     P = T^-1 B S^-1 and c = ½ logdet T - ½ logdet S. T and S are
     factorized by Cholesky and every inverse is a `cho_solve`; a
     covariance that is not positive definite raises NumericalError.
-    This is the only place the closed form is computed.
+    This is the only place the closed form is computed. `center` (D) and
+    `length_norm` are the model's preprocessing (see `PldaModel`).
     """
     # Imported here: scipy.linalg adds about 0.3 s and 28 MB to a
     # process, and only the fit (and a hand-built model) needs it;

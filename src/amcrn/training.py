@@ -225,6 +225,7 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     val_set = [dataset[i] for i in order[:n_val]]
     train_set = [dataset[i] for i in order[n_val:]]
     val_features = [featurize(utt.audio, model.config.n_mels) for utt in val_set]
+    val_labels = [label_of[utt.speaker_id] for utt in val_set]
 
     params = model.parameters()
     state = AdamState(params)
@@ -262,7 +263,7 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
         # Validate the checkpoint as stored (float32), so that loading it
         # reproduces the reported loss bit for bit.
         blob = checkpoint_bytes(model)
-        val_loss = validation_loss(restore_model(blob), val_set, label_of, cfg, val_features)
+        val_loss = validation_loss(restore_model(blob), val_features, val_labels)
         if not np.isfinite(val_loss):
             raise NumericalError(f"epoch {epoch}: validation loss is {val_loss!r}")
         record = EpochRecord(epoch, loss_sum / len(views), val_loss, lr, len(views))
@@ -273,20 +274,16 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
     return TrainResult(best[2], best[0], best[1], history)
 
 
-def validation_loss(model: AmcrnModel, val_set, label_of, cfg: TrainConfig,
-                    features=None) -> float:
-    """Mean eval-mode loss over whole utterances, consecutive equal-length
-    ones batched, computed without a tape. `features` holds the features
-    of each utterance of `val_set` when the caller has them already."""
-    if features is None:
-        features = [featurize(utt.audio, model.config.n_mels) for utt in val_set]
-    rows = [(feats, label_of[utt.speaker_id]) for feats, utt in zip(features, val_set)]
+def validation_loss(model: AmcrnModel, features, labels) -> float:
+    """Mean eval-mode loss over whole utterances, given as their feature
+    matrices and class labels, consecutive equal-length ones batched,
+    computed without a tape."""
     total = 0.0
     with ad.no_grad():
-        for run in equal_length_runs(rows):
-            feats, labels = zip(*run)
-            total += float(model.classify_loss(np.stack(feats), labels, mode="eval").data)
-    return total / len(val_set)
+        for run in equal_length_runs(zip(features, labels)):
+            feats, run_labels = zip(*run)
+            total += float(model.classify_loss(np.stack(feats), run_labels, mode="eval").data)
+    return total / len(features)
 
 
 def write_history_csv(path, history) -> None:

@@ -18,8 +18,8 @@ from amcrn.cli import main as cli_main
 from amcrn.dsp import featurize, power_spectrum
 from amcrn.errors import ConfigError
 from amcrn.model import (AmcrnModel, AttentiveStatPool, BatchNorm, BlstmLayer,
-                         Conv1d, McbBlock, aam_logits, checkpoint_bytes, restore_model,
-                         temporal_attention, tiny_config)
+                         Conv1d, McbBlock, aam_logits, attention_coefficients,
+                         checkpoint_bytes, restore_model, tiny_config)
 from amcrn.scoring import (compute_eer, compute_mindcf, csm, plda_score,
                            plda_train, truncate_segment)
 from amcrn.store import EmbeddingStore
@@ -133,7 +133,7 @@ def test_criterion_01_gradient_suite():
     ta_k = Tensor(rng.standard_normal((7, 2, 1)))
     ta_b = Tensor(np.zeros(1))
     errs["temporal_attention"] = grad_check(
-        lambda x: ad.tsum(temporal_attention(x, ta_k, ta_b)[1] ** 2),
+        lambda x: ad.tsum((attention_coefficients(x, ta_k, ta_b) * x) ** 2),
         Tensor(rng.standard_normal((6, 4))))
 
     pool = AttentiveStatPool("p", 3, 4, rng)
@@ -204,19 +204,20 @@ def test_criterion_03_temporal_attention_oracle():
     kernel = np.zeros((1, 2, 1))
     kernel[0, 0, 0], kernel[0, 1, 0] = 0.8, -0.3
     bias = np.array([0.2])
-    a, gated = temporal_attention(Tensor(x), Tensor(kernel), Tensor(bias))
+    a = attention_coefficients(Tensor(x), Tensor(kernel), Tensor(bias))
+    gated = a * Tensor(x)
     expect = 1.0 / (1.0 + np.exp(-(0.8 * x.mean(axis=1) - 0.3 * x.max(axis=1) + 0.2)))
     assert np.max(np.abs(a.data[:, 0] - expect)) < 1e-9
     assert np.max(np.abs(gated.data - expect[:, None] * x)) < 1e-9
 
     rng = np.random.default_rng(3)
-    a_rand, _ = temporal_attention(Tensor(20.0 * rng.standard_normal((30, 5))),
-                                   Tensor(rng.standard_normal((7, 2, 1))),
-                                   Tensor(rng.standard_normal(1)))
+    a_rand = attention_coefficients(Tensor(20.0 * rng.standard_normal((30, 5))),
+                                    Tensor(rng.standard_normal((7, 2, 1))),
+                                    Tensor(rng.standard_normal(1)))
     assert np.all((a_rand.data > 0.0) & (a_rand.data < 1.0))
 
-    a_zero, _ = temporal_attention(Tensor(rng.standard_normal((9, 4))),
-                                   Tensor(np.zeros((7, 2, 1))), Tensor(np.zeros(1)))
+    a_zero = attention_coefficients(Tensor(rng.standard_normal((9, 4))),
+                                    Tensor(np.zeros((7, 2, 1))), Tensor(np.zeros(1)))
     assert np.all(a_zero.data == 0.5)
 
 

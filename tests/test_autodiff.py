@@ -51,6 +51,76 @@ def split_reference(x, n, axis):
     return [narrow(x, axis, i * step, step) for i in range(n)]
 
 
+# Reference nodes for the compositions that the fused ops must match bit
+# for bit; the network itself calls none of them.
+
+
+def relu(x):
+    x = ad.as_tensor(x)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(g * (x.data > 0.0))
+
+    return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _backward=bwd)
+
+
+def tanh(x):
+    x = ad.as_tensor(x)
+    y = np.tanh(x.data)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(g * (1.0 - y * y))
+
+    return Tensor(y, _parents=(x,), _backward=bwd)
+
+
+def exp(x):
+    x = ad.as_tensor(x)
+    y = np.exp(x.data)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(g * y)
+
+    return Tensor(y, _parents=(x,), _backward=bwd)
+
+
+def log(x):
+    x = ad.as_tensor(x)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(g / x.data)
+
+    return Tensor(np.log(x.data), _parents=(x,), _backward=bwd)
+
+
+def softmax(x, axis):
+    """Numerically stable softmax along one axis."""
+    x = ad.as_tensor(x)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        if x.requires_grad:
+            dot = (g * y).sum(axis=axis, keepdims=True)
+            x._accum(y * (g - dot))
+
+    return Tensor(y, _parents=(x,), _backward=bwd)
+
+
+def cross_entropy_composite(logits, labels):
+    """What `ad.cross_entropy` computes, as elementary graph nodes."""
+    logits = ad.as_tensor(logits)
+    shift = logits.data.max(axis=-1)  # constant; gradient-neutral
+    lse = log(ad.tsum(exp(logits - shift[..., None]), axis=-1)) + shift
+    onehot = np.eye(logits.data.shape[-1])[np.asarray(labels, dtype=np.int64)]
+    return ad.tsum(lse - ad.tsum(logits * onehot, axis=-1))
+
+
 class TestConvForward:
     def test_matches_reference_200_random_cases(self):
         rng = np.random.default_rng(0)
@@ -155,7 +225,7 @@ class TestGradChecks:
     def test_activations(self):
         rng = np.random.default_rng(5)
         point = Tensor(rng.standard_normal(10))
-        for act in (ad.relu, ad.sigmoid, ad.tanh, ad.exp):
+        for act in (relu, ad.sigmoid, tanh, exp):
             w = Tensor(rng.standard_normal(10))
             f = lambda x, act=act, w=w: ad.tsum(act(x) * w)
             assert grad_check(f, point) < self.TOL
@@ -163,7 +233,7 @@ class TestGradChecks:
     def test_log_sqrt_clamp(self):
         rng = np.random.default_rng(6)
         point = Tensor(rng.uniform(0.5, 2.0, 8))
-        assert grad_check(lambda x: ad.tsum(ad.log(x)), point) < self.TOL
+        assert grad_check(lambda x: ad.tsum(log(x)), point) < self.TOL
         assert grad_check(lambda x: ad.tsum(ad.sqrt(x)), point) < self.TOL
         assert grad_check(lambda x: ad.tsum(ad.clamp_min(x, 0.8) ** 2), point) < self.TOL
 
@@ -177,7 +247,7 @@ class TestGradChecks:
     def test_softmax(self):
         rng = np.random.default_rng(8)
         w = Tensor(rng.standard_normal((6, 3)))
-        f = lambda x: ad.tsum(ad.softmax(x, axis=1) * w)
+        f = lambda x: ad.tsum(softmax(x, axis=1) * w)
         assert grad_check(f, Tensor(rng.standard_normal((6, 3)))) < self.TOL
 
     def test_concat_narrow_split(self):
@@ -193,7 +263,7 @@ class TestGradChecks:
     def test_conv_input_gradient(self):
         rng = np.random.default_rng(10)
         kern = Tensor(rng.standard_normal((5, 2, 3)))
-        f = lambda x: ad.tsum(ad.relu(ad.conv1d_dilated(x, kern, dilation=3)) ** 2)
+        f = lambda x: ad.tsum(relu(ad.conv1d_dilated(x, kern, dilation=3)) ** 2)
         assert grad_check(f, Tensor(rng.standard_normal((9, 2)))) < self.TOL
 
     def test_conv_kernel_gradient(self):
@@ -282,12 +352,6 @@ class TestSemantics:
         assert y.shape == (2, 300, 1)
         assert peak < x.data.nbytes / 8, peak / x.data.nbytes
 
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(14)
-        y = ad.softmax(Tensor(1000.0 + rng.standard_normal((5, 7))), axis=1).data
-        np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(np.isfinite(y))
-
     def test_cross_entropy_uniform_logits(self):
         loss = ad.cross_entropy(Tensor(np.zeros(10)), 3)
         assert float(loss.data) == pytest.approx(np.log(10.0))
@@ -321,10 +385,10 @@ class TestSemantics:
     def test_no_grad_records_nothing(self):
         w = Parameter(np.array([0.5, -1.0]), "w")
         with ad.no_grad():
-            y = ad.tsum(ad.tanh(w * 3.0))
+            y = ad.tsum(ad.sigmoid(w * 3.0))
             inner = Parameter(np.zeros(2), "inner")
         assert not y.requires_grad and y._parents == () and y._backward is None
-        assert float(y.data) == float(ad.tsum(ad.tanh(w * 3.0)).data)
+        assert float(y.data) == float(ad.tsum(ad.sigmoid(w * 3.0)).data)
         assert inner.requires_grad
 
     def test_no_grad_restored_after_a_raise(self):
@@ -332,8 +396,9 @@ class TestSemantics:
         with pytest.raises(ShapeError):
             with ad.no_grad():
                 w @ w  # a 1-D left operand raises
-        ad.tsum(ad.tanh(w * 3.0)).backward()
-        np.testing.assert_allclose(w.grad, 3.0 * (1.0 - np.tanh(3.0 * w.data) ** 2))
+        ad.tsum(ad.sigmoid(w * 3.0)).backward()
+        y = 1.0 / (1.0 + np.exp(-3.0 * w.data))
+        np.testing.assert_allclose(w.grad, 3.0 * y * (1.0 - y))
 
 
 def copying_accum(self, grad):
@@ -368,7 +433,7 @@ class TestCopyFreeGradients:
         "square": lambda x, w: ad.tsum((x * x) * w),
         "doubled": lambda x, w: ad.tsum((x + x) * w),
         "doubled_twice": lambda x, w: ad.tsum(((x + x) + x) * w),
-        "residual": lambda x, w: ad.tsum(ad.relu(x + ad.tanh(x) * w) * w),
+        "residual": lambda x, w: ad.tsum(relu(x + tanh(x) * w) * w),
     }
 
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
@@ -407,13 +472,13 @@ class TestCopyFreeGradients:
             assert_same_bits(g, want, str(i))
 
 
-def conv_bn_composite(x, kernel, bias, dilation, gamma, beta, eps, relu):
+def conv_bn_composite(x, kernel, bias, dilation, gamma, beta, eps, with_relu):
     """What `ad.conv_batch_norm` computes with a sequence's own statistics,
     from elementary graph nodes; (out, mean, var) as it returns them."""
     c = ad.conv1d_dilated(x, kernel, bias, dilation)
     out = batch_norm_composite(c, gamma, beta, eps)
     mean, var = c.data.mean(axis=-2, keepdims=True), c.data.var(axis=-2, keepdims=True)
-    return (ad.relu(out) if relu else out), mean, var
+    return (relu(out) if with_relu else out), mean, var
 
 
 def fixed_stats_reference(c, mean, var, gamma, beta, eps, relu):
@@ -528,7 +593,7 @@ class TestConvBatchNorm:
 
 def residual_relu_composite(s, x, gate=None):
     """What `ad.residual_relu` fuses, as elementary graph nodes."""
-    return ad.relu(s + (x if gate is None else gate * x))
+    return relu(s + (x if gate is None else gate * x))
 
 
 def dropout_composite(x, keep, p):
@@ -608,7 +673,7 @@ class TestSplit:
     GRAPHS = {
         # Each chunk reaches the loss along a path of its own.
         "joined": lambda parts, w: ad.tsum(ad.concat(parts[::-1], axis=-1) * w),
-        "mixed": lambda parts, w: ad.tsum(ad.concat([ad.tanh(parts[0]), parts[1] * 2.0,
+        "mixed": lambda parts, w: ad.tsum(ad.concat([tanh(parts[0]), parts[1] * 2.0,
                                                      parts[2] + parts[3], parts[3]], axis=-1)
                                           * w),
     }
@@ -652,12 +717,12 @@ class TestSplit:
 
 def residual_affine_composite(x, h, weight, bias):
     """What `ad.residual_affine` fuses, as elementary graph nodes."""
-    return x + ad.linear(h, weight, bias)
+    return x + (h @ weight + bias)
 
 
 def attentive_stat_pool_composite(h, w1, b1, w2, b2, floor):
     """What `ad.attentive_stat_pool` fuses, as elementary graph nodes."""
-    alpha = ad.softmax(ad.linear(ad.tanh(ad.linear(h, w1, b1)), w2, b2), axis=-2)
+    alpha = softmax(tanh(h @ w1 + b1) @ w2 + b2, axis=-2)
     mean = ad.tsum(alpha * h, axis=-2)
     second = ad.tsum(alpha * h * h, axis=-2)
     std = ad.sqrt(ad.clamp_min(second - mean * mean, floor))
@@ -780,6 +845,44 @@ class TestAttentiveStatPool:
         assert composed - fused > 5.8 * array, (composed - fused) / array
 
 
+class TestCrossEntropy:
+    SHAPES = [(4,), (1, 7), (3, 4), (5, 2), (12, 30)]
+
+    @staticmethod
+    def _values(shape, scale, seed):
+        rng = np.random.default_rng(seed)
+        return scale * rng.standard_normal(shape), rng.integers(0, shape[-1], size=shape[:-1])
+
+    @pytest.mark.parametrize("loss_grad", [1.0, 0.37])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_to_the_composition(self, shape, loss_grad):
+        """The loss and the logits' gradient at scales 0.1 to 300, with the
+        logits an interior node (x * 1.0), as the AAM head's are, and the
+        loss handed its own gradient or a scaled one; the node is the one
+        Tensor made."""
+        for scale in (0.1, 1.0, 30.0, 300.0):
+            x0, labels = self._values(shape, scale, 86)
+            runs = []
+            for op in (ad.cross_entropy, cross_entropy_composite):
+                leaf = Tensor(x0.copy(), requires_grad=True)
+                logits = leaf * 1.0
+                loss = op(logits, labels)
+                if op is ad.cross_entropy:
+                    assert loss._parents == (logits,)
+                (loss if loss_grad == 1.0 else loss * loss_grad).backward()
+                runs.append([loss.data, leaf.grad])
+            for name, got, want in zip(("loss", "logits"), *runs):
+                assert_same_bits(got, want, f"{name} at scale {scale}")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_graph_free_float32_pass_is_bit_identical(self, shape):
+        x0, labels = self._values(shape, 30.0, 87)
+        with ad.no_grad():
+            fused, composed = (op(Tensor(x0.astype(np.float32)), labels).data
+                               for op in (ad.cross_entropy, cross_entropy_composite))
+        assert_same_bits(fused, composed)
+
+
 def batch_norm_composite(x, gamma, beta, eps):
     """Per-sequence BatchNorm over time built from elementary tape ops."""
     mean = ad.tmean(x, axis=-2, keepdims=True)
@@ -828,7 +931,7 @@ class TestBatchAxis:
         rng = np.random.default_rng(22)
         kern = Tensor(rng.standard_normal((3, 2, 3)))
         bias = Tensor(rng.standard_normal(3))
-        f = lambda x: ad.tsum(ad.relu(ad.conv1d_dilated(x, kern, bias, dilation=2)) ** 2)
+        f = lambda x: ad.tsum(relu(ad.conv1d_dilated(x, kern, bias, dilation=2)) ** 2)
         assert grad_check(f, Tensor(rng.standard_normal((2, 7, 2)))) < self.TOL
         x = Tensor(rng.standard_normal((2, 7, 2)))
         g = lambda k: ad.tsum(ad.conv1d_dilated(x, k, bias, dilation=3) ** 2)
@@ -847,7 +950,7 @@ class TestBatchAxis:
     def test_softmax_over_time_grad_check(self):
         rng = np.random.default_rng(24)
         w = Tensor(rng.standard_normal((2, 5, 3)))
-        f = lambda x: ad.tsum(ad.softmax(x, axis=-2) * w)
+        f = lambda x: ad.tsum(softmax(x, axis=-2) * w)
         assert grad_check(f, Tensor(rng.standard_normal((2, 5, 3)))) < self.TOL
 
     def test_cross_entropy_sums_rows(self):

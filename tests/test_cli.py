@@ -17,7 +17,8 @@ from amcrn.cli import build_parser, main
 from amcrn.dsp import featurize
 from amcrn.errors import AmcrnError, ConfigError, NumericalError
 from amcrn.model import AmcrnConfig, AmcrnModel, load_checkpoint, parse_config
-from amcrn.scoring import load_plda, plda_score, plda_train, read_trial_list, save_plda
+from amcrn.scoring import (load_plda, plda_from_covariances, plda_score, plda_train,
+                           read_trial_list, save_plda)
 from amcrn.store import EmbeddingStore
 from amcrn.training import TrainConfig
 
@@ -970,6 +971,20 @@ def test_plda_file_round_trips_bit_for_bit(tmp_path):
         assert sorted(data.files) == ["c", "center", "length_norm", "mu", "p", "q"]
     a, b = rng.standard_normal((2, 30, 16))
     assert np.array_equal(plda_score(loaded, a, b), plda_score(fitted, a, b))
+
+
+def test_hand_built_plda_file_round_trips(tmp_path):
+    """A model built from covariances, which scores raw vectors, is saved
+    and loaded back with the same fields and scores."""
+    built = plda_from_covariances(np.zeros(4), np.eye(4), np.eye(4), np.zeros(4))
+    path = tmp_path / "plda.npz"
+    save_plda(str(path), built)
+    loaded = load_plda(str(path), 4)
+    for name in ("mu", "q", "p", "center"):
+        assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes(), name
+    assert loaded.c == built.c and loaded.length_norm is False
+    a, b = np.random.default_rng(8).standard_normal((2, 10, 4))
+    assert np.array_equal(plda_score(loaded, a, b), plda_score(built, a, b))
 
 
 class TestProfile:

@@ -117,7 +117,7 @@ class TestTensorDtype:
         x = np.ones(3, dtype=np.float32)
         assert Tensor(x).data.dtype == np.float64
         assert Tensor(x, requires_grad=True).data.dtype == np.float64
-        assert ad.relu(Tensor(x)).data.dtype == np.float64
+        assert ad.sigmoid(Tensor(x)).data.dtype == np.float64
 
     def test_no_grad_keeps_float32_and_makes_the_rest_float64(self):
         with ad.no_grad():

@@ -16,11 +16,11 @@ from amcrn.autodiff import Tensor, grad_check
 from amcrn.errors import ConfigError, DegenerateInput, InputTooShort, ShapeError
 from amcrn.model import (AmcrnConfig, AmcrnModel, AttentiveStatPool, BlstmLayer,
                          Conv1d, LstmDirection, McbBlock, ResidualBlstm,
-                         aam_logits, config_text, named_arrays, parse_config,
-                         temporal_attention, tiny_config)
+                         aam_logits, attention_coefficients, config_text, named_arrays,
+                         parse_config, tiny_config)
 from amcrn.training import TrainConfig
-from test_autodiff import (assert_same_bits, dropout_composite, kept_bytes, narrow,
-                           split_reference)
+from test_autodiff import (assert_same_bits, dropout_composite, kept_bytes, narrow, relu,
+                           split_reference, tanh)
 
 
 class TestConfig:
@@ -145,7 +145,8 @@ class TestTemporalAttention:
         kernel[0, 0, 0] = 0.5  # weight on the channel mean
         kernel[0, 1, 0] = 0.25  # weight on the channel max
         bias = np.array([0.1])
-        a, gated = temporal_attention(Tensor(x), Tensor(kernel), Tensor(bias))
+        a = attention_coefficients(Tensor(x), Tensor(kernel), Tensor(bias))
+        gated = a * Tensor(x)
         means = x.mean(axis=1)
         maxes = x.max(axis=1)
         expected = 1.0 / (1.0 + np.exp(-(0.5 * means + 0.25 * maxes + 0.1)))
@@ -154,16 +155,16 @@ class TestTemporalAttention:
 
     def test_zero_weights_give_half_gate(self):
         x = np.random.default_rng(0).standard_normal((5, 4))
-        a, gated = temporal_attention(Tensor(x), Tensor(np.zeros((7, 2, 1))),
-                                      Tensor(np.zeros(1)))
+        a = attention_coefficients(Tensor(x), Tensor(np.zeros((7, 2, 1))), Tensor(np.zeros(1)))
+        gated = a * Tensor(x)
         np.testing.assert_allclose(a.data, 0.5)
         np.testing.assert_allclose(gated.data, 0.5 * x)
 
     def test_coefficients_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        a, _ = temporal_attention(Tensor(10.0 * rng.standard_normal((20, 6))),
-                                  Tensor(rng.standard_normal((7, 2, 1))),
-                                  Tensor(rng.standard_normal(1)))
+        a = attention_coefficients(Tensor(10.0 * rng.standard_normal((20, 6))),
+                                   Tensor(rng.standard_normal((7, 2, 1))),
+                                   Tensor(rng.standard_normal(1)))
         assert a.data.shape == (20, 1)
         assert np.all((a.data > 0.0) & (a.data < 1.0))
 
@@ -173,16 +174,15 @@ class TestTemporalAttention:
         bias = Tensor(np.zeros(1))
 
         def f(x):
-            _, gated = temporal_attention(x, kern, bias)
-            return ad.tsum(gated**2)
+            return ad.tsum((attention_coefficients(x, kern, bias) * x) ** 2)
 
         assert grad_check(f, Tensor(rng.standard_normal((6, 3)))) < 1e-4
 
 
 def mcb_composite(block, s, mode):
     """`McbBlock.__call__` from elementary graph nodes: `narrow` chunks,
-    scale outputs of their own joined by a copy, the gated map of
-    `temporal_attention` and relu(s + x)."""
+    scale outputs of their own joined by a copy, the gated map A * x and
+    relu(s + A * x)."""
     p = block.bn_pre(s, mode, conv=block.conv_pre, relu=True)
     subsets = split_reference(p, block.n_scales, axis=-1)
     fused = [subsets[0]]
@@ -194,8 +194,8 @@ def mcb_composite(block, s, mode):
     x = block.bn_post(ad.concat(fused, axis=-1) if len(fused) > 1 else fused[0], mode,
                       conv=block.conv_post)
     if block.attention is not None:
-        _, x = temporal_attention(x, block.attention.kernel, block.attention.bias)
-    return ad.relu(s + x)
+        x = attention_coefficients(x, block.attention.kernel, block.attention.bias) * x
+    return relu(s + x)
 
 
 def blstm_composite(layer, x):
@@ -330,10 +330,10 @@ def lstm_per_step(x, w_x, w_h, bias, reverse):
         pre = narrow(xw, 0, t, 1) + (h @ w_h) + bias
         gi = ad.sigmoid(narrow(pre, 1, 0, h_dim))
         gf = ad.sigmoid(narrow(pre, 1, h_dim, h_dim))
-        gc = ad.tanh(narrow(pre, 1, 2 * h_dim, h_dim))
+        gc = tanh(narrow(pre, 1, 2 * h_dim, h_dim))
         go = ad.sigmoid(narrow(pre, 1, 3 * h_dim, h_dim))
         c = gf * c + gi * gc
-        h = go * ad.tanh(c)
+        h = go * tanh(c)
         outs[t] = h
     return ad.concat(outs, axis=0)
 

@@ -73,7 +73,7 @@ def random_plda(rng, dim, spread, length_norm):
         basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         return (basis * 10.0 ** rng.uniform(-spread, 0.0, dim)) @ basis.T
     mu, between, within = 0.1 * rng.standard_normal(dim), covariance(), covariance()
-    center = rng.standard_normal(dim) if length_norm else None
+    center = rng.standard_normal(dim) if length_norm else np.zeros(dim)
     model = plda_from_covariances(mu, between, within, center=center,
                                   length_norm=length_norm)
     return model, between, within
@@ -175,7 +175,7 @@ class TestPlda:
 
     def test_one_dimensional_hand_case(self):
         # B = W = 1: LLR = log N([a,b]; 0, [[2,1],[1,2]]) - log N(a;0,2) N(b;0,2)
-        model = plda_from_covariances(np.zeros(1), np.eye(1), np.eye(1))
+        model = plda_from_covariances(np.zeros(1), np.eye(1), np.eye(1), np.zeros(1))
         a, b = 0.7, -0.3
         joint = np.array([[2.0, 1.0], [1.0, 2.0]])
         v = np.array([a, b])
@@ -218,10 +218,10 @@ class TestPlda:
     ])
     def test_singular_total_covariance_is_numerical_error(self, between, within):
         with pytest.raises(NumericalError):
-            plda_from_covariances(np.zeros(2), between, within)
+            plda_from_covariances(np.zeros(2), between, within, np.zeros(2))
 
     def test_identical_embeddings_favor_same_hypothesis(self):
-        model = plda_from_covariances(np.zeros(2), np.eye(2), 0.1 * np.eye(2))
+        model = plda_from_covariances(np.zeros(2), np.eye(2), 0.1 * np.eye(2), np.zeros(2))
         x = np.array([0.5, -1.0])
         assert plda_score(model, x, x) > plda_score(model, x, -x)
 
@@ -250,7 +250,7 @@ class TestPlda:
                          for v, m in zip(by.values(), means)) / len(x)
         ridge = 1e-6 * np.eye(dim)
         want = plda_from_covariances(means.mean(axis=0), between_ref + ridge,
-                                     within_ref + ridge)
+                                     within_ref + ridge, np.zeros(dim))
         for name in ("mu", "q", "p", "c"):
             np.testing.assert_allclose(getattr(model, name), getattr(want, name),
                                        rtol=0, atol=1e-9, err_msg=name)
@@ -545,7 +545,7 @@ class TestRunTrials:
         rng = np.random.default_rng(2)
         spread = rng.standard_normal((dim, dim)) / np.sqrt(dim)
         plda = plda_from_covariances(np.zeros(dim), spread @ spread.T + np.eye(dim),
-                                     np.eye(dim))
+                                     np.eye(dim), np.zeros(dim))
         got, _ = run_trials(model, trials, audio.__getitem__,
                             plda if backend == "plda" else None,
                             truncation=truncation, seed=4)

@@ -248,7 +248,8 @@ class TestTrainLoop:
         val_set = [data[i] for i in order[:n_val]]
         speakers = sorted({u.speaker_id for u in data})
         label_of = {s: i for i, s in enumerate(speakers)}
-        got = validation_loss(restored, val_set, label_of, tcfg)
+        got = validation_loss(restored, [featurize(u.audio, cfg.n_mels) for u in val_set],
+                              [label_of[u.speaker_id] for u in val_set])
         assert got == result.best_val_loss
 
     def test_losses_are_finite(self, tiny_run):
@@ -589,7 +590,8 @@ class TestMinibatch:
         per_utt = [float(model.classify_loss(featurize(u.audio, model.config.n_mels),
                                              label_of[u.speaker_id],
                                              mode="eval").data) for u in val_set]
-        got = validation_loss(model, val_set, label_of, TrainConfig())
+        got = validation_loss(model, [featurize(u.audio, model.config.n_mels) for u in val_set],
+                              [label_of[u.speaker_id] for u in val_set])
         assert got == pytest.approx(np.mean(per_utt), rel=1e-12)
 
     def test_validation_without_tape_matches_taped_pass(self, monkeypatch):
@@ -615,7 +617,7 @@ class TestMinibatch:
             return losses[-1]
 
         monkeypatch.setattr(AmcrnModel, "classify_loss", spy)
-        got = validation_loss(model, val_set, label_of, TrainConfig())
+        got = validation_loss(model, *zip(*rows))
         assert got == sum(taped) / len(val_set)
         assert len(losses) == 3
         assert all(loss._parents == () and loss._backward is None for loss in losses)
