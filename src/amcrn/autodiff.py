@@ -27,10 +27,10 @@ Inside `no_grad()` the same operations record nothing, which is how the
 eval-mode forward passes run: the output is bit-identical, and no tape
 outlives the pass.
 
-Tensors hold float64, except that a graph-free pass keeps float32 data
-float32: every op then computes in the dtype of its inputs, so a float32
-model fed float32 features runs in float32 throughout. With recording
-on, every Tensor is float64, whatever it was built from.
+Tensors keep float32 data float32 and make any other float64. Every
+node, taped or not, computes forward and backward in its inputs' dtype,
+which a Python number and a leaf's gradient take too, so a float32 model
+fed float32 features runs and trains in float32 throughout.
 """
 
 import contextlib
@@ -55,7 +55,6 @@ def _unbroadcast(grad, shape):
 
 
 _grad_enabled = True
-_FLOAT32 = np.dtype(np.float32)
 
 
 @contextlib.contextmanager
@@ -83,18 +82,14 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.grad = None
-        if _grad_enabled:
-            self.data = np.asarray(data, dtype=np.float64)
-            self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-            self._parents = _parents
-            self._backward = _backward
-        else:
-            data = np.asarray(data)
-            self.data = data if data.dtype == _FLOAT32 else data.astype(np.float64, copy=False)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
+        if not _grad_enabled:
             # Neither link is kept: the closure holds the inputs as well.
-            self.requires_grad = bool(requires_grad)
-            self._parents = ()
-            self._backward = None
+            _parents, _backward = (), None
+        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        self._parents = _parents
+        self._backward = _backward
 
     @property
     def shape(self):
@@ -110,7 +105,7 @@ class Tensor:
             # A leaf copies its first gradient and adds later ones in place:
             # the trainer scales leaf gradients in place after backward.
             if self.grad is None:
-                self.grad = np.array(grad, dtype=np.float64)
+                self.grad = np.array(grad, dtype=self.data.dtype)
             else:
                 self.grad += grad
         elif self.grad is None:
@@ -159,7 +154,7 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, self)
 
         def bwd(g):
             if self.requires_grad:
@@ -180,13 +175,13 @@ class Tensor:
         return Tensor(-self.data, _parents=(self,), _backward=bwd)
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-as_tensor(other, self))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return as_tensor(other, self) + (-self)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, self)
 
         def bwd(g):
             if self.requires_grad:
@@ -199,7 +194,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, self)
 
         def bwd(g):
             if self.requires_grad:
@@ -252,7 +247,10 @@ class Parameter(Tensor):
         self.name = name
 
 
-def as_tensor(x):
+def as_tensor(x, like=None):
+    """x as a Tensor; a Python number takes the dtype of the Tensor `like`."""
+    if like is not None and isinstance(x, (int, float)):
+        x = np.asarray(x, like.data.dtype)
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -302,12 +300,8 @@ def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x._accum(np.broadcast_to(g, x.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
+        if x.requires_grad:
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
             x._accum(np.broadcast_to(gg, x.data.shape).copy())
 
     return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,), _backward=bwd)
@@ -316,7 +310,7 @@ def tsum(x, axis=None, keepdims=False):
 def tmean(x, axis=None, keepdims=False):
     x = as_tensor(x)
     n = x.data.size if axis is None else x.data.shape[axis]
-    return tsum(x, axis=axis, keepdims=keepdims) * np.asarray(1.0 / n, dtype=x.data.dtype)
+    return tsum(x, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def tmax(x, axis, keepdims=False):
@@ -440,7 +434,7 @@ def _conv(x, kernel, bias, dilation):
 
     def bwd(g):
         if x.requires_grad:
-            gxp = np.zeros(x.data.shape[:-2] + (t_len + 2 * pad, c_in))
+            gxp = np.zeros(x.data.shape[:-2] + (t_len + 2 * pad, c_in), x.data.dtype)
             for i, s in enumerate(starts):
                 gxp[..., s : s + t_len, :] += g @ kernel.data[i].T
             x._accum(gxp[..., pad : pad + t_len, :] if pad else gxp)
@@ -810,7 +804,7 @@ def lstm(x, w_x, w_h, bias, reverse=False, out=None):
             gs = gs[::-1]
         w_h_t = w_h.data.T
         factors = dpre.reshape(t_len, n, 4, h_dim)
-        dh_next = dc_next = np.zeros((n, h_dim))
+        dh_next = dc_next = np.zeros((n, h_dim), dtype)
         for t in range(t_len - 1, -1, -1):
             dh = gs[t] + dh_next
             dc = dh * dc_dh[t]
@@ -842,7 +836,7 @@ def lstm(x, w_x, w_h, bias, reverse=False, out=None):
 def dropout(x, keep, p):
     """Inverted dropout by a boolean `keep` mask of x's shape: an entry is
     kept, scaled by 1 / (1 - p), where its mask is True. The node keeps
-    the mask, and forms the float mask `keep / (1 - p)` when it applies it.
+    the mask, and forms the float mask `keep / (1 - p)` in x's dtype when it applies it.
     """
     x, keep = as_tensor(x), np.asarray(keep)
     if keep.shape != x.data.shape or keep.dtype != bool:
@@ -851,9 +845,9 @@ def dropout(x, keep, p):
 
     def bwd(g):
         if x.requires_grad:
-            x._accum(g * (keep / (1.0 - p)))
+            x._accum(g * (keep / x.data.dtype.type(1.0 - p)))
 
-    return Tensor(x.data * (keep / (1.0 - p)), _parents=(x,), _backward=bwd)
+    return Tensor(x.data * (keep / x.data.dtype.type(1.0 - p)), _parents=(x,), _backward=bwd)
 
 
 def cross_entropy(logits, labels):
@@ -878,7 +872,8 @@ def cross_entropy(logits, labels):
 
     def bwd(g):
         if logits.requires_grad:
-            logits._accum((g / s)[..., None] * e + (-g)[..., None] * onehot)
+            grad = (g / s)[..., None] * e + (-g)[..., None] * onehot
+            logits._accum(grad.astype(logits.data.dtype, copy=False))
 
     return Tensor(rows.sum(), _parents=(logits,), _backward=bwd)
 
@@ -889,8 +884,7 @@ def grad_check(f, point, eps=1e-3):
     f maps a Tensor to a scalar Tensor. Relative error per coordinate is
     |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
-    x = Tensor(point.data.copy() if isinstance(point, Tensor) else np.asarray(point, dtype=np.float64),
-               requires_grad=True)
+    x = Tensor(np.array(as_tensor(point).data, dtype=np.float64), requires_grad=True)
     loss = f(x)
     loss.backward()
     analytic = x.grad.copy()

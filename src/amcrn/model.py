@@ -506,7 +506,7 @@ def aam_logits(embedding, class_weights, labels, margin, scale):
     emb_norm = ad.sqrt(ad.tsum(emb * emb, axis=-1, keepdims=True))
     dots = (emb.reshape(-1, dim) @ ad.transpose(w)).reshape(*emb.shape[:-1], n_classes)
     cos = dots / (ad.sqrt(row_norm_sq) * emb_norm)
-    onehot = Tensor(np.eye(n_classes)[np.asarray(labels, dtype=np.int64)])
+    onehot = Tensor(np.eye(n_classes, dtype=emb.data.dtype)[np.asarray(labels, dtype=np.int64)])
     target_cos = ad.tsum(cos * onehot, axis=-1, keepdims=True)
     sin_t = ad.sqrt(ad.clamp_min(1.0 - target_cos * target_cos, 1e-12))
     cos_margin = target_cos * math.cos(margin) - sin_t * math.sin(margin)
@@ -591,8 +591,8 @@ class AmcrnModel:
 
     @property
     def dtype(self):
-        """The dtype of the weights: float64, or float32 for a model that
-        `restore_model` loaded for float32 inference."""
+        """The dtype of the weights and of every pass through them: float64,
+        or float32 for a model that `restore_model` loaded as float32."""
         return self.initial_conv.kernel.data.dtype
 
     # -- forward --------------------------------------------------------

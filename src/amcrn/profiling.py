@@ -48,6 +48,8 @@ def layer_costs(config: AmcrnConfig, duration_s: float, include_head=False):
     number of seconds > 0 (else ConfigError)."""
     if not math.isfinite(duration_s) or duration_s <= 0:
         raise ConfigError(f"duration {duration_s!r} s: expected a finite number > 0")
+    if duration_s / FRAME_SHIFT == math.inf:
+        raise ConfigError(f"duration {duration_s!r} s: too many frames to count")
     t = frames_for(duration_s)
     rows = []
 

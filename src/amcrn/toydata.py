@@ -34,6 +34,8 @@ class ToySpeakerSpec:
         if not 0.0 < self.utterance_seconds < math.inf:
             raise ConfigError(f"utterance_seconds must be a finite number > 0, "
                               f"got {self.utterance_seconds!r}")
+        if self.utterance_seconds * SAMPLE_RATE == math.inf:
+            raise ConfigError(f"utterance_seconds {self.utterance_seconds!r}: too many samples to count")
 
 
 @dataclass

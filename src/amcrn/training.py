@@ -46,6 +46,8 @@ class TrainConfig:
         for name in ("augment_copies", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.crop_seconds < np.inf and self.crop_seconds * SAMPLE_RATE == np.inf:
+            raise ConfigError(f"crop_seconds {self.crop_seconds!r}: too many samples to count")
         if not (0.0 < self.crop_seconds < np.inf  # NaN fails too
                 and round(self.crop_seconds * SAMPLE_RATE) >= TWO_FRAMES):
             raise ConfigError(f"crop_seconds must be a finite number >= {TWO_FRAMES / SAMPLE_RATE:g}"
@@ -56,8 +58,8 @@ class TrainConfig:
 
 
 class AdamState:
-    """Per-parameter moment buffers for Adam, and two scratch rows as long
-    as the largest parameter, which every update reuses."""
+    """Per-parameter moment buffers for Adam, and two scratch rows of the
+    parameters' dtype, as long as the largest one, reused by every update."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -65,7 +67,8 @@ class AdamState:
 
     def __init__(self, params):
         self.moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in params}
-        self.scratch = np.empty((2, max((p.data.size for p in params), default=0)))
+        self.scratch = np.empty((2, max((p.data.size for p in params), default=0)),
+                                np.result_type(np.float32, *(p.data.dtype for p in params)))
         self.step = 0
 
 
@@ -118,11 +121,7 @@ def lr_schedule(epoch: int, total_epochs: int, cfg: TrainConfig) -> float:
 def clip_gradients(params, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm;
     a max_norm of 0 leaves them as they are. Returns the norm before."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad**2))
-    norm = np.sqrt(total)
+    norm = np.sqrt(sum(float(np.sum(p.grad**2)) for p in params if p.grad is not None))
     if norm > max_norm > 0:
         scale = max_norm / norm
         for p in params:
@@ -175,12 +174,13 @@ def minibatch_backward(model: AmcrnModel, batch, crop_seconds: float, rng) -> fl
 
 def _run_loss(model: AmcrnModel, run) -> ad.Tensor:
     """The taped train-mode loss of one run of (features, label, keep mask)
-    rows; the run is emptied and its rows let go once stacked, so that
-    only the stacked arrays and the tape hold them."""
+    rows, the features stacked in the model's dtype; the run is emptied and
+    its rows let go once stacked, so only the stacked arrays and the tape
+    hold them."""
     feats, labels, masks = zip(*run)
     run.clear()
     keep = None if masks[0] is None else np.stack(masks)
-    feats = np.stack(feats)
+    feats = np.stack(feats, dtype=model.dtype)
     del masks
     return model.classify_loss(feats, labels, mode="train", keep=keep)
 
@@ -276,13 +276,14 @@ def train(model: AmcrnModel, dataset, cfg: TrainConfig) -> TrainResult:
 
 def validation_loss(model: AmcrnModel, features, labels) -> float:
     """Mean eval-mode loss over whole utterances, given as their feature
-    matrices and class labels, consecutive equal-length ones batched,
-    computed without a tape."""
+    matrices and class labels, consecutive equal-length ones batched in the
+    model's dtype, computed without a tape."""
     total = 0.0
     with ad.no_grad():
         for run in equal_length_runs(zip(features, labels)):
             feats, run_labels = zip(*run)
-            total += float(model.classify_loss(np.stack(feats), run_labels, mode="eval").data)
+            feats = np.stack(feats, dtype=model.dtype)
+            total += float(model.classify_loss(feats, run_labels, mode="eval").data)
     return total / len(features)
 
 

@@ -246,6 +246,8 @@ INVALID_CONFIGS = {
                        "crop_seconds must be a finite number >= 0.035 (two frames), got 0.01"),
     "crop_one_frame": ("crop_seconds = 0.03", ("train", "profile"),
                        "crop_seconds must be a finite number >= 0.035 (two frames), got 0.03"),
+    "crop_overflow": ("crop_seconds = 1e308", ("train", "profile"),
+                      "crop_seconds 1e+308: too many samples to count"),
     "augment_negative": ("augment_copies = -1", ("train", "profile"),
                          "augment_copies must be >= 0, got -1"),
     "grad_clip_negative": ("grad_clip = -1", ("train", "profile"),
@@ -336,6 +338,8 @@ BAD_TOY_SPECS = {
                          "utterance_seconds must be a finite number > 0, got -1.0"),
     "infinite_seconds": ("speakers=2 seconds=inf", "utterance_seconds must be a finite number"),
     "nan_seconds": ("speakers=2 seconds=nan", "utterance_seconds must be a finite number"),
+    "overflowing_seconds": ("speakers=2 utts=1 seconds=1e308",
+                            "utterance_seconds 1e+308: too many samples to count"),
 }
 
 
@@ -1000,11 +1004,16 @@ class TestProfile:
         lines = open(csv_path).read().splitlines()
         assert lines[0] == "layer,params,macs_1s,macs_2s"
 
-    @pytest.mark.parametrize("duration", ["inf", "-1", "0", "nan"])
+    # A duration that is not a positive number, or whose frame count
+    # overflows, -> the end of its message.
+    UNUSABLE_DURATIONS = {**dict.fromkeys(["inf", "-1", "0", "nan"], "expected a finite number > 0"),
+                          "1e308": "too many frames to count"}
+
+    @pytest.mark.parametrize("duration", sorted(UNUSABLE_DURATIONS))
     def test_unusable_duration_is_usage_error(self, capsys, duration):
         assert main(["profile", "--durations", f"2,{duration}"]) == 2
         assert capsys.readouterr().err == (f"error: duration {float(duration)!r} s: "
-                                           "expected a finite number > 0\n")
+                                           f"{self.UNUSABLE_DURATIONS[duration]}\n")
 
     @pytest.mark.parametrize("durations, item", [("", ""), ("2,,3", ""), ("2,x", "x")],
                              ids=["empty", "empty_item", "word"])

@@ -5,8 +5,15 @@ other path stays float64 and bit-identical.
 Stated tolerance of the float32 path against the float64 oracle: each
 embedding within 1e-5 in L2 norm relative to the float64 embedding, and
 each cosine score within 1e-7.
+
+The engine has one dtype rule, taped or not, so a float32 model also
+trains in float32 (`train` itself builds float64 models). Stated
+tolerance of a float32 training step against float64: the loss within
+1e-6 relative, and each parameter's gradient within 1e-5 of the whole
+float64 gradient's L2 norm.
 """
 
+import contextlib
 import tracemalloc
 import warnings
 
@@ -22,6 +29,7 @@ from amcrn.model import (AmcrnConfig, AmcrnModel, checkpoint_bytes, load_checkpo
 from amcrn.scoring import Trial, csm, embed_audio, load_plda, plda_score, run_trials
 from amcrn.store import EmbeddingStore
 from amcrn.toydata import ToySpeakerSpec, make_toy_dataset
+from amcrn.training import AdamState, adam_step, clip_gradients, minibatch_backward
 
 EMBEDDING_RTOL = 1e-5
 CSM_ATOL = 1e-7
@@ -113,11 +121,22 @@ class TestFloat32Model:
 
 
 class TestTensorDtype:
-    def test_grad_mode_makes_float32_float64(self):
-        x = np.ones(3, dtype=np.float32)
-        assert Tensor(x).data.dtype == np.float64
-        assert Tensor(x, requires_grad=True).data.dtype == np.float64
-        assert ad.sigmoid(Tensor(x)).data.dtype == np.float64
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_rule_taped_or_not(self, recording, dtype):
+        """Recording or not, a node computes in its inputs' dtype: Python
+        numbers take the dtype of the Tensor they meet, and a leaf's
+        gradient has the leaf's dtype."""
+        with contextlib.nullcontext() if recording else ad.no_grad():
+            x = Tensor(np.linspace(0.5, 1.5, 6, dtype=dtype).reshape(2, 3), requires_grad=True)
+            outs = [x + 1, 2 - x, x * 0.5, x / 3, ad.sigmoid(x), ad.tmean(x, axis=-1),
+                    ad.tmax(x, axis=0), ad.sqrt(x), ad.clamp_min(x, 1e-12), x ** 2]
+            assert [out.data.dtype for out in outs] == [np.dtype(dtype)] * len(outs)
+            loss = ad.tsum(sum(ad.tsum(out) for out in outs))
+        assert loss.data.dtype == dtype
+        if recording:
+            loss.backward()
+            assert x.grad.dtype == dtype
 
     def test_no_grad_keeps_float32_and_makes_the_rest_float64(self):
         with ad.no_grad():
@@ -132,6 +151,66 @@ class TestTensorDtype:
             for out in (ad.tmean(x, axis=-1), ad.tmax(x, axis=-1), ad.tmean(x)):
                 assert out.data.dtype == np.float32
         np.testing.assert_allclose(ad.tmean(x, axis=-1).data, x.mean(axis=-1), rtol=1e-6)
+
+
+class TestFloat32Training:
+    """One taped minibatch of a tiny-config model, B = 4 crops of 0.4 s
+    (38 frames) in one pass, then clipping and Adam: a float32 model
+    trains in float32."""
+
+    B = 4
+
+    def _model(self, dtype):
+        return restore_model(checkpoint_bytes(AmcrnModel(tiny_config(), seed=0)), dtype)
+
+    def _step(self, model):
+        """The summed loss and the gradients of one minibatch, before
+        clipping and Adam."""
+        rng = np.random.default_rng(5)
+        batch = [(0.1 * rng.standard_normal(8000), label) for label in (0, 1, 2, 1)]
+        loss = minibatch_backward(model, batch, 0.4, rng)
+        return loss, {p.name: p.grad.copy() for p in model.parameters()}
+
+    def test_step_keeps_every_large_array_float32(self, monkeypatch):
+        """No Tensor is made, and no gradient handed on, in float64 with
+        more than B x n_classes values (only the loss is float64); the
+        gradients, parameters, Adam's arrays and running statistics are
+        float32."""
+        float64_sizes = []
+        init, accum = Tensor.__init__, Tensor._accum
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.data.dtype != np.float32:
+                float64_sizes.append(self.data.size)
+
+        def recording_accum(self, grad):
+            if grad.dtype != np.float32:
+                float64_sizes.append(grad.size)
+            accum(self, grad)
+
+        model = self._model(np.float32)
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        monkeypatch.setattr(Tensor, "_accum", recording_accum)
+        self._step(model)
+        monkeypatch.undo()
+        assert float64_sizes and max(float64_sizes) <= self.B * model.config.n_classes
+        params = model.parameters()
+        clip_gradients(params, 1.0)
+        state = AdamState(params)
+        adam_step(params, state, 0.005)
+        arrays = [p.grad for p in params] + [p.data for p in params]
+        arrays += [a for pair in state.moments.values() for a in pair] + [state.scratch]
+        arrays += [getattr(owner, attr) for _, owner, attr in model.buffers()]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    def test_step_agrees_with_float64(self):
+        loss32, grads32 = self._step(self._model(np.float32))
+        loss64, grads64 = self._step(self._model(np.float64))
+        assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
+        norm = np.sqrt(sum(np.sum(g * g) for g in grads64.values()))
+        worst = max(np.linalg.norm(grads32[k] - grads64[k]) for k in grads64) / norm
+        assert 0.0 < worst <= 1e-5, worst
 
 
 def test_sigmoid_saturates_quietly_in_float32():

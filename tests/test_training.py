@@ -3,11 +3,14 @@
 import hashlib
 import os
 import shutil
+import subprocess
+import sys
 import wave
 
 import numpy as np
 import pytest
 
+import amcrn
 from amcrn import cli, toydata, training
 from amcrn.augment import augment
 from amcrn.cli import main as cli_main
@@ -369,47 +372,55 @@ class TestTrainLoop:
         assert len(lines) == 1 + len(result.history)
 
 
-# SHA-256 of the checkpoint and of the loss CSV that `amcrn train --toy
-# 'speakers=2 utts=3 seconds=2.5' --epochs 2 --seed N` writes with the tiny
-# preset, `augment_copies = 1` and `batch_size = 4` (10 views an epoch, so
-# three minibatches), frozen from the trainer that
-# built every augmented view before the first minibatch and kept unfused
-# MCB and BLSTM tapes; the checkpoint hashes were taken again when the
-# format became AMCRN3, whose config text names one `channels` width
-# (the stored values did not change). Bit-exact sums can differ on
-# another BLAS build.
+def trained_digests(tmp_path, source, seed):
+    """SHA-256 of the checkpoint and of the loss CSV that `amcrn train
+    SOURCE --epochs 2 --seed N` writes with the tiny preset,
+    `augment_copies = 1` and `batch_size = 4` (10 views an epoch, so three
+    minibatches).
+
+    OpenBLAS splits a product's sum by thread, so the weight-gradient
+    products over all B*T rows of the LSTM and residual projection
+    backward passes round differently with one thread than with two, and
+    the trained bytes follow. The run is therefore a child process whose
+    BLAS is held to one thread, whatever the machine's CPU count. Bit-exact
+    sums can still differ on another BLAS build."""
+    config = tmp_path / "train.cfg"
+    config.write_text("augment_copies = 1\nbatch_size = 4\n")
+    out = tmp_path / "model.ckpt"
+    package_root = os.path.dirname(os.path.dirname(amcrn.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "amcrn.cli", "train", *source, "--config",
+                          str(config), "--epochs", "2", "--seed", str(seed), "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in (out, tmp_path / "model.ckpt.loss.csv"))
+
+
+# `trained_digests` of `--toy 'speakers=2 utts=3 seconds=2.5'`.
 TRAINED_BYTES = {
-    0: ("600e943e838c009a51213be55206f13c281d78a4809cd98fcc930ae16ea0f3cf",
-        "9fed00797b653d6ac78e372d94e944d611031b7800b38326e8e6916d73e190ce"),
-    1: ("56437551324b0fe4a26ec3e1d3cbbd5a8a798b0ed9b4425971c12beee856fa45",
-        "0466a218d4ee2ff2f2370cc704bf5320bfdfd1906d6fbda3fbdcc9ea9475ba8a"),
+    0: ("d369edec25a33ee53e911cfff27a4c24e64293d5ac2041e5993295a7d221ca9f",
+        "5d045382471d779ecc6b04b1582dc0ea1b0bd04a8111dcb865b9d1dfce372a0b"),
+    1: ("e1311a304494cbf9ba1e53b2b8626ef9a3a9c95e139deacc3427d40f1d5110ba",
+        "2d1a2d47ca0180e83eed87ae8f3ea3d186623ef53b2b296fe397ade8a5153aa4"),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(TRAINED_BYTES))
 def test_trained_bytes_are_pinned(tmp_path, seed):
-    config = tmp_path / "train.cfg"
-    config.write_text("augment_copies = 1\nbatch_size = 4\n")
-    out = tmp_path / "model.ckpt"
-    assert cli_main(["train", "--toy", "speakers=2 utts=3 seconds=2.5", "--config", str(config),
-                     "--epochs", "2", "--seed", str(seed), "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
-                    for path in (out, tmp_path / "model.ckpt.loss.csv"))
-    assert digests == TRAINED_BYTES[seed]
+    source = ["--toy", "speakers=2 utts=3 seconds=2.5"]
+    assert trained_digests(tmp_path, source, seed) == TRAINED_BYTES[seed]
 
 
-# SHA-256 of the checkpoint and of the loss CSV that `amcrn train --data D
-# --epochs 2 --seed N` writes with the tiny preset, `augment_copies = 1` and
-# `batch_size = 4`, where D is `amcrn toygen --spec 'speakers=2 utts=3
-# seconds=2.5'`: the benchmark's path. Frozen from the trainer that read
-# every WAV file whole before the first epoch and kept the unfused pooling
-# and residual nodes; the checkpoint hashes were taken again for AMCRN3.
-# Bit-exact sums can differ on another BLAS build.
+# `trained_digests` of `--data D`, where D is `amcrn toygen --spec
+# 'speakers=2 utts=3 seconds=2.5'`: the benchmark's path.
 TRAINED_DATA_BYTES = {
-    0: ("82d4a0c49a19d303eebbc8393ed4deb9b1d3d53f9ed791dff427e551c61b4c31",
-        "2621a5ecc820f56d80f35069800e54b3e5f925e8afca41d51fc11772d1ab85a5"),
-    1: ("ff8a586ffd9ccb15dbf9417779f61bebaf7181d67849ab56179c575f773547c6",
-        "c907ddece58ca65badd98dd74ff6db197f8b082f636bb171cbada744610e8c15"),
+    0: ("4dec67b99283e3e22a6570ecce43afa3121a1be18b6c08019139d68a643b1c3b",
+        "3b0f4638ada06375eb44349cfdcd93b8be6c08cab496ba96cec760d247896950"),
+    1: ("310f09a4665d6d9cc1935b5045c1bfa4c08ea211f483018c7a01c72223061aed",
+        "40b5e92c88eed9a3746f39741026aae91d6025f5e9ab99ff4da191bc0737e787"),
 }
 
 
@@ -422,14 +433,8 @@ def toygen_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("seed", sorted(TRAINED_DATA_BYTES))
 def test_trained_data_bytes_are_pinned(tmp_path, toygen_dir, seed):
-    config = tmp_path / "train.cfg"
-    config.write_text("augment_copies = 1\nbatch_size = 4\n")
-    out = tmp_path / "model.ckpt"
-    assert cli_main(["train", "--data", str(toygen_dir), "--config", str(config),
-                     "--epochs", "2", "--seed", str(seed), "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
-                    for path in (out, tmp_path / "model.ckpt.loss.csv"))
-    assert digests == TRAINED_DATA_BYTES[seed]
+    source = ["--data", str(toygen_dir)]
+    assert trained_digests(tmp_path, source, seed) == TRAINED_DATA_BYTES[seed]
 
 
 class TestLazyAudio:
