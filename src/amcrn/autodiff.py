@@ -766,19 +766,22 @@ def lstm(x, w_x, w_h, bias, reverse=False, out=None):
     hs = np.empty((t_len, n, h_dim), dtype)
     h = c = np.zeros((n, h_dim), dtype)
     w_rec = w_h.data
+    # Every step reuses these: its w_h product, input gate x cell candidate, 1.
+    pre, gated = np.empty((n, 4 * h_dim), dtype), np.empty((n, h_dim), dtype)
+    one = np.ones((), dtype)
     # exp of a large cell pre-activation overflows to inf harmlessly: its
     # columns are overwritten by tanh, and a sigmoid gate reads 1 / inf = 0.
     with np.errstate(over="ignore"):
         for t in range(t_len):
-            pre = h @ w_rec
+            np.matmul(h, w_rec, out=pre)
             g = gates[t]
             np.subtract(g, pre, out=pre)
             np.exp(pre, out=g)
-            g += 1.0
-            np.divide(1.0, g, out=g)
+            g += one
+            np.reciprocal(g, out=g)
             np.tanh(pre[:, c_sl], out=g[:, c_sl])
             c = np.multiply(g[:, f_sl], c, out=cells[t if keep else 0])
-            c -= g[:, i_sl] * g[:, c_sl]
+            c -= np.multiply(g[:, i_sl], g[:, c_sl], out=gated)
             h = np.tanh(c, out=hs[t])
             h *= g[:, o_sl]
     batch_major = (hs[::-1] if reverse else hs).swapaxes(0, 1)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import profiling, scoring, toydata, training
-from .audio import read_wav, wav_length, write_wav
+from .audio import SAMPLE_RATE, read_wav, wav_length, write_wav
 from .errors import AmcrnError, ConfigError, NumericalError
 from .model import (AmcrnConfig, AmcrnModel, _atomic_write, build_config,
                     load_checkpoint, parse_config, tiny_config)
@@ -177,8 +177,7 @@ def cmd_eval(args):
                 scoring.save_plda(args.plda_file, plda)
         else:
             raise AmcrnError("PLDA backend needs --plda-file or --plda-train-dir")
-    truncation = None if args.truncate in (None, "whole") else float(args.truncate)
-    scores, report = scoring.run_trials(model, trials, resolve, plda, truncation=truncation,
+    scores, report = scoring.run_trials(model, trials, resolve, plda, truncation=args.truncate,
                                         seed=args.seed)
     prefix = args.out_prefix or args.trials
     scoring.write_scored_trials(prefix + ".scores", trials, scores)
@@ -225,6 +224,20 @@ def _non_negative_int(text):
     return int(text)
 
 
+def truncation(text):
+    """argparse type for `--truncate`: None for `whole`, else a number of
+    seconds that spans two frames and whose sample count is finite."""
+    if text == "whole":
+        return None
+    seconds = float(text)
+    samples = seconds * SAMPLE_RATE
+    if not (0.0 < samples < np.inf and round(samples) >= training.TWO_FRAMES):  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"expected whole or a finite number of seconds >= "
+            f"{training.TWO_FRAMES / SAMPLE_RATE:g} (two frames), got {text!r}")
+    return seconds
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="amcrn",
                                      description="Speaker verification toolkit")
@@ -269,7 +282,7 @@ def build_parser():
     p.add_argument("--backend", choices=["csm", "plda"], default="csm")
     p.add_argument("--plda-file")
     p.add_argument("--plda-train-dir")
-    p.add_argument("--truncate", choices=["2", "3", "5", "whole"], default="whole")
+    p.add_argument("--truncate", type=truncation, default="whole")
     p.add_argument("--out-prefix")
 
     p = sub.add_parser("profile", help="parameter/MAC cost report")

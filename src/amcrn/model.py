@@ -90,21 +90,22 @@ def parse_config_text(text, classes, name):
     return out
 
 
+# The paper's kernel sizes: the initial convolution, the first and the
+# fusion convolution of each MCB block, and its temporal attention.
+INITIAL_KERNEL, MCB_KERNEL, FUSION_KERNEL, TA_KERNEL = 5, 3, 3, 7
+
+
 @dataclass
 class AmcrnConfig:
     """Architecture hyperparameters, including the ablation switches. One
     `channels` width runs through every residual block, one MCB block per
-    (`mcb_kernel`, `mcb_dilations`) pair; the residual BLSTM has the
-    paper's two layers."""
+    `mcb_dilations` entry; the kernel sizes are the paper's (the module
+    constants above), and the residual BLSTM has the paper's two layers."""
 
     n_mels: int = 80
-    initial_kernel: int = 5
     channels: int = 512
-    mcb_kernel: tuple = (3, 3, 3)
     mcb_dilations: tuple = (2, 3, 4)  # all 1: the standard-convolution ablation
     n_scales: int = 8
-    ta_kernel: int = 7
-    fusion_kernel: int = 3
     blstm_hidden: int = 450
     blstm_dropout: float = 0.2
     pool_bottleneck: int = 128
@@ -117,22 +118,11 @@ class AmcrnConfig:
     use_blstm: bool = True
 
     def __post_init__(self):
-        self.mcb_kernel = tuple(self.mcb_kernel)
         self.mcb_dilations = tuple(self.mcb_dilations)
-        self.validate()
-
-    def validate(self):
-        if len(self.mcb_kernel) != len(self.mcb_dilations):
-            raise ConfigError(f"mcb_kernel has {len(self.mcb_kernel)} entries, mcb_dilations "
-                              f"{len(self.mcb_dilations)}: one of each per block")
-        for f in dataclasses.fields(self):  # every size, count and kernel; no empty list
+        for f in dataclasses.fields(self):  # every size, count and dilation; no empty list
             value = getattr(self, f.name)
             if type(f.default) in (int, tuple) and min(np.atleast_1d(value), default=0) < 1:
                 raise ConfigError(f"{f.name} must be >= 1")
-        for name in ("initial_kernel", "mcb_kernel", "ta_kernel", "fusion_kernel"):
-            sizes = np.atleast_1d(getattr(self, name))
-            if (sizes % 2 == 0).any():
-                raise ConfigError(f"{name} must be odd, got {','.join(map(str, sizes))}")
         if not 0.0 <= self.blstm_dropout < 1.0:
             raise ConfigError(f"blstm_dropout must be in [0, 1), got {self.blstm_dropout!r}")
         if not math.isfinite(self.aam_margin):
@@ -279,8 +269,8 @@ def attention_coefficients(x, kernel, bias):
 
 
 class TemporalAttention:
-    def __init__(self, name, k, rng):
-        self.kernel = Parameter(_uniform(rng, (k, 2, 1), 2 * k), f"{name}.kernel")
+    def __init__(self, name, rng):
+        self.kernel = Parameter(_uniform(rng, (TA_KERNEL, 2, 1), 2 * TA_KERNEL), f"{name}.kernel")
         self.bias = Parameter(np.zeros(1), f"{name}.bias")
 
     def __call__(self, x):
@@ -304,19 +294,18 @@ class McbBlock:
 
     def __init__(self, name, config: AmcrnConfig, index: int, rng):
         c = config.channels
-        k = config.mcb_kernel[index]
         r = config.mcb_dilations[index]
         n = config.n_scales
         sub = c // n
         self.n_scales = n
-        self.conv_pre = Conv1d(f"{name}.pre", k, c, c, r, rng)
+        self.conv_pre = Conv1d(f"{name}.pre", MCB_KERNEL, c, c, r, rng)
         self.bn_pre = BatchNorm(f"{name}.bn_pre", c)
         self.scale_convs = [
             Conv1d(f"{name}.scale{j}", 3, sub, sub, r, rng) for j in range(1, n)
         ]
-        self.conv_post = Conv1d(f"{name}.post", config.fusion_kernel, c, c, r, rng)
+        self.conv_post = Conv1d(f"{name}.post", FUSION_KERNEL, c, c, r, rng)
         self.bn_post = BatchNorm(f"{name}.bn_post", c)
-        self.attention = TemporalAttention(f"{name}.ta", config.ta_kernel, rng) \
+        self.attention = TemporalAttention(f"{name}.ta", rng) \
             if config.use_temporal_attention else None
 
     def __call__(self, s, mode):
@@ -577,10 +566,10 @@ class AmcrnModel:
     def _build(self, config, rng):
         self.config = config
         c = config.channels
-        self.initial_conv = Conv1d("initial.conv", config.initial_kernel,
-                                   config.n_mels, c, 1, rng)
+        self.initial_conv = Conv1d("initial.conv", INITIAL_KERNEL, config.n_mels, c, 1, rng)
         self.initial_bn = BatchNorm("initial.bn", c)
-        self.blocks = [McbBlock(f"mcb{i}", config, i, rng) for i in range(len(config.mcb_kernel))]
+        self.blocks = [McbBlock(f"mcb{i}", config, i, rng)
+                       for i in range(len(config.mcb_dilations))]
         self.rblstm = ResidualBlstm("rblstm", c, config.blstm_hidden,
                                     config.blstm_dropout, rng) if config.use_blstm else None
         self.pool = AttentiveStatPool("pool", c, config.pool_bottleneck, rng)
@@ -669,7 +658,7 @@ class AmcrnModel:
 # Checkpoint I/O
 # ----------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"AMCRN3"
+CHECKPOINT_MAGIC = b"AMCRN4"
 
 
 def _checkpoint_chunks(model):
@@ -738,7 +727,7 @@ def _stored_values(config: AmcrnConfig) -> int:
     from .profiling import count_params  # profiling imports this module
 
     # The initial BatchNorm, two per block and the embedding norm.
-    norm_channels = (1 + 2 * len(config.mcb_kernel)) * config.channels + config.embedding_dim
+    norm_channels = (1 + 2 * len(config.mcb_dilations)) * config.channels + config.embedding_dim
     return count_params(config, include_head=True) + 2 * norm_channels
 
 
@@ -767,7 +756,7 @@ def restore_model(source, dtype=np.float64) -> AmcrnModel:
     end = fh.seek(0, io.SEEK_END) - 8  # the trailing entry count and CRC
     fh.seek(0)
     magic = fh.read(len(CHECKPOINT_MAGIC))
-    if magic in (b"AMCRN1", b"AMCRN2"):
+    if magic in (b"AMCRN1", b"AMCRN2", b"AMCRN3"):
         raise refused(f"an {magic.decode()} checkpoint, an old format that is no longer read; "
                       f"retrain the model to write an {CHECKPOINT_MAGIC.decode()} checkpoint")
     if magic != CHECKPOINT_MAGIC:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .dsp import FRAME_SHIFT
 from .errors import ConfigError
-from .model import AmcrnConfig
+from .model import FUSION_KERNEL, INITIAL_KERNEL, MCB_KERNEL, TA_KERNEL, AmcrnConfig
 
 
 @dataclass
@@ -25,10 +25,6 @@ class CostReport:
     total_params: int
     total_macs: int
     breakdown: list
-
-
-def _conv_params(k, c_in, c_out):
-    return k * c_in * c_out + c_out
 
 
 def _linear_params(d_in, d_out):
@@ -56,25 +52,24 @@ def layer_costs(config: AmcrnConfig, duration_s: float, include_head=False):
     def add(name, params, macs):
         rows.append(LayerCost(name, int(params), int(macs)))
 
+    def add_convs(name, k, c_in, c_out, n=1, gating=0):
+        """n biased convolutions of one shape, plus `gating` MACs."""
+        add(name, n * (k * c_in * c_out + c_out), n * t * k * c_in * c_out + gating)
+
     c = config.channels
-    add("initial.conv", _conv_params(config.initial_kernel, config.n_mels, c),
-        t * config.initial_kernel * config.n_mels * c)
+    add_convs("initial.conv", INITIAL_KERNEL, config.n_mels, c)
     add("initial.bn", 2 * c, 0)
 
     sub = c // config.n_scales
-    for i, k in enumerate(config.mcb_kernel):
-        add(f"mcb{i}.pre", _conv_params(k, c, c), t * k * c * c)
+    for i in range(len(config.mcb_dilations)):
+        add_convs(f"mcb{i}.pre", MCB_KERNEL, c, c)
         add(f"mcb{i}.bn_pre", 2 * c, 0)
-        n_scale_convs = config.n_scales - 1
-        add(f"mcb{i}.scales", n_scale_convs * _conv_params(3, sub, sub),
-            n_scale_convs * t * 3 * sub * sub)
-        add(f"mcb{i}.post", _conv_params(config.fusion_kernel, c, c),
-            t * config.fusion_kernel * c * c)
+        add_convs(f"mcb{i}.scales", 3, sub, sub, n=config.n_scales - 1)
+        add_convs(f"mcb{i}.post", FUSION_KERNEL, c, c)
         add(f"mcb{i}.bn_post", 2 * c, 0)
         if config.use_temporal_attention:
             # Stats conv over [mean, max] plus the T x C gating products.
-            add(f"mcb{i}.ta", _conv_params(config.ta_kernel, 2, 1),
-                t * config.ta_kernel * 2 + t * c)
+            add_convs(f"mcb{i}.ta", TA_KERNEL, 2, 1, gating=t * c)
 
     if config.use_blstm:
         h = config.blstm_hidden

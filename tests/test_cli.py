@@ -18,7 +18,7 @@ from amcrn.dsp import featurize
 from amcrn.errors import AmcrnError, ConfigError, NumericalError
 from amcrn.model import AmcrnConfig, AmcrnModel, load_checkpoint, parse_config
 from amcrn.scoring import (load_plda, plda_from_covariances, plda_score, plda_train,
-                           read_trial_list, save_plda)
+                           read_trial_list, run_trials, save_plda)
 from amcrn.store import EmbeddingStore
 from amcrn.training import TrainConfig
 
@@ -206,19 +206,21 @@ def test_bad_config_line_is_located(workspace, tmp_path, capsys, command, case):
 
 
 # A config whose every line parses but whose values fail the config's own
-# checks -> (the commands that check them, what stderr says after `<path>: `).
+# checks, or that names a kernel size, which the paper fixes and the config
+# no longer has -> (the commands that check them, what stderr says after
+# `<path>: `, or after `<path>:<line>: ` for an unknown key).
 INVALID_CONFIGS = {
     "block_lists": ("mcb_kernel = 3,3", ("train", "profile", "embed"),
-                    "mcb_kernel has 2 entries, mcb_dilations 3: one of each per block"),
+                    "unknown key 'mcb_kernel'"),
     "no_scales": ("n_scales = 0", ("train", "profile", "embed"), "n_scales must be >= 1"),
     "initial_kernel_even": ("initial_kernel = 4", ("train", "profile", "embed"),
-                            "initial_kernel must be odd, got 4"),
+                            "unknown key 'initial_kernel'"),
     "mcb_kernel_even": ("mcb_kernel = 3,4,3", ("train", "profile", "embed"),
-                        "mcb_kernel must be odd, got 3,4,3"),
+                        "unknown key 'mcb_kernel'"),
     "ta_kernel_even": ("ta_kernel = 6", ("train", "profile", "embed"),
-                       "ta_kernel must be odd, got 6"),
+                       "unknown key 'ta_kernel'"),
     "fusion_kernel_even": ("fusion_kernel = 2", ("train", "profile", "embed"),
-                           "fusion_kernel must be odd, got 2"),
+                           "unknown key 'fusion_kernel'"),
     "dropout_one": ("blstm_dropout = 1.0", ("train", "profile", "embed"),
                     "blstm_dropout must be in [0, 1), got 1.0"),
     "dropout_nan": ("blstm_dropout = nan", ("train", "profile", "embed"),
@@ -263,12 +265,21 @@ INVALID_CONFIGS = {
                                            for command in commands])
 def test_invalid_config_names_its_file(workspace, tmp_path, capsys, command, case):
     """Values that each parse but fail validation exit 2 with the file's
-    path in front of the config's own message."""
+    path in front of the config's own message; a key the config does not
+    have exits 2 with the path and the line, the last of the config."""
     line, _, message = INVALID_CONFIGS[case]
-    path, argv = _config_run(command, workspace, tmp_path, lambda kept: kept + f"{line}\n")
+    configs = []
+
+    def append_line(kept):
+        configs.append(kept + f"{line}\n")
+        return configs[0]
+
+    path, argv = _config_run(command, workspace, tmp_path, append_line)
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"error: {path}: {message}\n" == captured.err
+    last_line = len(configs[0].splitlines())
+    where = f"{path}:{last_line}" if message.startswith("unknown key") else path
+    assert f"error: {where}: {message}\n" == captured.err
     assert captured.out == ""
 
 
@@ -322,6 +333,26 @@ def test_negative_count_names_the_option(tmp_path, capsys, argv, option):
     assert (f"argument {option}: expected a non-negative integer, got '-1'"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc", "0.034", "1e308"])
+def test_bad_truncation_names_the_option(workspace, tmp_path, capsys, value):
+    """`--truncate` takes whole or a finite number of seconds that spans two
+    frames; anything else exits 2 naming the option, before any output.
+    Text that is not a number is argparse's "invalid truncation value"."""
+    _, data_dir, ckpt = workspace
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 spk000/utt000.wav spk000/utt001.wav\n")
+    with pytest.raises(SystemExit) as exited:
+        main(["eval", "--checkpoint", str(ckpt), "--trials", str(trials),
+              "--audio-root", str(data_dir), "--truncate", value,
+              "--out-prefix", str(tmp_path / "run")])
+    assert exited.value.code == 2
+    reason = (f"invalid truncation value: {value!r}" if value == "abc" else
+              "expected whole or a finite number of seconds >= 0.035 (two frames), "
+              f"got {value!r}")
+    assert f"argument --truncate: {reason}\n" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["trials.txt"]
 
 
 # A bad toy spec -> the start of its error: the item that does not parse,
@@ -409,6 +440,7 @@ CORRUPT_CHECKPOINTS = {
                 "checkpoint checksum mismatch"),
     "amcrn1": (lambda blob: b"AMCRN1" + blob[_first_entry(blob):-4], "an AMCRN1 checkpoint"),
     "amcrn2": (lambda blob: b"AMCRN2" + blob[6:], "an AMCRN2 checkpoint"),
+    "amcrn3": (lambda blob: b"AMCRN3" + blob[6:], "an AMCRN3 checkpoint"),
 }
 
 
@@ -416,7 +448,8 @@ CORRUPT_CHECKPOINTS = {
 @pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
 def test_corrupt_checkpoint_is_data_error(workspace, tmp_path, capsys, command, case):
     """Each command that loads a checkpoint exits 2 on a cut, changed,
-    AMCRN1 or AMCRN2 file, with the reader's message and no output file."""
+    AMCRN1, AMCRN2 or AMCRN3 file, with the reader's message and no output
+    file."""
     _, data_dir, ckpt = workspace
     corrupt, begins = CORRUPT_CHECKPOINTS[case]
     bad = tmp_path / "bad.ckpt"
@@ -727,6 +760,23 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(trial_file),
                      "--audio-root", str(data_dir), "--truncate", "2",
                      "--out-prefix", prefix]) == 0
+
+    def test_any_truncation_of_two_frames_runs(self, workspace, trial_file):
+        """`--truncate 0.5` scores random 0.5 s segments of the 1 s test
+        utterances: the scores `run_trials` gives at that truncation on the
+        float32 model a csm `eval` loads, not those of the whole utterances."""
+        _, data_dir, ckpt = workspace
+        prefix = str(trial_file) + ".half"
+        argv = ["eval", "--checkpoint", str(ckpt), "--trials", str(trial_file),
+                "--audio-root", str(data_dir), "--truncate", "0.5", "--out-prefix", prefix]
+        assert main(argv) == 0
+        assert main(argv[:-4] + ["--out-prefix", prefix + ".whole"]) == 0
+        got = [float(line.split()[-1]) for line in open(prefix + ".scores")]
+        whole = [float(line.split()[-1]) for line in open(prefix + ".whole.scores")]
+        scores, _ = run_trials(load_checkpoint(ckpt, np.float32), read_trial_list(trial_file),
+                               lambda ref: read_wav(data_dir / ref), truncation=0.5)
+        np.testing.assert_array_equal(got, scores)
+        assert got != whole
 
     def test_plda_eval_trains_and_saves_backend(self, workspace, trial_file, tmp_path):
         _, data_dir, ckpt = workspace

@@ -37,10 +37,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(channels=10, n_scales=4)
 
-    def test_mismatched_block_lists_rejected(self):
-        with pytest.raises(ConfigError, match="mcb_kernel has 2 entries, mcb_dilations 3"):
-            AmcrnConfig(mcb_kernel=(3, 3))
-
     def test_text_round_trip(self, tmp_path):
         cfg = tiny_config(n_scales=4, channels=32, mcb_dilations=(1, 1, 1))
         train_cfg = TrainConfig(lr_end=1e-6, crop_seconds=1.5, augment_copies=0)
@@ -61,9 +57,9 @@ class TestConfig:
 
     def test_keys_go_to_the_class_that_has_them(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("epochs = 7\nn_scales = 4\n\nmcb_kernel = 3, 5,7\n")
+        path.write_text("epochs = 7\nn_scales = 4\n\nmcb_dilations = 3, 5,7\n")
         model_kv, train_kv = parse_config(path, (AmcrnConfig, TrainConfig))
-        assert model_kv == {"n_scales": 4, "mcb_kernel": (3, 5, 7)}
+        assert model_kv == {"n_scales": 4, "mcb_dilations": (3, 5, 7)}
         assert train_kv == {"epochs": 7}
 
     @pytest.mark.parametrize("line, message", [
@@ -72,7 +68,7 @@ class TestConfig:
         ("channels = three", "channels: expected an integer, got 'three'"),
         ("channels = 3.0", "channels: expected an integer, got '3.0'"),
         ("aam_scale = thirty", "aam_scale: expected a number, got 'thirty'"),
-        ("mcb_kernel = 3,,3", "mcb_kernel: expected comma-separated integers, got '3,,3'"),
+        ("mcb_dilations = 2,,4", "mcb_dilations: expected comma-separated integers, got '2,,4'"),
         ("epochs = 2", "unknown key 'epochs'"),
         ("channels 3", "expected key = value"),
     ])
@@ -85,11 +81,10 @@ class TestConfig:
 
 
 # field -> a value other than tiny_config's: one the model must feel, or
-# one that `AmcrnConfig.validate` refuses on its own.
+# one that `AmcrnConfig` refuses on its own.
 AUDIT_VALUES = {
-    "n_mels": 10, "initial_kernel": 3, "channels": 32,
-    "mcb_kernel": (3, 3, 5), "mcb_dilations": (2, 3, 5),
-    "n_scales": 4, "ta_kernel": 5, "fusion_kernel": 5, "blstm_hidden": 10,
+    "n_mels": 10, "channels": 32, "mcb_dilations": (2, 3, 5),
+    "n_scales": 4, "blstm_hidden": 10,
     "blstm_dropout": 0.5, "pool_bottleneck": 6, "embedding_dim": 12,
     "n_classes": 5, "aam_margin": 0.3, "aam_scale": 20.0,
     "use_temporal_attention": False, "use_blstm": False,

@@ -12,20 +12,18 @@ from amcrn.profiling import (count_macs, count_params, emit_cost_report,
 
 class TestHandCounts:
     def test_conv_layer_params(self):
-        # k=3, c_in=3, c_out=3 convolution: 3*3*3 weights + 3 biases = 30;
-        # with c_out=3 and no bias convention the classic 28 figure is
-        # 3*3*3 + 1; our layers carry one bias per output channel.
-        rows = layer_costs(tiny_config(n_mels=3, channels=3, n_scales=1,
-                                       initial_kernel=3), 1.0)
+        # k=5, c_in=3, c_out=3 convolution: 5*3*3 weights + 3 biases = 48;
+        # our layers carry one bias per output channel.
+        rows = layer_costs(tiny_config(n_mels=3, channels=3, n_scales=1), 1.0)
         initial = next(r for r in rows if r.name == "initial.conv")
-        assert initial.params == 3 * 3 * 3 + 3
+        assert initial.params == 5 * 3 * 3 + 3
 
     def test_conv_layer_macs(self):
-        # 10 frames, k=3, c_in=4, c_out=8: 10 * 3 * 4 * 8 = 960 MACs.
-        cfg = tiny_config(n_mels=4, channels=8, n_scales=1, initial_kernel=3)
+        # 10 frames, k=5, c_in=4, c_out=8: 10 * 5 * 4 * 8 = 1600 MACs.
+        cfg = tiny_config(n_mels=4, channels=8, n_scales=1)
         rows = layer_costs(cfg, 0.1)
         initial = next(r for r in rows if r.name == "initial.conv")
-        assert initial.macs == 960
+        assert initial.macs == 1600
 
     def test_lstm_direction_macs(self):
         # Per frame and direction: 4 gates x H x (Din + H) multiplies.
@@ -39,6 +37,46 @@ class TestHandCounts:
         assert frames_for(2.0) == 200
         assert frames_for(3.0) == 300
         assert frames_for(5.0) == 500
+
+
+# The paper-size network's rows of `layer_costs`: (name, params, MACs at
+# 2, 3 and 5 s).
+PAPER_COSTS = [
+    ("initial.conv", 205312, 40960000, 61440000, 102400000),
+    ("initial.bn", 1024, 0, 0, 0),
+    ("mcb0.pre", 786944, 157286400, 235929600, 393216000),
+    ("mcb0.bn_pre", 1024, 0, 0, 0),
+    ("mcb0.scales", 86464, 17203200, 25804800, 43008000),
+    ("mcb0.post", 786944, 157286400, 235929600, 393216000),
+    ("mcb0.bn_post", 1024, 0, 0, 0),
+    ("mcb0.ta", 15, 105200, 157800, 263000),
+    ("mcb1.pre", 786944, 157286400, 235929600, 393216000),
+    ("mcb1.bn_pre", 1024, 0, 0, 0),
+    ("mcb1.scales", 86464, 17203200, 25804800, 43008000),
+    ("mcb1.post", 786944, 157286400, 235929600, 393216000),
+    ("mcb1.bn_post", 1024, 0, 0, 0),
+    ("mcb1.ta", 15, 105200, 157800, 263000),
+    ("mcb2.pre", 786944, 157286400, 235929600, 393216000),
+    ("mcb2.bn_pre", 1024, 0, 0, 0),
+    ("mcb2.scales", 86464, 17203200, 25804800, 43008000),
+    ("mcb2.post", 786944, 157286400, 235929600, 393216000),
+    ("mcb2.bn_post", 1024, 0, 0, 0),
+    ("mcb2.ta", 15, 105200, 157800, 263000),
+    ("rblstm.blstm1", 3466800, 692640000, 1038960000, 1731600000),
+    ("rblstm.blstm2", 4863600, 972000000, 1458000000, 2430000000),
+    ("rblstm.proj", 461312, 92160000, 138240000, 230400000),
+    ("pool", 131712, 26419200, 39628800, 66048000),
+    ("embed.linear", 262400, 262144, 262144, 262144),
+    ("embed.norm", 512, 0, 0, 0),
+]
+
+
+def test_paper_size_costs_are_pinned():
+    reports = [layer_costs(AmcrnConfig(), d) for d in (2.0, 3.0, 5.0)]
+    for rows in reports:
+        assert [(r.name, r.params) for r in rows] == [pin[:2] for pin in PAPER_COSTS]
+    assert [tuple(r.macs for r in layer) for layer in zip(*reports)] \
+        == [pin[2:] for pin in PAPER_COSTS]
 
 
 class TestAgainstModel:

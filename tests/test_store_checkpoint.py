@@ -360,12 +360,14 @@ class TestCheckpoint:
 
     def test_amcrn1_file_rejected_naming_the_format(self):
         """The old layouts are refused with a message that says to retrain:
-        AMCRN1 (magic, entries, count; config in a second file) and AMCRN2
-        (this layout over a config with fields AmcrnConfig no longer has)."""
+        AMCRN1 (magic, entries, count; config in a second file), and AMCRN2
+        and AMCRN3 (this layout over a config with fields AmcrnConfig no
+        longer has)."""
         blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
-        for old in (b"AMCRN1" + blob[_first_entry(blob):-4], b"AMCRN2" + blob[6:]):
+        for old in (b"AMCRN1" + blob[_first_entry(blob):-4], b"AMCRN2" + blob[6:],
+                    b"AMCRN3" + blob[6:]):
             with pytest.raises(ConfigError, match=f"^an {old[:6].decode()} checkpoint, .*retrain"
-                                                  " the model to write an AMCRN3 checkpoint$"):
+                                                  " the model to write an AMCRN4 checkpoint$"):
                 restore_model(old)
 
     def test_skipped_entry_goes_through_the_checksum(self):
@@ -431,7 +433,7 @@ class TestCheckpointBounds:
         AmcrnConfig(), tiny_config(), tiny_config(use_blstm=False),
         tiny_config(use_temporal_attention=False, n_scales=4),
         tiny_config(mcb_dilations=(1, 1, 1), n_scales=1),
-        tiny_config(mcb_kernel=(3, 5), mcb_dilations=(1, 2))],
+        tiny_config(mcb_dilations=(1, 2))],
         ids=["full", "tiny", "no_blstm", "no_attention", "dilation_one_one_scale", "two_blocks"])
     def test_size_check_counts_every_stored_value(self, config):
         """The count the reader checks the file size against is exactly
@@ -471,26 +473,26 @@ class TestCheckpointBounds:
             restore_model(_sealed(bad))
 
 
-# SHA-256 and size of the AMCRN3 checkpoint of AmcrnModel(tiny_config(),
+# SHA-256 and size of the AMCRN4 checkpoint of AmcrnModel(tiny_config(),
 # seed=0) with 0.25 added to initial_bn.running_mean, and SHA-256 of its
 # entries and entry count: the bytes between the config block and the CRC.
 # The file hashes move with the magic and the config text; the entry
-# hashes are those of the AMCRN2 files, whose config named a channel
-# width per block, and move only when a stored value does. Each
-# structural ablation holds a different set of entries; dilation 1 in
-# every block changes only the config text.
+# hashes are those of the AMCRN2 and AMCRN3 files, whose configs named a
+# channel width per block or the kernel sizes, and move only when a
+# stored value does. Each structural ablation holds a different set of
+# entries; dilation 1 in every block changes only the config text.
 SEEDED_CHECKPOINTS = {
-    "default": ({}, ("538bf6120ee472d7182f659c6e8dc4a0637505efb1876b4adbbf5b546a0b8b97", 45383),
+    "default": ({}, ("db6f0971ab57232104271412df97c4eba8661c4e2cb6cf3b32559b9e830589d6", 45313),
                 "0851005268bf848c02905e87145c3c635a2868a507e21400a6bf63f431445745"),
     "no_blstm": (dict(use_blstm=False),
-                 ("58e32afc3533c1c4640a78b54d22c96bf877f52c699260c59704a425a709c11c", 31072),
+                 ("444858e28cc049ed0d434d62da3da81696c27bebf66ae3ce4ab1402858a71f2a", 31002),
                  "78f7628a74f526a040d8ddaf137cd1e80e87a5b0f41694fa10062559c4fe5a35"),
     "no_temporal_attention": (
         dict(use_temporal_attention=False),
-        ("02a0920e0ba165da8470fdd89c8adf4dbbc476326868783a8ce181c5144c20fe", 45060),
+        ("8a5b6cc065930b358d7d171eca564dba43231737c1934b20b56569dd5cfb6bf0", 44990),
         "4c867e273f42d8ef84ada725df73d8c51c21fab5984a502c41981b69a0c11d96"),
     "dilation_one": (dict(mcb_dilations=(1, 1, 1)),
-                     ("7d6ea2e84004deb35eeba282ab72905aa849e81fdb771b31e0ad3a136173fc6a", 45383),
+                     ("2fae4f7bc160df03b9f4e1f001bda7cbe7323d758a7abf55601a6dc79669d601", 45313),
                      "0851005268bf848c02905e87145c3c635a2868a507e21400a6bf63f431445745"),
 }
 

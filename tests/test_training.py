@@ -401,9 +401,9 @@ def trained_digests(tmp_path, source, seed):
 
 # `trained_digests` of `--toy 'speakers=2 utts=3 seconds=2.5'`.
 TRAINED_BYTES = {
-    0: ("d369edec25a33ee53e911cfff27a4c24e64293d5ac2041e5993295a7d221ca9f",
+    0: ("a039e882c64c572602972d817e6256ab5b00a335d32bad1095f11e42bd8a281b",
         "5d045382471d779ecc6b04b1582dc0ea1b0bd04a8111dcb865b9d1dfce372a0b"),
-    1: ("e1311a304494cbf9ba1e53b2b8626ef9a3a9c95e139deacc3427d40f1d5110ba",
+    1: ("ab456b6efe98364d3180ae26dd2728ba425053dc9937cca85e124a197feb87fd",
         "2d1a2d47ca0180e83eed87ae8f3ea3d186623ef53b2b296fe397ade8a5153aa4"),
 }
 
@@ -417,9 +417,9 @@ def test_trained_bytes_are_pinned(tmp_path, seed):
 # `trained_digests` of `--data D`, where D is `amcrn toygen --spec
 # 'speakers=2 utts=3 seconds=2.5'`: the benchmark's path.
 TRAINED_DATA_BYTES = {
-    0: ("4dec67b99283e3e22a6570ecce43afa3121a1be18b6c08019139d68a643b1c3b",
+    0: ("0f5d4a701dc4f6f31b1f2a350211926451376d8bd28b024047dd2599f68de589",
         "3b0f4638ada06375eb44349cfdcd93b8be6c08cab496ba96cec760d247896950"),
-    1: ("310f09a4665d6d9cc1935b5045c1bfa4c08ea211f483018c7a01c72223061aed",
+    1: ("16ac7b2784a09f2068d1286f0d7e58f9382565b028d70142f106906455e58a69",
         "40b5e92c88eed9a3746f39741026aae91d6025f5e9ab99ff4da191bc0737e787"),
 }
 
