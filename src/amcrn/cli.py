@@ -17,7 +17,7 @@ from . import profiling, scoring, toydata, training
 from .audio import SAMPLE_RATE, read_wav, wav_length, write_wav
 from .errors import AmcrnError, ConfigError, NumericalError
 from .model import (AmcrnConfig, AmcrnModel, _atomic_write, build_config,
-                    load_checkpoint, parse_config, tiny_config)
+                    loading_checkpoint, parse_config, tiny_config)
 from .store import EmbeddingStore
 
 def _load_dataset_dir(root):
@@ -107,9 +107,13 @@ def _embed_wavs(model, paths):
     return scoring.embed_audio(model, ((path, read_wav(path)) for path in paths))
 
 
+# Each command that reads a checkpoint embeds inside `loading_checkpoint`,
+# so the checkpoint's CRC runs while the first forward pass does, and
+# prints or writes only after the block, once the CRC has matched.
+
 def cmd_embed(args):
-    model = load_checkpoint(args.checkpoint)
-    (vec,) = _embed_wavs(model, [args.wav])
+    with loading_checkpoint(args.checkpoint) as model:
+        (vec,) = _embed_wavs(model, [args.wav])
     out = " ".join(repr(float(v)) for v in vec)
     if args.out:
         _atomic_write(args.out, (out + "\n").encode())
@@ -119,32 +123,32 @@ def cmd_embed(args):
 
 
 def cmd_enroll(args):
-    model = load_checkpoint(args.checkpoint)
-    store = EmbeddingStore(args.store)
-    vecs = _embed_wavs(model, args.wavs)
-    store.add(args.id, vecs.mean(axis=0), n_utterances=len(vecs),
-              overwrite=args.overwrite)
+    with loading_checkpoint(args.checkpoint) as model:
+        store = EmbeddingStore(args.store)
+        vecs = _embed_wavs(model, args.wavs)
+        store.add(args.id, vecs.mean(axis=0), n_utterances=len(vecs),
+                  overwrite=args.overwrite)
     store.save(args.store)
     print(f"enrolled {args.id} from {len(vecs)} utterance(s)")
     return 0
 
 
 def cmd_verify(args):
-    model = load_checkpoint(args.checkpoint, _BACKEND_DTYPE[args.backend])
-    store = EmbeddingStore(args.store)
-    if args.id not in store:
-        raise ConfigError(f"{args.store}: unknown speaker {args.id!r}")
-    enrolled = store.get(args.id).vector
-    dim = model.config.embedding_dim
-    if len(enrolled) != dim:
-        raise ConfigError(f"{args.store}: id {args.id!r} holds a {len(enrolled)}-d vector, "
-                          f"the checkpoint embeds {dim}-d")
-    # The back end is read and checked before the forward pass, so a bad
-    # --plda-file fails without embedding anything.
-    if args.backend == "plda" and not args.plda_file:
-        raise AmcrnError("PLDA backend needs --plda-file")
-    plda = scoring.load_plda(args.plda_file, dim) if args.backend == "plda" else None
-    (test,) = _embed_wavs(model, [args.wav])
+    with loading_checkpoint(args.checkpoint, _BACKEND_DTYPE[args.backend]) as model:
+        store = EmbeddingStore(args.store)
+        if args.id not in store:
+            raise ConfigError(f"{args.store}: unknown speaker {args.id!r}")
+        enrolled = store.get(args.id).vector
+        dim = model.config.embedding_dim
+        if len(enrolled) != dim:
+            raise ConfigError(f"{args.store}: id {args.id!r} holds a {len(enrolled)}-d vector, "
+                              f"the checkpoint embeds {dim}-d")
+        # The back end is read and checked before the forward pass, so a bad
+        # --plda-file fails without embedding anything.
+        if args.backend == "plda" and not args.plda_file:
+            raise AmcrnError("PLDA backend needs --plda-file")
+        plda = scoring.load_plda(args.plda_file, dim) if args.backend == "plda" else None
+        (test,) = _embed_wavs(model, [args.wav])
     score = (scoring.csm(enrolled, test) if plda is None
              else scoring.plda_score(plda, enrolled, test))
     decision = scoring.decide(score, args.threshold)
@@ -153,32 +157,32 @@ def cmd_verify(args):
 
 
 def cmd_eval(args):
-    model = load_checkpoint(args.checkpoint, _BACKEND_DTYPE[args.backend])
-    trials = scoring.read_trial_list(args.trials)
-    root = args.audio_root or "."
+    with loading_checkpoint(args.checkpoint, _BACKEND_DTYPE[args.backend]) as model:
+        trials = scoring.read_trial_list(args.trials)
+        root = args.audio_root or "."
 
-    def resolve(ref):
-        path = os.path.join(root, ref)
-        if not os.path.exists(path):
-            raise KeyError(ref)
-        return read_wav(path)
+        def resolve(ref):
+            path = os.path.join(root, ref)
+            if not os.path.exists(path):
+                raise KeyError(ref)
+            return read_wav(path)
 
-    plda = None
-    if args.backend == "plda":
-        # An existing file is read, else the train dir is fitted; a file
-        # given alone goes to load_plda even if missing, which names it.
-        if args.plda_file and (os.path.exists(args.plda_file) or not args.plda_train_dir):
-            plda = scoring.load_plda(args.plda_file, model.config.embedding_dim)
-        elif args.plda_train_dir:
-            data = _load_dataset_dir(args.plda_train_dir)
-            embs = scoring.embed_audio(model, ((u.utterance_id, u.audio) for u in data))
-            plda = scoring.plda_train(embs, [u.speaker_id for u in data])
-            if args.plda_file:
-                scoring.save_plda(args.plda_file, plda)
-        else:
-            raise AmcrnError("PLDA backend needs --plda-file or --plda-train-dir")
-    scores, report = scoring.run_trials(model, trials, resolve, plda, truncation=args.truncate,
-                                        seed=args.seed)
+        plda = fitted = None
+        if args.backend == "plda":
+            # An existing file is read, else the train dir is fitted; a file
+            # given alone goes to load_plda even if missing, which names it.
+            if args.plda_file and (os.path.exists(args.plda_file) or not args.plda_train_dir):
+                plda = scoring.load_plda(args.plda_file, model.config.embedding_dim)
+            elif args.plda_train_dir:
+                data = _load_dataset_dir(args.plda_train_dir)
+                embs = scoring.embed_audio(model, ((u.utterance_id, u.audio) for u in data))
+                plda = fitted = scoring.plda_train(embs, [u.speaker_id for u in data])
+            else:
+                raise AmcrnError("PLDA backend needs --plda-file or --plda-train-dir")
+        scores, report = scoring.run_trials(model, trials, resolve, plda,
+                                            truncation=args.truncate, seed=args.seed)
+    if fitted is not None and args.plda_file:
+        scoring.save_plda(args.plda_file, fitted)
     prefix = args.out_prefix or args.trials
     scoring.write_scored_trials(prefix + ".scores", trials, scores)
     sweep = scoring.det_sweep([t.label for t in trials], scores)

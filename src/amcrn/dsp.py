@@ -23,6 +23,9 @@ F_MIN = 20.0
 F_MAX = 7600.0
 FRAME_SAMPLES = int(round(FRAME_LEN * SAMPLE_RATE))  # 400
 SHIFT_SAMPLES = int(round(FRAME_SHIFT * SAMPLE_RATE))  # 160
+# The fewest samples an utterance that is embedded or trained on may have:
+# two frames, the fewest that attentive pooling takes.
+TWO_FRAMES = FRAME_SAMPLES + SHIFT_SAMPLES
 
 
 def hamming_window(length: int) -> np.ndarray:

@@ -7,7 +7,8 @@ normalization, and the sigmoid/tanh evaluations are excluded.
 import math
 from dataclasses import dataclass
 
-from .dsp import FRAME_SHIFT
+from .audio import SAMPLE_RATE
+from .dsp import FRAME_SHIFT, TWO_FRAMES
 from .errors import ConfigError
 from .model import FUSION_KERNEL, INITIAL_KERNEL, MCB_KERNEL, TA_KERNEL, AmcrnConfig
 
@@ -102,11 +103,16 @@ def count_macs(config: AmcrnConfig, duration_s: float, include_head=False) -> in
 
 def emit_cost_report(config: AmcrnConfig, durations=(2.0, 3.0, 5.0),
                      include_head=False):
-    """One CostReport per duration."""
+    """One CostReport per duration, each at least two frames long (the
+    fewest the network embeds; else ConfigError). `layer_costs` itself
+    takes any duration > 0."""
     if not durations:
         raise ValueError("durations must be nonempty")
     reports = []
     for d in durations:
+        if 0 < d < TWO_FRAMES / SAMPLE_RATE:  # layer_costs refuses the rest
+            raise ConfigError(f"duration {d!r} s: expected at least "
+                              f"{TWO_FRAMES / SAMPLE_RATE:g} s (two frames)")
         rows = layer_costs(config, d, include_head)
         reports.append(CostReport(d, sum(r.params for r in rows),
                                   sum(r.macs for r in rows), rows))

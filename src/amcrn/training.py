@@ -11,14 +11,10 @@ from . import autodiff as ad
 from .augment import KINDS as AUGMENT_KINDS
 from .augment import augment
 from .audio import SAMPLE_RATE, random_crop
-from .dsp import FRAME_SAMPLES, SHIFT_SAMPLES, featurize
+from .dsp import TWO_FRAMES, featurize
 from .errors import ConfigError, InputTooShort, NumericalError
 from .model import (AmcrnModel, _atomic_write, checkpoint_bytes, equal_length_runs,
                     restore_model)
-
-# The fewest samples a crop or a training utterance may have: two frames,
-# the fewest that attentive pooling takes.
-TWO_FRAMES = FRAME_SAMPLES + SHIFT_SAMPLES
 
 
 @dataclass

@@ -4,6 +4,7 @@ import argparse
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import zlib
@@ -21,6 +22,7 @@ from amcrn.scoring import (load_plda, plda_from_covariances, plda_score, plda_tr
                            read_trial_list, run_trials, save_plda)
 from amcrn.store import EmbeddingStore
 from amcrn.training import TrainConfig
+from test_store_checkpoint import _body, _config_block, _entries, _first_entry, _sealed
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -158,18 +160,11 @@ BAD_CONFIG_LINES = {
 }
 
 
-def _first_entry(blob):
-    """Offset of a checkpoint's first entry: after the magic, the u32
-    config length and the config text."""
-    return 10 + int.from_bytes(blob[6:10], "little")
-
-
 def _with_config(blob, edit):
     """The checkpoint `blob` with its embedded config replaced by
     `edit(config)` and a valid CRC32, as if a writer had put it there."""
     text = edit(blob[10:_first_entry(blob)].decode()).encode()
-    body = blob[:6] + len(text).to_bytes(4, "little") + text + blob[_first_entry(blob):-4]
-    return body + zlib.crc32(body).to_bytes(4, "little")
+    return _sealed(_body(_config_block(text), _entries(blob)))
 
 
 def _config_run(command, workspace, tmp_path, edit):
@@ -441,6 +436,7 @@ CORRUPT_CHECKPOINTS = {
     "amcrn1": (lambda blob: b"AMCRN1" + blob[_first_entry(blob):-4], "an AMCRN1 checkpoint"),
     "amcrn2": (lambda blob: b"AMCRN2" + blob[6:], "an AMCRN2 checkpoint"),
     "amcrn3": (lambda blob: b"AMCRN3" + blob[6:], "an AMCRN3 checkpoint"),
+    "amcrn4": (lambda blob: b"AMCRN4" + blob[6:], "an AMCRN4 checkpoint"),
 }
 
 
@@ -448,8 +444,8 @@ CORRUPT_CHECKPOINTS = {
 @pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
 def test_corrupt_checkpoint_is_data_error(workspace, tmp_path, capsys, command, case):
     """Each command that loads a checkpoint exits 2 on a cut, changed,
-    AMCRN1, AMCRN2 or AMCRN3 file, with the reader's message and no output
-    file."""
+    AMCRN1, AMCRN2, AMCRN3 or AMCRN4 file, with the reader's message and
+    no output file."""
     _, data_dir, ckpt = workspace
     corrupt, begins = CORRUPT_CHECKPOINTS[case]
     bad = tmp_path / "bad.ckpt"
@@ -471,6 +467,65 @@ def test_corrupt_checkpoint_is_data_error(workspace, tmp_path, capsys, command, 
     assert captured.err == f"error: {expected.value}\n"
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["bad.ckpt", "trials.txt"]
+
+
+@pytest.fixture(scope="module")
+def enrolled(workspace, tmp_path_factory):
+    """A store with alice enrolled, a PLDA file fitted on the data and a
+    trial list, all made with the good checkpoint."""
+    _, data_dir, ckpt = workspace
+    root = tmp_path_factory.mktemp("enrolled")
+    store, plda, trials = root / "speakers.tsv", root / "plda.npz", root / "trials.txt"
+    trials.write_text("1 spk000/utt000.wav spk000/utt001.wav\n"
+                      "0 spk000/utt000.wav spk001/utt000.wav\n")
+    assert main(["enroll", "--checkpoint", str(ckpt), "--store", str(store), "--id", "alice",
+                 str(data_dir / "spk000" / "utt000.wav")]) == 0
+    assert main(["eval", "--checkpoint", str(ckpt), "--trials", str(trials),
+                 "--audio-root", str(data_dir), "--backend", "plda",
+                 "--plda-train-dir", str(data_dir), "--plda-file", str(plda),
+                 "--out-prefix", str(root / "fit")]) == 0
+    return store, plda, trials
+
+
+# Each way a command that reads a checkpoint writes or prints something,
+# with `{tmp}` the directory holding the store, PLDA file and trial list.
+_EVAL = ["eval", "--trials", "{tmp}/trials.txt", "--audio-root", "{data}",
+         "--out-prefix", "{tmp}/run"]
+GATED_RUNS = {
+    "embed_out": ["embed", "--out", "{tmp}/emb.txt", "{wav}"],
+    "enroll": ["enroll", "--store", "{tmp}/speakers.tsv", "--id", "bob", "{wav}"],
+    "verify_csm": ["verify", "--store", "{tmp}/speakers.tsv", "--id", "alice", "{wav}"],
+    "verify_plda": ["verify", "--store", "{tmp}/speakers.tsv", "--id", "alice",
+                    "--backend", "plda", "--plda-file", "{tmp}/plda.npz", "{wav}"],
+    "eval_csm": _EVAL,
+    "eval_plda_file": [*_EVAL, "--backend", "plda", "--plda-file", "{tmp}/plda.npz"],
+    "eval_plda_fit": [*_EVAL, "--backend", "plda", "--plda-train-dir", "{data}",
+                      "--plda-file", "{tmp}/fitted.npz"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATED_RUNS))
+def test_checksum_gates_every_output(workspace, enrolled, tmp_path, capsys, case):
+    """A checkpoint with one value changed by one ulp passes every
+    structural check and embeds as usual; the commands wait for its CRC
+    only after the forward pass. Each still exits 2 with the checksum
+    error, prints nothing, leaves the store and the PLDA file byte for
+    byte as they were and writes no scores, report, sweep or PLDA file."""
+    _, data_dir, ckpt = workspace
+    for path in enrolled:
+        shutil.copy(path, tmp_path)
+    blob = ckpt.read_bytes()
+    at = blob.index(_entries(blob)[0][2])  # the first value's lowest byte
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:])
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    fill = {"tmp": tmp_path, "data": data_dir, "wav": data_dir / "spk000" / "utt002.wav"}
+    argv = [arg.format(**fill) for arg in GATED_RUNS[case]]
+    assert main([*argv, "--checkpoint", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: checkpoint checksum mismatch\n"
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 # A damaged copy of a good WAV -> how the error after "error: <path>: " begins.
@@ -1054,9 +1109,11 @@ class TestProfile:
         lines = open(csv_path).read().splitlines()
         assert lines[0] == "layer,params,macs_1s,macs_2s"
 
-    # A duration that is not a positive number, or whose frame count
-    # overflows, -> the end of its message.
+    # A duration that is not a positive number, that is shorter than the
+    # two frames the network embeds, or whose frame count overflows -> the
+    # end of its message.
     UNUSABLE_DURATIONS = {**dict.fromkeys(["inf", "-1", "0", "nan"], "expected a finite number > 0"),
+                          **dict.fromkeys(["0.001", "0.034"], "expected at least 0.035 s (two frames)"),
                           "1e308": "too many frames to count"}
 
     @pytest.mark.parametrize("duration", sorted(UNUSABLE_DURATIONS))
@@ -1064,6 +1121,10 @@ class TestProfile:
         assert main(["profile", "--durations", f"2,{duration}"]) == 2
         assert capsys.readouterr().err == (f"error: duration {float(duration)!r} s: "
                                            f"{self.UNUSABLE_DURATIONS[duration]}\n")
+
+    def test_two_frames_is_the_shortest_duration(self, capsys):
+        assert main(["profile", "--durations", "0.035"]) == 0
+        assert "macs@0.035s" in capsys.readouterr().out
 
     @pytest.mark.parametrize("durations, item", [("", ""), ("2,,3", ""), ("2,x", "x")],
                              ids=["empty", "empty_item", "word"])

@@ -80,8 +80,8 @@ class TestFloat32Model:
         arrays = [p.data for p in loaded.parameters()]
         arrays += [getattr(owner, attr) for _, owner, attr in loaded.buffers()]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
-        # Writable arrays of their own memory: no two overlap, and none is a
-        # view of the checkpoint bytes (those would be read-only).
+        # Writable arrays, views of a private copy of the checkpoint bytes
+        # (the given bytes themselves would be read-only); no two overlap.
         assert all(a.flags.writeable and a.flags.c_contiguous for a in arrays)
         assert not any(np.may_share_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])

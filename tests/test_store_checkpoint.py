@@ -2,7 +2,9 @@
 round-trip exactly, and every output file is written atomically."""
 
 import hashlib
+import math
 import os
+import struct
 import tracemalloc
 import zlib
 from functools import cache
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from amcrn.audio import write_wav
 from amcrn.errors import AmcrnError, ConfigError, DuplicateId
-from amcrn.model import (AmcrnConfig, AmcrnModel, _atomic_write, _stored_values,
+from amcrn.model import (VALUE_ALIGN, AmcrnConfig, AmcrnModel, _atomic_write, _stored_values,
                          checkpoint_bytes, config_text, load_checkpoint, restore_model,
                          save_checkpoint, tiny_config)
 from amcrn.scoring import Trial, write_scored_trials
@@ -280,6 +282,41 @@ def _sealed(body):
     return bytes(body) + zlib.crc32(body).to_bytes(4, "little")
 
 
+def _entries(blob):
+    """(name, dims, values) of each entry of a checkpoint, as bytes, a
+    tuple of ints and the raw float32 bytes; the padding is dropped."""
+    out, pos = [], _first_entry(blob)
+    while pos < len(blob) - 8:
+        name_len = int.from_bytes(blob[pos:pos + 2], "little")
+        name = blob[pos + 2:pos + 2 + name_len]
+        pos += 2 + name_len
+        dims = struct.unpack_from(f"<{blob[pos]}I", blob, pos + 1)
+        pos += 1 + 4 * len(dims)
+        pos += -pos % VALUE_ALIGN
+        size = 4 * math.prod(dims)
+        out.append((name, dims, blob[pos:pos + size]))
+        pos += size
+    return out
+
+
+def _body(head, entries, align=VALUE_ALIGN):
+    """A checkpoint body (everything before the CRC): `head`, the magic and
+    config block, then `entries` as `_entries` gives them, each header
+    padded with zeros as a writer pads it (to a multiple of `align`),
+    then the entry count."""
+    body = bytearray(head)
+    for name, dims, values in entries:
+        body += (len(name).to_bytes(2, "little") + name
+                 + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
+        body += bytes(-len(body) % align) + values
+    return bytes(body) + len(entries).to_bytes(4, "little")
+
+
+def _config_block(text):
+    """The magic and config block of a checkpoint whose config is `text`."""
+    return b"AMCRN5" + len(text).to_bytes(4, "little") + text
+
+
 class TestCheckpoint:
     def test_save_load_save_is_stable(self, tmp_path):
         model = AmcrnModel(tiny_config(), seed=4)
@@ -332,8 +369,7 @@ class TestCheckpoint:
         for channels, message in ((8, "^shape mismatch for "),
                                   (32, "^checkpoint truncated: its config needs ")):
             text = config_text(tiny_config(channels=channels)).encode()
-            body = (blob[:6] + len(text).to_bytes(4, "little") + text
-                    + blob[_first_entry(blob):-4])
+            body = _body(_config_block(text), _entries(blob))
             with pytest.raises(ConfigError, match=message):
                 restore_model(_sealed(body))
 
@@ -360,24 +396,22 @@ class TestCheckpoint:
 
     def test_amcrn1_file_rejected_naming_the_format(self):
         """The old layouts are refused with a message that says to retrain:
-        AMCRN1 (magic, entries, count; config in a second file), and AMCRN2
-        and AMCRN3 (this layout over a config with fields AmcrnConfig no
-        longer has)."""
+        AMCRN1 (magic, entries, count; config in a second file), AMCRN2
+        and AMCRN3 (a config with fields AmcrnConfig no longer has), and
+        AMCRN4 (entries without padding, so values not aligned)."""
         blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
         for old in (b"AMCRN1" + blob[_first_entry(blob):-4], b"AMCRN2" + blob[6:],
-                    b"AMCRN3" + blob[6:]):
+                    b"AMCRN3" + blob[6:], b"AMCRN4" + blob[6:]):
             with pytest.raises(ConfigError, match=f"^an {old[:6].decode()} checkpoint, .*retrain"
-                                                  " the model to write an AMCRN4 checkpoint$"):
+                                                  " the model to write an AMCRN5 checkpoint$"):
                 restore_model(old)
 
     def test_skipped_entry_goes_through_the_checksum(self):
         """An entry the model has no array for is read past, not loaded;
         its bytes still count toward the CRC."""
         blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
-        extra = (b"\x05\x00extra\x01\x03\x00\x00\x00"
-                 + np.arange(3, dtype="<f4").tobytes())
-        count = int.from_bytes(blob[-8:-4], "little") + 1
-        sealed = _sealed(blob[:-8] + extra + count.to_bytes(4, "little"))
+        extra = (b"extra", (3,), np.arange(3, dtype="<f4").tobytes())
+        sealed = _sealed(_body(blob[:_first_entry(blob)], _entries(blob) + [extra]))
         assert checkpoint_bytes(restore_model(sealed)) == blob
         corrupt = bytearray(sealed)
         corrupt[-10] ^= 0x40  # a byte of the extra entry's values
@@ -386,15 +420,44 @@ class TestCheckpoint:
 
     def test_bad_embedded_config_names_the_checkpoint(self, tmp_path):
         blob = checkpoint_bytes(AmcrnModel(tiny_config(), seed=0))
-        text = "use_blstm = flase\n".encode()
-        body = (blob[:6] + len(text).to_bytes(4, "little") + text
-                + blob[_first_entry(blob):-4])
+        body = _body(_config_block("use_blstm = flase\n".encode()), _entries(blob))
         path = tmp_path / "m.ckpt"
         path.write_bytes(_sealed(body))
         with pytest.raises(ConfigError, match=f"^{path}:1: use_blstm: expected a boolean"):
             load_checkpoint(path)
         with pytest.raises(ConfigError, match="^checkpoint:1: use_blstm"):
             restore_model(_sealed(body))
+
+
+class TestMappedCheckpoint:
+    """A float32 load maps the file: its arrays are views of a private
+    copy-on-write map, aligned by the writer's padding."""
+
+    def test_float32_arrays_are_aligned_private_views(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, _seeded_model())
+        blob = path.read_bytes()
+        arrays = _model_arrays(load_checkpoint(path, np.float32))
+        assert all(a.flags.writeable and a.flags.c_contiguous and not a.flags.owndata
+                   and a.ctypes.data % VALUE_ALIGN == 0 for a in arrays)
+        assert not any(np.may_share_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        for a in arrays:
+            a += 1.0
+        assert hashlib.sha256(path.read_bytes()).digest() == hashlib.sha256(blob).digest()
+        assert checkpoint_bytes(load_checkpoint(path, np.float32)) == blob
+
+    def test_nonzero_padding_refused(self):
+        blob = checkpoint_bytes(_seeded_model())
+        name, dims, values = _entries(blob)[0]
+        header_end = _first_entry(blob) + 2 + len(name) + 1 + 4 * len(dims)
+        at = blob.index(values, header_end) - 1  # the last pad byte
+        assert at >= header_end and blob[at] == 0
+        bad = bytearray(blob[:-4])
+        bad[at] = 1
+        with pytest.raises(ConfigError, match=f"^checkpoint padding before offset {at + 1} "
+                                              "is not zero$"):
+            restore_model(_sealed(bad))
 
 
 def truncation_lengths(blob):
@@ -456,7 +519,7 @@ class TestCheckpointBounds:
             assert b"#blstm" in text
         else:
             text = config_text(tiny_config(channels=2**20)).encode()
-        bad = _sealed(blob[:6] + len(text).to_bytes(4, "little") + text + blob[first:-4])
+        bad = _sealed(_body(_config_block(text), _entries(blob)))
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError, match="^checkpoint truncated: its config needs "):
@@ -473,26 +536,28 @@ class TestCheckpointBounds:
             restore_model(_sealed(bad))
 
 
-# SHA-256 and size of the AMCRN4 checkpoint of AmcrnModel(tiny_config(),
+# SHA-256 and size of the AMCRN5 checkpoint of AmcrnModel(tiny_config(),
 # seed=0) with 0.25 added to initial_bn.running_mean, and SHA-256 of its
-# entries and entry count: the bytes between the config block and the CRC.
-# The file hashes move with the magic and the config text; the entry
-# hashes are those of the AMCRN2 and AMCRN3 files, whose configs named a
-# channel width per block or the kernel sizes, and move only when a
-# stored value does. Each structural ablation holds a different set of
-# entries; dilation 1 in every block changes only the config text.
+# entries and entry count without the padding: the bytes between the
+# config block and the CRC as an unpadded file held them. The file hashes
+# move with the magic, the config text and the padding; the entry hashes
+# are those of the AMCRN2, AMCRN3 and AMCRN4 files, whose configs named a
+# channel width per block or the kernel sizes and whose entries were not
+# padded, and move only when a stored value, name or shape does. Each
+# structural ablation holds a different set of entries; dilation 1 in
+# every block changes only the config text.
 SEEDED_CHECKPOINTS = {
-    "default": ({}, ("db6f0971ab57232104271412df97c4eba8661c4e2cb6cf3b32559b9e830589d6", 45313),
+    "default": ({}, ("bfebe6961a06b84cce4c34de220f58101a418cd040105ff7f8fc87ce60f59e74", 48136),
                 "0851005268bf848c02905e87145c3c635a2868a507e21400a6bf63f431445745"),
     "no_blstm": (dict(use_blstm=False),
-                 ("444858e28cc049ed0d434d62da3da81696c27bebf66ae3ce4ab1402858a71f2a", 31002),
+                 ("2420d63cd19cc1910da5b214740453e5f1b3b4472d46d57395e90b92a9fee769", 33352),
                  "78f7628a74f526a040d8ddaf137cd1e80e87a5b0f41694fa10062559c4fe5a35"),
     "no_temporal_attention": (
         dict(use_temporal_attention=False),
-        ("8a5b6cc065930b358d7d171eca564dba43231737c1934b20b56569dd5cfb6bf0", 44990),
+        ("19a46feb3af5e1805f0ce113c9e4a8f54b5062d7e2580c6c8cce4b397fd79fcb", 47560),
         "4c867e273f42d8ef84ada725df73d8c51c21fab5984a502c41981b69a0c11d96"),
     "dilation_one": (dict(mcb_dilations=(1, 1, 1)),
-                     ("2fae4f7bc160df03b9f4e1f001bda7cbe7323d758a7abf55601a6dc79669d601", 45313),
+                     ("55b898b13559c0badb78b30dc032663fd63a1bd7d688f622fc0ce2e5314524fa", 48136),
                      "0851005268bf848c02905e87145c3c635a2868a507e21400a6bf63f431445745"),
 }
 
@@ -527,7 +592,7 @@ class TestStreamedCheckpoint:
         cannot hide a change to the stored values."""
         overrides, _, entries = SEEDED_CHECKPOINTS[variant]
         blob = checkpoint_bytes(_seeded_model(**overrides))
-        assert hashlib.sha256(blob[_first_entry(blob):-4]).hexdigest() == entries
+        assert hashlib.sha256(_body(b"", _entries(blob), align=1)).hexdigest() == entries
 
     def test_truncated_files_fail_as_truncated_blobs(self, tmp_path):
         model = _seeded_model()

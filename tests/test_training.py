@@ -401,9 +401,9 @@ def trained_digests(tmp_path, source, seed):
 
 # `trained_digests` of `--toy 'speakers=2 utts=3 seconds=2.5'`.
 TRAINED_BYTES = {
-    0: ("a039e882c64c572602972d817e6256ab5b00a335d32bad1095f11e42bd8a281b",
+    0: ("71d03fe5c483a0b025f0df476880f029eac845662a686cc5f68ac53157643e36",
         "5d045382471d779ecc6b04b1582dc0ea1b0bd04a8111dcb865b9d1dfce372a0b"),
-    1: ("ab456b6efe98364d3180ae26dd2728ba425053dc9937cca85e124a197feb87fd",
+    1: ("a5e2cae6257dd061b15973a0e7e7654041ce10953085c04d89cf6f467988cd27",
         "2d1a2d47ca0180e83eed87ae8f3ea3d186623ef53b2b296fe397ade8a5153aa4"),
 }
 
@@ -417,9 +417,9 @@ def test_trained_bytes_are_pinned(tmp_path, seed):
 # `trained_digests` of `--data D`, where D is `amcrn toygen --spec
 # 'speakers=2 utts=3 seconds=2.5'`: the benchmark's path.
 TRAINED_DATA_BYTES = {
-    0: ("0f5d4a701dc4f6f31b1f2a350211926451376d8bd28b024047dd2599f68de589",
+    0: ("7205160d6553c522dd8625677b5cca8a3e0ad955e29529a4a0451facbd9002ff",
         "3b0f4638ada06375eb44349cfdcd93b8be6c08cab496ba96cec760d247896950"),
-    1: ("16ac7b2784a09f2068d1286f0d7e58f9382565b028d70142f106906455e58a69",
+    1: ("0849233e1b46bf63f0f9865b0c113e408e0fd8bb1c6ea1ddba466f485d8ab802",
         "40b5e92c88eed9a3746f39741026aae91d6025f5e9ab99ff4da191bc0737e787"),
 }
 
